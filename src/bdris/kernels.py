@@ -124,7 +124,13 @@ def takagi(a: np.ndarray) -> TakagiFactor:
     Computed from the SVD A = V S W^H: the unitary Z = V^H W^* is block
     diagonal over degenerate singular-value clusters and symmetric on the
     blocks with nonzero singular value; U = V sqrt(Z) with the square root
-    taken blockwise.  Robust to repeated singular values by construction.
+    taken blockwise.  A single-element block is a unit-modulus scalar whose
+    root halves its phase, so all of those are taken in one array
+    operation.  Robust to repeated singular values by construction.
+
+    The reciprocal ascent starts from a Takagi factor, and
+    :func:`nearest_symmetric_unitary` falls back to it for a numerically
+    singular target.
 
     Parameters
     ----------
@@ -147,14 +153,17 @@ def takagi(a: np.ndarray) -> TakagiFactor:
     if sigma[0] == 0.0:  # zero matrix: any unitary works
         return TakagiFactor(sigma=sigma, u=np.eye(a.shape[0], dtype=complex))
     z = v.conj().T @ wh.T  # V^H W^*
-    root = np.zeros(z.shape, dtype=complex)
-    for idx in _runs(sigma, tol.SV_CLUSTER_REL_TOL * sigma[0]):
-        blk = np.ix_(idx, idx)
-        if sigma[idx[0]] <= 1e-12 * sigma[0]:
-            # Numerically zero cluster: Z block need not be symmetric, and
-            # the columns do not contribute to the reconstruction.
-            root[blk] = np.eye(idx.size)
-        else:
+    # Numerically zero clusters keep the identity block: there Z need not
+    # be symmetric, and the columns do not contribute to the reconstruction.
+    root = np.eye(z.shape[0], dtype=complex)
+    gap = tol.SV_CLUSTER_REL_TOL * sigma[0]
+    live = sigma > tol.SINGULAR_REL_TOL * sigma[0]
+    split = np.abs(np.diff(sigma)) > gap
+    alone = np.flatnonzero(live & np.r_[True, split] & np.r_[split, True])
+    root[alone, alone] = np.exp(1j * (0.5 * np.angle(z[alone, alone])))
+    for idx in _runs(sigma, gap):
+        if idx.size > 1 and live[idx[0]]:
+            blk = np.ix_(idx, idx)
             root[blk] = _sym_unitary_sqrt(z[blk])
     return TakagiFactor(sigma=sigma, u=v @ root)
 
@@ -199,7 +208,7 @@ def unitary_procrustes(t: np.ndarray) -> np.ndarray:
     """
     t = _require_square(t, "t")
     p, s, qh = np.linalg.svd(t)
-    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+    if s[0] == 0.0 or s[-1] <= tol.SINGULAR_REL_TOL * s[0]:
         warnings.warn(
             "procrustes target is rank deficient; the nearest unitary is not unique",
             RuntimeWarning,
@@ -211,9 +220,22 @@ def unitary_procrustes(t: np.ndarray) -> np.ndarray:
 def nearest_symmetric_unitary(t: np.ndarray) -> np.ndarray:
     """Closest symmetric unitary matrix to T in Frobenius norm.
 
-    With the Takagi factorization T + T^T = U diag(sigma) U^T, the
-    minimizer of ||Omega - T||_F over symmetric unitary Omega is U U^T.
+    The minimizer of ||Omega - T||_F over symmetric unitary Omega maximizes
+    Re tr(Omega^H S) / 2 with S = T + T^T.  Over all unitaries that is the
+    polar factor P Q^H of the SVD S = P Sigma Q^H (Higham, 1986), and for a
+    nonsingular complex-symmetric S the polar factor is itself symmetric,
+    so one SVD solves the problem.  The computed factor is symmetrized to
+    remove rounding; that keeps Re tr(Omega^H S) and moves unitarity only
+    at second order in the symmetry defect.  A numerically singular S
+    (sigma_min <= ``SINGULAR_REL_TOL`` sigma_max) has no unique polar
+    factor; then the Takagi factorization S = U diag(sigma) U^T gives the
+    symmetric unitary U U^T.
     """
     t = _require_square(t, "t")
-    fac = takagi(t + t.T)
-    return fac.u @ fac.u.T
+    s = t + t.T
+    p, sigma, qh = np.linalg.svd(s)
+    if sigma[0] == 0.0 or sigma[-1] <= tol.SINGULAR_REL_TOL * sigma[0]:
+        fac = takagi(s)
+        return fac.u @ fac.u.T
+    omega = p @ qh
+    return 0.5 * (omega + omega.T)

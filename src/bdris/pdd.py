@@ -10,10 +10,11 @@ is split with a copy Psi = Omega.  The augmented Lagrangian
     L = -Re tr(Omega^H E_b Psi M) + (1/2 rho) ||Omega - Psi||_F^2
         + Re tr(Lambda^H (Omega - Psi))
 
-is minimized alternately: the Omega step is a Procrustes projection
-(symmetric-unitary projection in the reciprocal case) and the Psi step is
-a QCQP whose KKT system is solved in the eigenbasis of E_e and M with a
-scalar bisection.  The r^2-by-r^2 constraint matrix M^T (x) E_e is never
+is minimized alternately: the Omega step is a Procrustes projection (in
+the reciprocal case the symmetric polar factor of T + T^T, one SVD) and
+the Psi step is a QCQP whose KKT system is solved in the eigenbasis of E_e
+and M by a Newton iteration on the scalar secular equation for the
+multiplier.  The r^2-by-r^2 constraint matrix M^T (x) E_e is never
 formed: its spectrum is the outer product of the two r-point spectra and
 all inner products reduce to r-by-r congruences.
 """
@@ -48,8 +49,7 @@ __all__ = [
 ]
 
 _VIOL_SHRINK = 0.5       # geometric tightening of the dual/penalty branch gate
-_MAX_BRACKET_DOUBLINGS = 200
-_MAX_BISECT_STEPS = 500
+_MAX_NEWTON_STEPS = 100
 _STALL_WINDOW = 3        # outer rounds with <1% violation progress = stalled
 _STALL_FACTOR = 0.99
 _MAX_RESTARTS = 3
@@ -67,7 +67,8 @@ class PddSettings:
     outer_tol: float = 1e-5      # final ||Omega - Psi||_F
     max_outer: int = 50
     max_inner: int = 200
-    bisect_tol: float = 1e-10    # relative KKT constraint residual
+    bisect_tol: float = 1e-10    # relative KKT constraint residual of the
+                                 # multiplier solve
 
     def __post_init__(self):
         values = (self.epsilon_eve, self.rho0, self.rho_shrink, self.viol_tol,
@@ -101,44 +102,63 @@ def augmented_lagrangian(state: PddState, forms: QuadraticForms) -> float:
     return float(value)
 
 
+def _secular_iterates(lam: np.ndarray, weights: np.ndarray, epsilon_eve: float,
+                      bisect_tol: float):
+    """Newton iterates (mu, residual) on the KKT secular equation, from mu = 0.
+
+    The residual is f(mu) = sum lam_i w_i / (1 + mu lam_i)^2 - eps, convex
+    and decreasing.  Over the terms with lam_i > 0, f + eps =
+    sum (w_i / lam_i) / (1 / lam_i + mu)^2 has the form of the trust-region
+    secular function of Moré & Sorensen (1983), so (f + eps)^(-1/2) is
+    concave, increasing and nearly linear (exactly linear with one active
+    term).  Newton on (f + eps)^(-1/2) = eps^(-1/2) shares the root of f,
+    steps at least as far as Newton on f itself, and from mu = 0 rises
+    monotonically to the root without overshooting: a handful of steps
+    where Newton on f needs dozens for a tight cap.  Stops at
+    |f| <= eps bisect_tol / max(1, mu), when a step no longer moves mu
+    (float resolution), or after ``_MAX_NEWTON_STEPS`` steps; the last pair
+    yielded is the answer.
+    """
+    lw = lam * weights
+    mu = 0.0
+    for _ in range(_MAX_NEWTON_STEPS):
+        d = 1.0 / (1.0 + mu * lam)
+        terms = lw * d * d
+        value = float(terms.sum())
+        res = value - epsilon_eve
+        yield mu, res
+        if abs(res) <= epsilon_eve * bisect_tol / max(1.0, mu) or res < 0.0:
+            return
+        slope = 2.0 * float((terms * lam) @ d)   # -f'(mu)
+        nxt = mu + 2.0 * value * (np.sqrt(value / epsilon_eve) - 1.0) / slope
+        if not nxt > mu:
+            return
+        mu = nxt
+
+
 def _kkt_shrink(lam: np.ndarray, coeff: np.ndarray, epsilon_eve: float,
                 bisect_tol: float) -> tuple[np.ndarray, float]:
     """Solve min ||x - c||^2 s.t. sum lam_i |x_i|^2 <= eps in eigencoordinates.
 
     Returns the shrunk coefficients c_i/(1 + mu lam_i) and the KKT
     multiplier mu.  mu = 0 when c itself is feasible; otherwise mu solves
-    sum lam_i (|c_i|/(1 + mu lam_i))^2 = eps by bracketed bisection, with
-    the bracket doubled from 1 until the residual turns negative.
+    sum lam_i (|c_i|/(1 + mu lam_i))^2 = eps by the Newton iteration of
+    :func:`_secular_iterates`.  Should it stop short of the tolerance, mu
+    is moved right of the root, to t mu + (t - 1)/lam_min with t^2 the
+    ratio of the constraint value at mu to eps and lam_min the smallest
+    lam_i that carries weight: every such 1 + mu lam_i then grows by at
+    least t, so the returned point is feasible.
     """
     if epsilon_eve <= 0:
         raise ValueError("epsilon_eve must be positive")
     weights = np.abs(coeff) ** 2
     if float(lam @ weights) <= epsilon_eve:
         return coeff, 0.0
-
-    def residual(mu: float) -> float:
-        return float(lam @ (weights / (1.0 + mu * lam) ** 2)) - epsilon_eve
-
-    hi = 1.0
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if residual(hi) < 0.0:
-            break
-        hi *= 2.0
-    lo = 0.0
-    mu = hi
-    for _ in range(_MAX_BISECT_STEPS):
-        mu = 0.5 * (lo + hi)
-        res = residual(mu)
-        # Drive mu * |residual| below the complementary-slackness budget.
-        if abs(res) <= epsilon_eve * bisect_tol / max(1.0, mu):
-            break
-        if res > 0.0:
-            lo = mu
-        else:
-            hi = mu
-        if (hi - lo) <= np.spacing(hi):
-            mu = 0.5 * (lo + hi)
-            break
+    for mu, res in _secular_iterates(lam, weights, epsilon_eve, bisect_tol):
+        pass
+    if res > epsilon_eve * bisect_tol / max(1.0, mu):
+        t = np.sqrt(1.0 + res / epsilon_eve)
+        mu = t * mu + (t - 1.0) / float(lam[lam * weights > 0.0].min())
     return coeff / (1.0 + mu * lam), mu
 
 
@@ -149,8 +169,9 @@ def qcqp_spectral(b: np.ndarray, eig_a: HermEig, epsilon_eve: float,
     In the eigenbasis of the PSD matrix A the optimum keeps the phase of
     every projection u_i^H b and shrinks its magnitude to
     |u_i^H b| / (1 + mu lam_i); when b is already feasible it is returned
-    unchanged (mu = 0).  The multiplier is found by bisection and the
-    returned point satisfies x^H A x <= eps (1 + bisect_tol).
+    unchanged (mu = 0).  The multiplier is found by a Newton iteration on
+    the secular equation and the returned point satisfies
+    x^H A x <= eps (1 + bisect_tol).
     """
     values = np.asarray(eig_a.values, dtype=float)
     if values.size and values.min() < -tol.HERMITIAN_INPUT_TOL * max(1.0, float(values.max())):
@@ -288,6 +309,9 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
     updates to inner stationarity, applying the dual/penalty outer update
     until ||Omega - Psi||_F falls below outer_tol.  Exhausting max_outer
     returns the last iterate with converged=False rather than raising.
+    The report's ``constraint_values`` count the outer rounds, the restarts
+    and ``inner_budget_hits``, the outer rounds whose inner loop ran all
+    max_inner iterations without reaching inner_tol.
     """
     if forms.e_e is None:
         raise ValueError("solve_pdd needs eavesdropper forms (e_e is None)")
@@ -314,8 +338,10 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
                 "epsilon_eve": settings.epsilon_eve,
                 "eve_value": eve0,
                 "equality_violation": 0.0,
-                "constraint_active": 0.0,
-                "outer_rounds": 0.0,
+                "constraint_active": False,
+                "outer_rounds": 0,
+                "restarts": 0,
+                "inner_budget_hits": 0,
             },
         )
         return ris0, report
@@ -338,6 +364,7 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
     restarts = 0
     total_inner = 0
     outer_rounds = 0
+    budget_hits = 0
     for outer_rounds in range(1, settings.max_outer + 1):
         if stalled:
             restarts += 1
@@ -357,6 +384,8 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
                 level = now
                 break
             level = now
+        else:
+            budget_hits += 1
         violation = float(np.linalg.norm(state.omega - state.psi))
         cost_trace.append(quad_objective(state.omega, forms.e_b, forms.m))
         viol_trace.append(violation)
@@ -400,9 +429,10 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
             "eve_value": eve_value,
             "eve_value_psi": quad_objective(state.psi, forms.e_e, forms.m),
             "equality_violation": viol_trace[-1] if viol_trace else 0.0,
-            "constraint_active": 1.0,
-            "outer_rounds": float(outer_rounds),
-            "restarts": float(restarts),
+            "constraint_active": True,
+            "outer_rounds": outer_rounds,
+            "restarts": restarts,
+            "inner_budget_hits": budget_hits,
         },
         violation_trace=viol_trace,
     )

@@ -17,6 +17,8 @@ TAKAGI_RECON_TOL = 1e-9         # relative reconstruction error of takagi
 UNITARY_TOL = 1e-10             # || Q^H Q - I ||_max for computed unitaries
 SV_CLUSTER_REL_TOL = 1e-8       # relative gap below which singular values
                                 # are treated as one degenerate cluster
+SINGULAR_REL_TOL = 1e-12        # sigma_min / sigma_max at or below which a
+                                # matrix counts as numerically singular
 
 # Model layer.
 IMAG_RESIDUE_TOL = 1e-9         # tolerated imaginary part of real traces

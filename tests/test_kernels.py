@@ -1,13 +1,15 @@
 """Dense linear-algebra kernel properties.
 
 Ground truths: scipy.linalg.expm for the skew exponential, an order-6
-Taylor series at small steps, and brute-force random search for the two
-nearest-matrix projections (no sampled matrix may beat the projection).
+Taylor series at small steps, brute-force random search for the two
+nearest-matrix projections (no sampled matrix may beat the projection),
+and the Takagi construction U U^T for the symmetric polar factor.
 """
 import numpy as np
 import pytest
 import scipy.linalg
 
+import bdris.kernels as kernels
 from bdris.errors import ContractViolationError
 from bdris.kernels import (
     expm_skew,
@@ -227,3 +229,73 @@ class TestNearestSymmetricUnitary:
             u = q @ q.T
             best_gain = max(best_gain, np.vdot(u, t).real)
         assert np.vdot(star, t).real >= best_gain - 1e-9
+
+
+def symmetric_with_spectrum(rng, sigma):
+    """T whose symmetric part S = T + T^T has singular values ``sigma``.
+
+    S = U diag(sigma) U^T with a Haar U; a random complex skew-symmetric
+    part is added to T, which the projection must ignore.
+    """
+    n = sigma.size
+    u = haar_unitary(rng, n)
+    a = rand_complex(rng, n)
+    return 0.5 * (u * sigma) @ u.T + (a - a.T)
+
+
+def takagi_route(t):
+    fac = takagi(t + t.T)
+    return fac.u @ fac.u.T
+
+
+class TestSymmetricPolarFactor:
+    """The polar factor of T + T^T against the Takagi construction U U^T."""
+
+    def test_matches_takagi_route(self):
+        rng = np.random.default_rng(59)
+        for n in (2, 3, 5, 8, 16, 36, 64):
+            for _ in range(3):
+                t = rand_complex(rng, n)
+                star = nearest_symmetric_unitary(t)
+                assert np.linalg.norm(star - takagi_route(t)) <= 1e-11
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8, 1e10, 1e11, 1e12,
+                                      1e13, 1e14])
+    def test_near_singular_targets(self, cond):
+        rng = np.random.default_rng(int(np.log10(cond)))
+        for n in (4, 36):
+            t = symmetric_with_spectrum(rng, np.geomspace(1.0, 1.0 / cond, n))
+            self._check_projection(t)
+
+    def test_exactly_singular_targets(self):
+        rng = np.random.default_rng(61)
+        a = rand_complex(rng, 6)
+        skew = a - a.T                     # S = 0: every symmetric unitary ties
+        v = rand_complex(rng, 6, 1)
+        rank_one = 0.5 * (v @ v.T) + skew  # S = v v^T
+        for t in (skew, rank_one):
+            self._check_projection(t)
+
+    @staticmethod
+    def _check_projection(t):
+        star = nearest_symmetric_unitary(t)
+        assert np.linalg.norm(star - star.T) <= 1e-9
+        assert unitary_defect(star) <= 1e-9
+        gain = np.vdot(star, t).real
+        assert gain >= np.vdot(takagi_route(t), t).real - 1e-9 * np.linalg.norm(t)
+
+    def test_generic_target_makes_no_takagi_call(self, monkeypatch):
+        calls = []
+
+        def counting_takagi(a):
+            calls.append(a.shape)
+            return takagi(a)
+
+        monkeypatch.setattr(kernels, "takagi", counting_takagi)
+        rng = np.random.default_rng(67)
+        for n in (2, 36):
+            kernels.nearest_symmetric_unitary(rand_complex(rng, n))
+        assert calls == []
+        # A singular target takes the fallback, so the counter does count.
+        kernels.nearest_symmetric_unitary(np.zeros((3, 3), dtype=complex))
+        assert calls == [(3, 3)]

@@ -1,5 +1,6 @@
 """Leakage-capped solver: the QCQP projection against hand-worked KKT
-points and an eigensolver-free oracle, block updates against the direct
+points and an eigensolver-free oracle, its Newton multiplier solve against
+a tight bisection, block updates against the direct
 augmented-Lagrangian evaluation, and the full driver against random
 feasible-unitary search, a frozen small instance, and both degenerate
 regimes (coincident Bob/Eve forms; a cap below the feasibility floor).
@@ -20,6 +21,7 @@ from bdris.model import (
     generate_channels,
     quad_objective,
 )
+import bdris.pdd as pdd
 from bdris.pdd import (
     PddSettings,
     PddState,
@@ -82,7 +84,7 @@ class TestQcqpSpectral:
             assert mu == pytest.approx(1.0 / scale - 1.0, rel=1e-8)
 
     def test_multiplier_matches_brentq(self):
-        """The bisected multiplier agrees with an independent root finder."""
+        """The Newton multiplier agrees with an independent root finder."""
         rng = np.random.default_rng(3)
         for _ in range(10):
             n = int(rng.integers(2, 7))
@@ -122,9 +124,9 @@ class TestQcqpSpectral:
             assert mu * abs(value - eps) <= eps * 1e-9
 
     def test_tiny_cap_needs_large_multiplier(self):
-        # eps orders of magnitude below b^H A b forces the bracket doubling
-        # far past its starting point; the shrunk point must still sit on
-        # the constraint to bisect_tol accuracy.
+        # eps orders of magnitude below b^H A b puts the multiplier far from
+        # the Newton start mu = 0; the shrunk point must still sit on the
+        # constraint to bisect_tol accuracy.
         rng = np.random.default_rng(5)
         g = rand_complex(rng, 5)
         a = g.conj().T @ g
@@ -146,6 +148,105 @@ class TestQcqpSpectral:
         eig = HermEig(values=np.ones(2), vectors=np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
             qcqp_spectral(np.ones(2, dtype=complex), eig, 0.0)
+
+
+def bisect_multiplier(lam, weights, eps):
+    """Reference root of sum lam w / (1 + mu lam)^2 = eps: bracket doubling
+    then 200 halvings, far below any tolerance the solver works to."""
+    def res(mu):
+        return float(lam @ (weights / (1.0 + mu * lam) ** 2)) - eps
+
+    hi = 1.0
+    while res(hi) > 0.0:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if res(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def secular_cases():
+    """(name, lam, weights, eps) with the cap below the unconstrained leakage."""
+    rng = np.random.default_rng(21)
+    n = 300
+    cases = []
+    for lo, hi in ((0, 0), (-12, 6), (-6, 6), (0, 6)):
+        lam = 10.0 ** rng.uniform(lo, hi, n)
+        w = rng.exponential(size=n)
+        leak = float(lam @ w)
+        for frac in (1 - 1e-9, 0.5, 1e-3, 1e-9):
+            cases.append((f"lam 1e{lo}..1e{hi}, cap {frac:.10g}", lam, w,
+                          frac * leak))
+    lam = 10.0 ** rng.uniform(-3, 3, n)
+    w = rng.exponential(size=n)
+    lam[::3] = 0.0        # zero eigenvalues: free coordinates
+    w[1::5] = 0.0         # zero weights: nothing to shrink
+    for frac in (0.9, 1e-6):
+        cases.append((f"zero lam and weights, cap {frac:g}", lam, w,
+                      frac * float(lam @ w)))
+    lam = np.zeros(n)
+    lam[7] = 2.0          # one active term: Newton is exact in one step
+    cases.append(("single active term", lam, w, 1e-4 * lam[7] * w[7]))
+    return cases
+
+
+class TestSecularSolve:
+    """The Newton multiplier solve of the capped projection."""
+
+    @pytest.mark.parametrize("name,lam,w,eps", secular_cases(),
+                             ids=[c[0] for c in secular_cases()])
+    def test_newton_against_bisection(self, name, lam, w, eps):
+        tol = 1e-10
+        coeff = np.sqrt(w) * np.exp(1j * np.arange(w.size))
+        w = np.abs(coeff) ** 2
+        iterates = list(pdd._secular_iterates(lam, w, eps, tol))
+        mus = np.array([mu for mu, _ in iterates])
+        mu, res = iterates[-1]
+        assert mus[0] == 0.0
+        assert np.all(np.diff(mus) >= 0.0)
+        assert len(iterates) <= 12
+        assert abs(res) <= eps * tol / max(1.0, mu)
+
+        shrunk, mu_out = pdd._kkt_shrink(lam, coeff, eps, tol)
+        assert mu_out == mu >= 0.0
+        np.testing.assert_allclose(shrunk, coeff / (1.0 + mu * lam), rtol=1e-15)
+        # The residual budget bounds the multiplier error through f'.
+        mu_ref = bisect_multiplier(lam, w, eps)
+        slope = 2.0 * float(lam ** 2 @ (w / (1.0 + mu_ref * lam) ** 3))
+        budget = eps * tol / max(1.0, mu_ref) / slope
+        assert abs(mu - mu_ref) <= 2.0 * budget + 1e-14 * mu_ref
+
+    def test_feasible_point_is_untouched(self):
+        rng = np.random.default_rng(22)
+        lam = 10.0 ** rng.uniform(-6, 6, 50)
+        coeff = rand_complex(rng, 50, 1).ravel()
+        leak = float(lam @ np.abs(coeff) ** 2)
+        for eps in (leak, 2.0 * leak):
+            shrunk, mu = pdd._kkt_shrink(lam, coeff, eps, 1e-10)
+            assert mu == 0.0
+            np.testing.assert_array_equal(shrunk, coeff)
+
+    def test_step_cap_falls_back_to_feasible_multiplier(self, monkeypatch):
+        """Stopped short of the tolerance, the multiplier moves right of the
+        root, to a feasible point, rather than staying infeasible."""
+        monkeypatch.setattr(pdd, "_MAX_NEWTON_STEPS", 2)
+        tol = 1e-10
+        fallbacks = 0
+        for name, lam, w, eps in secular_cases():
+            coeff = np.sqrt(w).astype(complex)
+            w = np.abs(coeff) ** 2
+            mu_cut, res_cut = list(pdd._secular_iterates(lam, w, eps, tol))[-1]
+            shrunk, mu = pdd._kkt_shrink(lam, coeff, eps, tol)
+            value = float(lam @ np.abs(shrunk) ** 2)
+            if res_cut <= eps * tol / max(1.0, mu_cut):
+                assert mu == mu_cut, name         # converged within the cap
+                assert value <= eps * (1 + tol), name
+                continue
+            fallbacks += 1
+            assert mu >= bisect_multiplier(lam, w, eps) * (1 - 1e-12), name
+            assert value <= eps * (1 + 1e-12), name
+        assert fallbacks >= 10
 
 
 class TestBlockUpdates:
@@ -304,6 +405,34 @@ class TestSolvePdd:
         assert rep.constraint_values["constraint_active"] == 0.0
         assert rep.objective == pytest.approx(rep0.objective, rel=1e-12)
         np.testing.assert_allclose(ris.matrix, base.matrix, atol=1e-12)
+
+    def test_report_counts(self):
+        """Counts are integers, the activity flag a bool, and every outer
+        round that used up max_inner is counted as a budget hit."""
+        cfg = SystemConfig(k=1, r=3, n_b=2, n_e=2, seed=2)
+        forms = build_forms(generate_channels(cfg))
+        base = solve_nonreciprocal(forms)
+        eve0 = quad_objective(base[0].matrix, forms.e_e, forms.m)
+        keys = ("outer_rounds", "restarts", "inner_budget_hits")
+
+        _, rep = solve_pdd(forms, PddSettings(epsilon_eve=2.0 * eve0), warm=base)
+        cv = rep.constraint_values
+        assert cv["constraint_active"] is False
+        assert [cv[k] for k in keys] == [0, 0, 0]
+
+        max_inner = 3
+        _, rep = solve_pdd(forms, PddSettings(epsilon_eve=0.3 * eve0,
+                                              max_inner=max_inner), warm=base)
+        cv = rep.constraint_values
+        assert cv["constraint_active"] is True
+        assert all(type(cv[k]) is int for k in keys)
+        rounds, hits = cv["outer_rounds"], cv["inner_budget_hits"]
+        assert 0 < hits <= rounds
+        # A hit round runs exactly max_inner iterations, any other round 1 to
+        # max_inner.
+        assert hits * max_inner + (rounds - hits) <= rep.iterations
+        assert rep.iterations <= rounds * max_inner
+        assert '"restarts": 0,' in rep.to_json()
 
     def test_frozen_small_instance(self):
         """k=1, r=3 draw: warm-start values and the capped solve are frozen;
