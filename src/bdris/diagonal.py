@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import ContractViolationError
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
 from .reporting import SolveReport
@@ -210,8 +209,8 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     meets the cap it is returned directly.  Otherwise each restart runs
     penalty rounds of box-projected gradient ascent, growing the penalty
     until the cap holds; the final iterate is rescaled onto the cap if a
-    residual violation remains, entries with |omega_i| > 1 are clipped to
-    unit modulus, and both pre- and post-clip values are reported.
+    residual violation remains.  The box projection and that downward
+    rescale keep |omega_i| <= 1 throughout.
     """
     if dforms.c_e is None:
         raise ValueError("constrained solve needs c_e")
@@ -227,11 +226,7 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
         rep0.constraint_values = {
             "epsilon_eve": float(epsilon_eve),
             "eve_value": eve0,
-            "pre_clip_objective": rep0.objective,
-            "post_clip_objective": rep0.objective,
-            "pre_clip_eve": eve0,
-            "post_clip_eve": eve0,
-            "constraint_active": 0.0,
+            "constraint_active": False,
         }
         return ris0, rep0
 
@@ -274,26 +269,15 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
             best_omega = omega
             best_stalled = stalled
     omega = best_omega
-
-    pre_obj = _quad(dforms.c_b, omega)
-    pre_eve = _quad(dforms.c_e, omega)
-    mags = np.abs(omega)
-    omega = np.where(mags > 1.0, omega / np.where(mags > 0, mags, 1.0), omega)
-    post_obj = _quad(dforms.c_b, omega)
-    post_eve = _quad(dforms.c_e, omega)
     report = SolveReport(
-        objective=post_obj,
+        objective=_quad(dforms.c_b, omega),
         bound=float(np.linalg.eigvalsh(dforms.c_b).max() * n),
         iterations=total_iters,
         converged=not best_stalled,
         constraint_values={
             "epsilon_eve": float(epsilon_eve),
-            "eve_value": post_eve,
-            "pre_clip_objective": pre_obj,
-            "post_clip_objective": post_obj,
-            "pre_clip_eve": pre_eve,
-            "post_clip_eve": post_eve,
-            "constraint_active": 1.0,
+            "eve_value": _quad(dforms.c_e, omega),
+            "constraint_active": True,
         },
     )
     return RisMatrix(np.diag(omega), ARCH_DIAGONAL), report

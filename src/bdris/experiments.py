@@ -133,10 +133,11 @@ def _solve_no_eve(arch: str, forms, dforms):
 
 
 def _solve_eve(arch: str, forms, dforms, eps: float, warm):
-    if arch == ARCH_DIAGONAL:
-        return solve_diagonal_constrained(dforms, eps, DiagSettings())
-    return solve_pdd(forms, PddSettings(epsilon_eve=eps),
-                     reciprocal=(arch == ARCH_RECIPROCAL), warm=warm)
+    if arch == ARCH_NONRECIPROCAL:
+        return solve_nonreciprocal(forms, eps)
+    if arch == ARCH_RECIPROCAL:
+        return solve_pdd(forms, PddSettings(epsilon_eve=eps), warm=warm)
+    return solve_diagonal_constrained(dforms, eps, DiagSettings())
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
@@ -145,8 +146,9 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     Returns the result table as a list of row dicts (CSV_COLUMNS keys).
     Rows are ordered deterministically: scenario, then architecture
     (each in the canonical order above), then increasing cap.  The
-    no-eve cells are computed once per architecture and reused both as
-    reference rows and as warm starts for the capped solves.  A solver
+    no-eve cells are computed once per architecture and reused as
+    reference rows and, for the reciprocal class, as the warm start of
+    the capped solves.  A solver
     that stops without converging flags its row; the run continues.
     """
     ch = generate_channels(spec.cfg)

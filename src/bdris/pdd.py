@@ -1,22 +1,25 @@
-"""Leakage-constrained design by penalty dual decomposition.
+"""Leakage-constrained reciprocal design by penalty dual decomposition.
 
 The constrained problem
 
     max tr(Omega^H E_b Omega M)  s.t.  tr(Omega^H E_e Omega M) <= eps,
-                                        Omega unitary (symmetric if reciprocal)
+                                        Omega symmetric unitary
 
 is split with a copy Psi = Omega.  The augmented Lagrangian
 
     L = -Re tr(Omega^H E_b Psi M) + (1/2 rho) ||Omega - Psi||_F^2
         + Re tr(Lambda^H (Omega - Psi))
 
-is minimized alternately: the Omega step is a Procrustes projection (in
-the reciprocal case the symmetric polar factor of T + T^T, one SVD) and
-the Psi step is a QCQP whose KKT system is solved in the eigenbasis of E_e
-and M by a Newton iteration on the scalar secular equation for the
-multiplier.  The r^2-by-r^2 constraint matrix M^T (x) E_e is never
-formed: its spectrum is the outer product of the two r-point spectra and
-all inner products reduce to r-by-r congruences.
+is minimized alternately: the Omega step is the nearest symmetric unitary,
+the polar factor of T + T^T from one SVD, and the Psi step is a QCQP whose
+KKT system is solved in the eigenbasis of E_e and M by a Newton iteration
+on the scalar secular equation for the multiplier.  The r^2-by-r^2
+constraint matrix M^T (x) E_e is never formed: its spectrum is the outer
+product of the two r-point spectra and all inner products reduce to
+r-by-r congruences.
+
+The same problem over all unitaries (the non-reciprocal class) has an
+exact dual and is solved by :func:`bdris.spectral.solve_nonreciprocal`.
 """
 
 from __future__ import annotations
@@ -27,16 +30,10 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ContractViolationError
-from .kernels import HermEig, hermitian_eig, nearest_symmetric_unitary, unitary_procrustes
-from .model import (
-    ARCH_NONRECIPROCAL,
-    ARCH_RECIPROCAL,
-    QuadraticForms,
-    RisMatrix,
-    quad_objective,
-)
+from .kernels import HermEig, hermitian_eig, nearest_symmetric_unitary
+from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
 from .reporting import SolveReport
-from .spectral import solve_nonreciprocal, solve_reciprocal_ao, von_neumann_bound
+from .spectral import solve_reciprocal_ao, von_neumann_bound
 
 __all__ = [
     "PddSettings",
@@ -48,7 +45,15 @@ __all__ = [
     "outer_update",
 ]
 
-_VIOL_SHRINK = 0.5       # geometric tightening of the dual/penalty branch gate
+_RHO0 = 1.0              # initial penalty-reciprocal parameter
+_RHO_SHRINK = 0.7        # penalty tightening factor
+_VIOL_TOL = 1e-2         # starting gate between dual and penalty branch
+_VIOL_SHRINK = 0.5       # geometric tightening of that gate
+_INNER_TOL = 1e-7        # inner-loop stationarity (relative)
+_OUTER_TOL = 1e-5        # final ||Omega - Psi||_F
+_MAX_OUTER = 50
+_MAX_INNER = 200
+_SECULAR_TOL = 1e-10     # relative KKT constraint residual of the multiplier solve
 _MAX_NEWTON_STEPS = 100
 _STALL_WINDOW = 3        # outer rounds with <1% violation progress = stalled
 _STALL_FACTOR = 0.99
@@ -57,28 +62,13 @@ _MAX_RESTARTS = 3
 
 @dataclass
 class PddSettings:
-    """Knobs of the penalty-dual-decomposition solver."""
+    """The leakage cap the penalty-dual-decomposition solver enforces."""
 
     epsilon_eve: float           # leakage cap at the unintended receiver
-    rho0: float = 1.0            # initial penalty-reciprocal parameter
-    rho_shrink: float = 0.7      # penalty tightening factor
-    viol_tol: float = 1e-2       # starting gate between dual and penalty branch
-    inner_tol: float = 1e-7      # inner-loop stationarity (relative)
-    outer_tol: float = 1e-5      # final ||Omega - Psi||_F
-    max_outer: int = 50
-    max_inner: int = 200
-    bisect_tol: float = 1e-10    # relative KKT constraint residual of the
-                                 # multiplier solve
 
     def __post_init__(self):
-        values = (self.epsilon_eve, self.rho0, self.rho_shrink, self.viol_tol,
-                  self.inner_tol, self.outer_tol, self.bisect_tol)
-        if min(values) <= 0:
-            raise ValueError("all PddSettings values must be positive")
-        if self.rho_shrink >= 1.0:
-            raise ValueError("rho_shrink must be below 1")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.epsilon_eve <= 0:
+            raise ValueError("epsilon_eve must be positive")
 
 
 @dataclass
@@ -102,8 +92,7 @@ def augmented_lagrangian(state: PddState, forms: QuadraticForms) -> float:
     return float(value)
 
 
-def _secular_iterates(lam: np.ndarray, weights: np.ndarray, epsilon_eve: float,
-                      bisect_tol: float):
+def _secular_iterates(lam: np.ndarray, weights: np.ndarray, epsilon_eve: float):
     """Newton iterates (mu, residual) on the KKT secular equation, from mu = 0.
 
     The residual is f(mu) = sum lam_i w_i / (1 + mu lam_i)^2 - eps, convex
@@ -115,7 +104,7 @@ def _secular_iterates(lam: np.ndarray, weights: np.ndarray, epsilon_eve: float,
     steps at least as far as Newton on f itself, and from mu = 0 rises
     monotonically to the root without overshooting: a handful of steps
     where Newton on f needs dozens for a tight cap.  Stops at
-    |f| <= eps bisect_tol / max(1, mu), when a step no longer moves mu
+    |f| <= eps _SECULAR_TOL / max(1, mu), when a step no longer moves mu
     (float resolution), or after ``_MAX_NEWTON_STEPS`` steps; the last pair
     yielded is the answer.
     """
@@ -127,7 +116,7 @@ def _secular_iterates(lam: np.ndarray, weights: np.ndarray, epsilon_eve: float,
         value = float(terms.sum())
         res = value - epsilon_eve
         yield mu, res
-        if abs(res) <= epsilon_eve * bisect_tol / max(1.0, mu) or res < 0.0:
+        if abs(res) <= epsilon_eve * _SECULAR_TOL / max(1.0, mu) or res < 0.0:
             return
         slope = 2.0 * float((terms * lam) @ d)   # -f'(mu)
         nxt = mu + 2.0 * value * (np.sqrt(value / epsilon_eve) - 1.0) / slope
@@ -136,8 +125,8 @@ def _secular_iterates(lam: np.ndarray, weights: np.ndarray, epsilon_eve: float,
         mu = nxt
 
 
-def _kkt_shrink(lam: np.ndarray, coeff: np.ndarray, epsilon_eve: float,
-                bisect_tol: float) -> tuple[np.ndarray, float]:
+def _kkt_shrink(lam: np.ndarray, coeff: np.ndarray,
+                epsilon_eve: float) -> tuple[np.ndarray, float]:
     """Solve min ||x - c||^2 s.t. sum lam_i |x_i|^2 <= eps in eigencoordinates.
 
     Returns the shrunk coefficients c_i/(1 + mu lam_i) and the KKT
@@ -154,16 +143,16 @@ def _kkt_shrink(lam: np.ndarray, coeff: np.ndarray, epsilon_eve: float,
     weights = np.abs(coeff) ** 2
     if float(lam @ weights) <= epsilon_eve:
         return coeff, 0.0
-    for mu, res in _secular_iterates(lam, weights, epsilon_eve, bisect_tol):
+    for mu, res in _secular_iterates(lam, weights, epsilon_eve):
         pass
-    if res > epsilon_eve * bisect_tol / max(1.0, mu):
+    if res > epsilon_eve * _SECULAR_TOL / max(1.0, mu):
         t = np.sqrt(1.0 + res / epsilon_eve)
         mu = t * mu + (t - 1.0) / float(lam[lam * weights > 0.0].min())
     return coeff / (1.0 + mu * lam), mu
 
 
 def qcqp_spectral(b: np.ndarray, eig_a: HermEig, epsilon_eve: float,
-                  bisect_tol: float = 1e-10, return_multiplier: bool = False):
+                  return_multiplier: bool = False):
     """Minimize ||x - b||^2 subject to x^H A x <= eps, A given by eig_a.
 
     In the eigenbasis of the PSD matrix A the optimum keeps the phase of
@@ -171,14 +160,14 @@ def qcqp_spectral(b: np.ndarray, eig_a: HermEig, epsilon_eve: float,
     |u_i^H b| / (1 + mu lam_i); when b is already feasible it is returned
     unchanged (mu = 0).  The multiplier is found by a Newton iteration on
     the secular equation and the returned point satisfies
-    x^H A x <= eps (1 + bisect_tol).
+    x^H A x <= eps (1 + _SECULAR_TOL).
     """
     values = np.asarray(eig_a.values, dtype=float)
     if values.size and values.min() < -tol.HERMITIAN_INPUT_TOL * max(1.0, float(values.max())):
         raise ContractViolationError("constraint matrix must be PSD (negative eigenvalue)")
     lam = np.clip(values, 0.0, None)
     proj = eig_a.vectors.conj().T @ np.asarray(b, dtype=complex).ravel()
-    shrunk, mu = _kkt_shrink(lam, proj, epsilon_eve, bisect_tol)
+    shrunk, mu = _kkt_shrink(lam, proj, epsilon_eve)
     x = eig_a.vectors @ shrunk
     if return_multiplier:
         return x, mu
@@ -197,7 +186,7 @@ def _normalized_problem(forms: QuadraticForms, epsilon_eve: float):
     The low noise floor makes E_b and E_e orders of magnitude larger than
     the unitary iterates; dividing each form by its top eigenvalue (and
     the cap by the matching product) leaves the argmax unchanged while
-    making rho0 = 1 a balanced penalty weight.
+    making the initial penalty weight of 1 balanced.
     """
     s_b = float(hermitian_eig(forms.e_b).values[0]) or 1.0
     s_m = float(hermitian_eig(forms.m).values[0]) or 1.0
@@ -211,25 +200,23 @@ def _normalized_problem(forms: QuadraticForms, epsilon_eve: float):
     return scaled, epsilon_eve / (s_e * s_m)
 
 
-def _restart_start(attempt: int, r: int, reciprocal: bool) -> np.ndarray:
-    """Seeded random (symmetric) unitary used to break symmetric traps.
+def _restart_start(attempt: int, r: int) -> np.ndarray:
+    """Seeded random symmetric unitary used to break symmetric traps.
 
     When the objective and the leakage forms share an eigenbasis, the warm
     start's coefficient matrix is diagonal there and the block updates can
-    never leave that manifold (the Procrustes step only takes signs); a
+    never leave that manifold (the projection step only takes signs); a
     generic start has dense coefficients and escapes.
     """
     rng = np.random.default_rng(attempt)
     z = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
     q, rr = np.linalg.qr(z)
     q = q * (np.diag(rr) / np.abs(np.diag(rr)))
-    if reciprocal:
-        q = nearest_symmetric_unitary(q)
-    return q
+    return nearest_symmetric_unitary(q)
 
 
 def _constrained_shrink(target: np.ndarray, eig_e: HermEig, eig_m: HermEig,
-                        epsilon_eve: float, bisect_tol: float) -> np.ndarray:
+                        epsilon_eve: float) -> np.ndarray:
     """Project a matrix target onto the leakage ball without forming the
     Kronecker constraint matrix.
 
@@ -240,25 +227,20 @@ def _constrained_shrink(target: np.ndarray, eig_e: HermEig, eig_m: HermEig,
     """
     coeff = eig_e.vectors.conj().T @ target @ eig_m.vectors
     lam = np.clip(np.outer(eig_e.values, eig_m.values), 0.0, None)
-    shrunk, _mu = _kkt_shrink(lam.ravel(), coeff.ravel(), epsilon_eve, bisect_tol)
+    shrunk, _mu = _kkt_shrink(lam.ravel(), coeff.ravel(), epsilon_eve)
     shrunk = shrunk.reshape(coeff.shape)
     return eig_e.vectors @ shrunk @ eig_m.vectors.conj().T
 
 
-def update_omega(state: PddState, forms: QuadraticForms,
-                 reciprocal: bool = False) -> PddState:
+def update_omega(state: PddState, forms: QuadraticForms) -> PddState:
     """Exact minimizer of the augmented Lagrangian over the response block.
 
     The quadratic terms collapse to a nearest-matrix problem with target
-    Psi + rho E_b Psi M - rho Lambda, solved by the Procrustes projection
-    (symmetric-unitary projection when reciprocal).
+    Psi + rho E_b Psi M - rho Lambda, solved by the symmetric-unitary
+    projection.
     """
     target = state.psi + state.rho * (forms.e_b @ state.psi @ forms.m - state.lam)
-    if reciprocal:
-        omega = nearest_symmetric_unitary(target)
-    else:
-        omega = unitary_procrustes(target)
-    return replace(state, omega=omega)
+    return replace(state, omega=nearest_symmetric_unitary(target))
 
 
 def update_psi(state: PddState, forms: QuadraticForms, settings: PddSettings,
@@ -273,58 +255,51 @@ def update_psi(state: PddState, forms: QuadraticForms, settings: PddSettings,
     target = state.omega + state.rho * (
         forms.e_b.conj().T @ state.omega @ forms.m.conj().T + state.lam
     )
-    psi = _constrained_shrink(target, eig_e, eig_m,
-                              settings.epsilon_eve, settings.bisect_tol)
+    psi = _constrained_shrink(target, eig_e, eig_m, settings.epsilon_eve)
     return replace(state, psi=psi)
 
 
-def outer_update(state: PddState, settings: PddSettings,
-                 viol_tol: float | None = None) -> PddState:
+def outer_update(state: PddState, viol_tol: float = _VIOL_TOL) -> PddState:
     """Dual ascent when the split is nearly closed, penalty tightening otherwise.
 
-    If ||Omega - Psi||_inf is within the current gate the dual variable
+    If ||Omega - Psi||_inf is within the gate ``viol_tol`` the dual variable
     absorbs the residual (Lambda += (Omega - Psi)/rho); otherwise rho is
     shrunk so the next inner loop weighs the equality more heavily.
     """
-    gate = settings.viol_tol if viol_tol is None else viol_tol
     viol = float(np.max(np.abs(state.omega - state.psi)))
-    if viol <= gate:
+    if viol <= viol_tol:
         lam = state.lam + (state.omega - state.psi) / state.rho
         return replace(state, lam=lam)
-    return replace(state, rho=settings.rho_shrink * state.rho)
+    return replace(state, rho=_RHO_SHRINK * state.rho)
 
 
 def solve_pdd(forms: QuadraticForms, settings: PddSettings,
-              reciprocal: bool = False,
               warm: tuple[RisMatrix, SolveReport] | None = None,
               ) -> tuple[RisMatrix, SolveReport]:
-    """Best response under a leakage cap at the unintended receiver.
+    """Best symmetric-unitary response under a leakage cap at the unintended receiver.
 
-    Warm starts Omega = Psi from the unconstrained solver of the matching
-    architecture (the first Psi step applies the cap); a precomputed
-    (RisMatrix, SolveReport) pair may be passed as `warm` to skip that
-    solve, e.g. across a grid of caps on the same instance.  If the
-    unconstrained optimum already meets the cap it is returned directly
-    (constraint inactive).  Otherwise the solver alternates the two block
-    updates to inner stationarity, applying the dual/penalty outer update
-    until ||Omega - Psi||_F falls below outer_tol.  Exhausting max_outer
-    returns the last iterate with converged=False rather than raising.
-    The report's ``constraint_values`` count the outer rounds, the restarts
-    and ``inner_budget_hits``, the outer rounds whose inner loop ran all
-    max_inner iterations without reaching inner_tol.
+    Warm starts Omega = Psi from the reciprocal ascent (the first Psi step
+    applies the cap); a precomputed reciprocal (RisMatrix, SolveReport)
+    pair may be passed as `warm` to skip that solve, e.g. across a grid of
+    caps on the same instance.  If the unconstrained optimum already meets
+    the cap it is returned directly (constraint inactive).  Otherwise the
+    solver alternates the two block updates to inner stationarity,
+    applying the dual/penalty outer update until ||Omega - Psi||_F falls
+    below ``_OUTER_TOL``.  Exhausting ``_MAX_OUTER`` rounds returns the last
+    iterate with converged=False rather than raising.  The report's
+    ``constraint_values`` count the outer rounds, the restarts and
+    ``inner_budget_hits``, the outer rounds whose inner loop ran all
+    ``_MAX_INNER`` iterations without reaching ``_INNER_TOL``.
     """
     if forms.e_e is None:
         raise ValueError("solve_pdd needs eavesdropper forms (e_e is None)")
-    arch = ARCH_RECIPROCAL if reciprocal else ARCH_NONRECIPROCAL
     if warm is not None:
         ris0, rep0 = warm
-        if ris0.architecture != arch:
+        if ris0.architecture != ARCH_RECIPROCAL:
             raise ValueError(f"warm start architecture {ris0.architecture!r} "
-                             f"does not match {arch!r}")
-    elif reciprocal:
-        ris0, rep0 = solve_reciprocal_ao(forms)
+                             f"does not match {ARCH_RECIPROCAL!r}")
     else:
-        ris0, rep0 = solve_nonreciprocal(forms)
+        ris0, rep0 = solve_reciprocal_ao(forms)
     bound = von_neumann_bound(forms, "bob")
     eve0 = quad_objective(ris0.matrix, forms.e_e, forms.m)
     if eve0 <= settings.epsilon_eve:
@@ -347,15 +322,15 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
         return ris0, report
 
     # The splitting iterates on the rescaled problem; the argmax and the
-    # feasible set are the same, but rho0/viol_tol now act at unit scale.
+    # feasible set are the same, but _RHO0/_VIOL_TOL now act at unit scale.
     nforms, eps_hat = _normalized_problem(forms, settings.epsilon_eve)
-    nsettings = replace(settings, epsilon_eve=eps_hat)
+    nsettings = PddSettings(epsilon_eve=eps_hat)
     nspectra = _leak_spectra(nforms)
 
     omega0 = ris0.matrix
     state = PddState(omega=omega0, psi=omega0.copy(),
-                     lam=np.zeros_like(omega0), rho=settings.rho0)
-    viol_tol = settings.viol_tol
+                     lam=np.zeros_like(omega0), rho=_RHO0)
+    viol_tol = _VIOL_TOL
     cost_trace: list[float] = []
     viol_trace: list[float] = []
     attempt_viols: list[float] = []
@@ -365,22 +340,22 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
     total_inner = 0
     outer_rounds = 0
     budget_hits = 0
-    for outer_rounds in range(1, settings.max_outer + 1):
+    for outer_rounds in range(1, _MAX_OUTER + 1):
         if stalled:
             restarts += 1
-            fresh = _restart_start(restarts, omega0.shape[0], reciprocal)
+            fresh = _restart_start(restarts, omega0.shape[0])
             state = PddState(omega=fresh, psi=fresh.copy(),
-                             lam=np.zeros_like(fresh), rho=settings.rho0)
-            viol_tol = settings.viol_tol
+                             lam=np.zeros_like(fresh), rho=_RHO0)
+            viol_tol = _VIOL_TOL
             attempt_viols = []
             stalled = False
         level = augmented_lagrangian(state, nforms)
-        for _ in range(settings.max_inner):
-            state = update_omega(state, nforms, reciprocal)
+        for _ in range(_MAX_INNER):
+            state = update_omega(state, nforms)
             state = update_psi(state, nforms, nsettings, spectra=nspectra)
             total_inner += 1
             now = augmented_lagrangian(state, nforms)
-            if abs(level - now) <= settings.inner_tol * max(1.0, abs(now)):
+            if abs(level - now) <= _INNER_TOL * max(1.0, abs(now)):
                 level = now
                 break
             level = now
@@ -390,7 +365,7 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
         cost_trace.append(quad_objective(state.omega, forms.e_b, forms.m))
         viol_trace.append(violation)
         attempt_viols.append(violation)
-        if violation <= settings.outer_tol:
+        if violation <= _OUTER_TOL:
             converged = True
             break
         # A symmetric warm start can pin every block update at a fixed point
@@ -400,7 +375,7 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
         # once the dual ascent is active, slow rounds are left alone.
         if (len(attempt_viols) > _STALL_WINDOW
                 and attempt_viols[-1] > _STALL_FACTOR * attempt_viols[-1 - _STALL_WINDOW]
-                and violation > 10.0 * settings.outer_tol
+                and violation > 10.0 * _OUTER_TOL
                 and not np.any(state.lam)
                 and restarts < _MAX_RESTARTS):
             stalled = True
@@ -409,13 +384,11 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
         # violation shrinks at the rho rate, which a gate shrinking faster
         # would outrun, locking the dual branch out permanently.
         dual_round = float(np.max(np.abs(state.omega - state.psi))) <= viol_tol
-        state = outer_update(state, nsettings, viol_tol)
+        state = outer_update(state, viol_tol)
         if dual_round:
             viol_tol *= _VIOL_SHRINK
 
-    omega = state.omega
-    if reciprocal:
-        omega = 0.5 * (omega + omega.T)
+    omega = 0.5 * (state.omega + state.omega.T)
     objective = quad_objective(omega, forms.e_b, forms.m)
     eve_value = quad_objective(omega, forms.e_e, forms.m)
     report = SolveReport(
@@ -436,4 +409,4 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
         },
         violation_trace=viol_trace,
     )
-    return RisMatrix(omega, arch), report
+    return RisMatrix(omega, ARCH_RECIPROCAL), report

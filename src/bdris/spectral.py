@@ -1,8 +1,23 @@
-"""Unconstrained designs: closed-form unitary optimum and symmetric-unitary ascent.
+"""Closed-form unitary optimum, its leakage-capped form, and symmetric-unitary ascent.
 
-Without a leakage constraint the best unconstrained unitary response is
-closed form: align the eigenbases of the receiver form E_b and the source
-Gram matrix M, which attains the Von Neumann trace bound sum_i d_E,i d_M,i.
+Without a leakage constraint the best unitary response is closed form:
+align the eigenbases of the receiver form E_b and the source Gram matrix
+M, which attains the Von Neumann trace bound sum_i d_E,i d_M,i.
+
+Under a cap tr(Omega^H E_e Omega M) <= eps the unitary problem is solved
+exactly through its Lagrangian dual.  For a multiplier mu >= 0 the
+Lagrangian tr(Omega^H (E_b - mu E_e) Omega M) + mu eps is maximized by the
+same closed form applied to E_b - mu E_e, so the dual function g(mu) is
+the sum of sorted eigenvalue products plus mu eps: convex in one scalar,
+with slope eps minus the leakage of the maximizer.  The joint range of
+(information, leakage) over unitaries is the C-numerical range of
+E_b + i E_e with C = M, which is convex (Westwick, Linear and Multilinear
+Algebra, 1975), so there is no duality gap.  The multiplier is bracketed
+by doubling and bisected; the cap is then met exactly along the geodesic
+between the two bracketing maximizers, which stays in the set of
+maximizers when the leakage jumps at the optimal multiplier (coincident or
+commuting forms).
+
 The reciprocal (symmetric unitary) case has no closed form; it is solved
 by manifold ascent over U with Omega = U U^T, initialized at the
 symmetric-unitary matrix closest to the unconstrained optimum.
@@ -13,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 from .errors import DimensionError
-from .kernels import expm_skew, hermitian_eig, takagi
+from .kernels import HermEig, expm_skew, hermitian_eig, takagi
 from .model import (
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
@@ -35,6 +51,13 @@ __all__ = [
 # Step sizes below this are treated as a stalled line search: the current
 # iterate is a numerical critical point and the run counts as converged.
 _MU_FLOOR = 1e-14
+
+# Capped closed form: the multiplier bracket starts at lambda_max(E_b) /
+# lambda_max(E_e) and doubles at most this often before the cap counts as
+# unreachable; each bisection (on the multiplier, then along the geodesic)
+# stops once its midpoint no longer moves, or after this many steps.
+_MAX_DOUBLINGS = 64
+_MAX_BISECT = 200
 
 
 @dataclass
@@ -80,12 +103,23 @@ def von_neumann_bound(forms: QuadraticForms, target: str = "bob") -> float:
     return float(d_e @ d_m)
 
 
-def solve_nonreciprocal(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
-    """Closed-form optimal unitary response Omega = V_E V_M^H.
+def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
+                        ) -> tuple[RisMatrix, SolveReport]:
+    """Optimal unitary response, uncapped or under a leakage cap.
 
-    V_E and V_M hold the eigenvectors of E_b and M sorted by descending
-    eigenvalue; the achieved objective equals the Von Neumann bound, so
-    the returned report always has objective == bound (up to rounding).
+    Uncapped, the response is the closed form Omega = V_E V_M^H with V_E
+    and V_M the eigenvectors of E_b and M sorted by descending eigenvalue;
+    its objective equals the Von Neumann bound.  The same closed form is
+    returned when it already meets ``epsilon_eve`` (constraint inactive).
+
+    Otherwise the cap is met exactly by the dual search described in the
+    module docstring, and the report's ``constraint_values`` carry
+    ``epsilon_eve``, ``eve_value``, ``constraint_active``, the multiplier
+    and ``dual_bound`` = g(mu), an upper bound on every feasible
+    objective.  A cap below the leakage floor sum_i d_E,i(ascending)
+    d_M,i(descending) cannot be met: the floor response V_E(ascending)
+    V_M^H is returned with converged=False (and no dual bound).
+    ``bound`` stays the uncapped Von Neumann bound.
     """
     _check_forms(forms)
     eig_e = hermitian_eig(forms.e_b)
@@ -100,7 +134,109 @@ def solve_nonreciprocal(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
         cost_trace=[objective],
         converged=True,
     )
+    if epsilon_eve is None:
+        return RisMatrix(omega, ARCH_NONRECIPROCAL), report
+    if forms.e_e is None:
+        raise ValueError("a leakage cap needs eavesdropper forms (e_e is None)")
+    if not epsilon_eve > 0:
+        raise ValueError("epsilon_eve must be positive")
+    epsilon_eve = float(epsilon_eve)
+    eve = quad_objective(omega, forms.e_e, forms.m)
+    if eve <= epsilon_eve:
+        report.constraint_values = {
+            "epsilon_eve": epsilon_eve,
+            "eve_value": eve,
+            "constraint_active": False,
+            "multiplier": 0.0,
+            "dual_bound": bound,
+        }
+        return RisMatrix(omega, ARCH_NONRECIPROCAL), report
+    omega, report = _capped_nonreciprocal(forms, eig_e, eig_m, epsilon_eve)
     return RisMatrix(omega, ARCH_NONRECIPROCAL), report
+
+
+def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
+                          epsilon_eve: float) -> tuple[np.ndarray, SolveReport]:
+    """Dual search for a cap the uncapped optimum V_E V_M^H violates."""
+    e_b, e_e, m = forms.e_b, forms.e_e, forms.m
+    v_m_h = eig_m.vectors.conj().T
+    bound = float(eig_e.values @ eig_m.values)
+    evaluations = 0
+
+    def leak(omega: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return quad_objective(omega, e_e, m)
+
+    def maximizer(mu: float) -> tuple[np.ndarray, float]:
+        """Argmax of the Lagrangian at mu and the dual value g(mu)."""
+        eig = hermitian_eig(e_b - mu * e_e)
+        return eig.vectors @ v_m_h, float(eig.values @ eig_m.values) + mu * epsilon_eve
+
+    def report(omega: np.ndarray, converged: bool, **extra) -> SolveReport:
+        objective = quad_objective(omega, e_b, m)
+        return SolveReport(
+            objective=objective,
+            bound=bound,
+            iterations=evaluations,
+            cost_trace=[objective],
+            converged=converged,
+            constraint_values={
+                "epsilon_eve": epsilon_eve,
+                "eve_value": quad_objective(omega, e_e, m),
+                "constraint_active": True,
+                **extra,
+            },
+        )
+
+    eig_ee = hermitian_eig(e_e)
+    floor_omega = eig_ee.vectors[:, ::-1] @ v_m_h
+    if epsilon_eve < float(eig_ee.values[::-1] @ eig_m.values):
+        return floor_omega, report(floor_omega, False)
+
+    # Bracket: leak(omega_lo) > eps >= leak(omega_hi), mu_lo < mu_hi.
+    mu_lo, omega_lo = 0.0, eig_e.vectors @ v_m_h
+    mu_hi = float(eig_e.values[0]) / float(eig_ee.values[0]) or 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        omega_hi, g_hi = maximizer(mu_hi)
+        if leak(omega_hi) <= epsilon_eve:
+            break
+        mu_lo, omega_lo = mu_hi, omega_hi
+        mu_hi *= 2.0
+    else:
+        return floor_omega, report(floor_omega, False)
+
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (mu_lo + mu_hi)
+        if not mu_lo < mid < mu_hi:
+            break
+        omega_mid, g_mid = maximizer(mid)
+        if leak(omega_mid) <= epsilon_eve:
+            mu_hi, omega_hi, g_hi = mid, omega_mid, g_mid
+        else:
+            mu_lo, omega_lo = mid, omega_mid
+
+    # Geodesic Omega(t) = Omega_hi W^t from Omega_hi (t = 0, feasible) to
+    # Omega_lo (t = 1), with W = Omega_hi^H Omega_lo = Z diag(e^{i theta}) Z^H.
+    tri, z = schur(omega_hi.conj().T @ omega_lo, output="complex")
+    theta = np.angle(np.diag(tri))
+    left = omega_hi @ z
+
+    def along(t: float) -> np.ndarray:
+        return (left * np.exp(1j * t * theta)) @ z.conj().T
+
+    t_lo, t_hi = 0.0, 1.0
+    omega = omega_hi
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < mid < t_hi:
+            break
+        candidate = along(mid)
+        if leak(candidate) <= epsilon_eve:
+            t_lo, omega = mid, candidate
+        else:
+            t_hi = mid
+    return omega, report(omega, True, multiplier=mu_hi, dual_bound=g_hi)
 
 
 def _ao_cost(u: np.ndarray, e_b: np.ndarray, m: np.ndarray) -> float:

@@ -252,12 +252,14 @@ def test_criterion_06_slack_caps_saturate(sweep36):
 
 
 def test_criterion_07_capped_solutions_are_feasible(sweep36):
-    """Every converged capped cell respects its cap within 0.1%, and the
-    split solvers close the response/copy gap below 1e-5."""
+    """Every converged capped cell respects its cap within 0.1%; the
+    reciprocal split solver closes the response/copy gap below 1e-5, and
+    every active non-reciprocal cell is within 1e-9 of its dual bound."""
     reports = sweep36["reports"]
     spec = sweep36["spec"]
     checked_caps = 0
     checked_splits = 0
+    checked_duals = 0
     for idx, eps in enumerate(spec.epsilon_grid):
         eps = float(eps)
         for arch in ARCHS:
@@ -266,12 +268,20 @@ def test_criterion_07_capped_solutions_are_feasible(sweep36):
             cv = payload["constraint_values"]
             assert cv["eve_value"] <= eps * (1 + 1e-3)
             checked_caps += 1
-            if arch != ARCH_DIAGONAL and cv["constraint_active"] == 1.0:
+            if not cv["constraint_active"]:
+                continue
+            if arch == ARCH_RECIPROCAL:
                 assert cv["equality_violation"] <= 1e-5
                 checked_splits += 1
+            elif arch == ARCH_NONRECIPROCAL:
+                bound = cv["dual_bound"]
+                assert bound - payload["objective"] <= 1e-9 * bound
+                checked_duals += 1
     assert checked_caps == 30
+    assert checked_duals > 0
     print(f"[criterion 7] PASS: {checked_caps} capped cells feasible, "
-          f"{checked_splits} split gaps below 1e-5")
+          f"{checked_splits} split gaps below 1e-5, "
+          f"{checked_duals} dual gaps below 1e-9")
 
 
 def test_criterion_08_monte_carlo_mse_matches_crb():

@@ -139,7 +139,7 @@ class TestConstrained:
         base, rep0 = solve_diagonal_unconstrained(df)
         eve0 = _quad(df.c_e, np.diag(base.matrix))
         ris, rep = solve_diagonal_constrained(df, 2.0 * eve0)
-        assert rep.constraint_values["constraint_active"] == 0.0
+        assert rep.constraint_values["constraint_active"] is False
         assert rep.objective == pytest.approx(rep0.objective, rel=1e-12)
         np.testing.assert_allclose(ris.matrix, base.matrix, atol=0)
 
@@ -153,13 +153,12 @@ class TestConstrained:
             ris, rep = solve_diagonal_constrained(df, eps)
             assert rep.converged
             cv = rep.constraint_values
-            for key in ("pre_clip_objective", "post_clip_objective",
-                        "pre_clip_eve", "post_clip_eve"):
-                assert key in cv
-            assert cv["constraint_active"] == 1.0
+            assert cv["constraint_active"] is True
             assert cv["eve_value"] <= eps * (1 + 1e-6)
+            # Box projection and the downward rescale onto the cap keep
+            # every entry in the unit disc; no clip step is needed.
             w = np.diag(ris.matrix)
-            assert np.abs(w).max() <= 1.0 + 1e-12
+            assert np.abs(w).max() <= 1.0 + 1e-15
             assert rep.objective == pytest.approx(
                 _quad(df.c_b, w), rel=1e-12)
 
@@ -241,15 +240,15 @@ class TestArchitectureOrdering:
     def test_capped_ordering(self):
         rng = np.random.default_rng(8)
         forms = rand_forms(rng, 6)
-        base_n, rep_n0 = solve_nonreciprocal(forms)
+        base_n, _ = solve_nonreciprocal(forms)
         eve0 = quad_objective(base_n.matrix, forms.e_e, forms.m)
         eps = 0.35 * eve0
-        _, rep_n = solve_pdd(forms, PddSettings(epsilon_eve=eps),
-                             warm=(base_n, rep_n0))
-        _, rep_r = solve_pdd(forms, PddSettings(epsilon_eve=eps),
-                             reciprocal=True)
+        _, rep_n = solve_nonreciprocal(forms, eps)
+        _, rep_r = solve_pdd(forms, PddSettings(epsilon_eve=eps))
         _, rep_d = solve_diagonal_constrained(diag_forms(forms), eps)
         assert rep_n.converged and rep_r.converged and rep_d.converged
-        # Heuristics on nested sets: allow slack for local-optimum noise.
+        # The non-reciprocal value is a certified optimum over all unitaries,
+        # a superset of the symmetric ones.  The diagonal relaxation is not
+        # unitary, so it keeps slack.
+        assert rep_r.objective <= rep_n.objective * (1 + 1e-9)
         assert rep_d.objective <= rep_n.objective * 1.01
-        assert rep_r.objective <= rep_n.objective * 1.01

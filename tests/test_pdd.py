@@ -1,9 +1,11 @@
-"""Leakage-capped solver: the QCQP projection against hand-worked KKT
+"""Leakage-capped solvers: the QCQP projection against hand-worked KKT
 points and an eigensolver-free oracle, its Newton multiplier solve against
-a tight bisection, block updates against the direct
-augmented-Lagrangian evaluation, and the full driver against random
-feasible-unitary search, a frozen small instance, and both degenerate
-regimes (coincident Bob/Eve forms; a cap below the feasibility floor).
+a tight bisection, the reciprocal PDD block updates against the direct
+augmented-Lagrangian evaluation, and the capped solvers (reciprocal PDD
+and the non-reciprocal dual search) against random feasible-unitary
+search, a frozen small instance, their dual certificate, and both
+degenerate regimes (coincident Bob/Eve forms; a cap below the feasibility
+floor).
 """
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from scipy.optimize import brentq
 from conftest import batch_haar, batch_trace_objective, haar_unitary, rand_complex
 
 from bdris.errors import ContractViolationError
-from bdris.kernels import HermEig, hermitian_eig
+from bdris.kernels import HermEig, hermitian_eig, nearest_symmetric_unitary
 from bdris.model import (
     ARCH_NONRECIPROCAL,
     QuadraticForms,
@@ -46,8 +48,10 @@ def rand_forms(rng, r, k=None, n_b=None, n_e=None):
                           e_e=he.conj().T @ he)
 
 
-def rand_state(rng, r, rho=1.0):
+def rand_state(rng, r, rho=1.0, symmetric=False):
     u = haar_unitary(rng, r)
+    if symmetric:
+        u = nearest_symmetric_unitary(u)
     return PddState(omega=u, psi=u.copy(),
                     lam=np.zeros((r, r), dtype=complex), rho=rho)
 
@@ -126,7 +130,7 @@ class TestQcqpSpectral:
     def test_tiny_cap_needs_large_multiplier(self):
         # eps orders of magnitude below b^H A b puts the multiplier far from
         # the Newton start mu = 0; the shrunk point must still sit on the
-        # constraint to bisect_tol accuracy.
+        # constraint to the secular tolerance.
         rng = np.random.default_rng(5)
         g = rand_complex(rng, 5)
         a = g.conj().T @ g
@@ -197,10 +201,10 @@ class TestSecularSolve:
     @pytest.mark.parametrize("name,lam,w,eps", secular_cases(),
                              ids=[c[0] for c in secular_cases()])
     def test_newton_against_bisection(self, name, lam, w, eps):
-        tol = 1e-10
+        tol = pdd._SECULAR_TOL
         coeff = np.sqrt(w) * np.exp(1j * np.arange(w.size))
         w = np.abs(coeff) ** 2
-        iterates = list(pdd._secular_iterates(lam, w, eps, tol))
+        iterates = list(pdd._secular_iterates(lam, w, eps))
         mus = np.array([mu for mu, _ in iterates])
         mu, res = iterates[-1]
         assert mus[0] == 0.0
@@ -208,7 +212,7 @@ class TestSecularSolve:
         assert len(iterates) <= 12
         assert abs(res) <= eps * tol / max(1.0, mu)
 
-        shrunk, mu_out = pdd._kkt_shrink(lam, coeff, eps, tol)
+        shrunk, mu_out = pdd._kkt_shrink(lam, coeff, eps)
         assert mu_out == mu >= 0.0
         np.testing.assert_allclose(shrunk, coeff / (1.0 + mu * lam), rtol=1e-15)
         # The residual budget bounds the multiplier error through f'.
@@ -223,7 +227,7 @@ class TestSecularSolve:
         coeff = rand_complex(rng, 50, 1).ravel()
         leak = float(lam @ np.abs(coeff) ** 2)
         for eps in (leak, 2.0 * leak):
-            shrunk, mu = pdd._kkt_shrink(lam, coeff, eps, 1e-10)
+            shrunk, mu = pdd._kkt_shrink(lam, coeff, eps)
             assert mu == 0.0
             np.testing.assert_array_equal(shrunk, coeff)
 
@@ -231,13 +235,13 @@ class TestSecularSolve:
         """Stopped short of the tolerance, the multiplier moves right of the
         root, to a feasible point, rather than staying infeasible."""
         monkeypatch.setattr(pdd, "_MAX_NEWTON_STEPS", 2)
-        tol = 1e-10
+        tol = pdd._SECULAR_TOL
         fallbacks = 0
         for name, lam, w, eps in secular_cases():
             coeff = np.sqrt(w).astype(complex)
             w = np.abs(coeff) ** 2
-            mu_cut, res_cut = list(pdd._secular_iterates(lam, w, eps, tol))[-1]
-            shrunk, mu = pdd._kkt_shrink(lam, coeff, eps, tol)
+            mu_cut, res_cut = list(pdd._secular_iterates(lam, w, eps))[-1]
+            shrunk, mu = pdd._kkt_shrink(lam, coeff, eps)
             value = float(lam @ np.abs(shrunk) ** 2)
             if res_cut <= eps * tol / max(1.0, mu_cut):
                 assert mu == mu_cut, name         # converged within the cap
@@ -251,7 +255,8 @@ class TestSecularSolve:
 
 class TestBlockUpdates:
     def test_lagrangian_never_increases(self):
-        """Both block minimizers are exact, so L must be non-increasing."""
+        """Both block minimizers are exact, so L must be non-increasing from
+        a symmetric-unitary start."""
         rng = np.random.default_rng(6)
         settings = PddSettings(epsilon_eve=1.0)
         for _ in range(10):
@@ -262,7 +267,7 @@ class TestBlockUpdates:
                 e_b=forms.e_b / hermitian_eig(forms.e_b).values[0],
                 m=forms.m / hermitian_eig(forms.m).values[0],
                 h=forms.h, e_e=forms.e_e / hermitian_eig(forms.e_e).values[0])
-            state = rand_state(rng, r)
+            state = rand_state(rng, r, symmetric=True)
             level = augmented_lagrangian(state, forms)
             for _ in range(30):
                 state = update_omega(state, forms)
@@ -276,7 +281,7 @@ class TestBlockUpdates:
 
     def test_omega_update_zero_rho_returns_psi(self):
         rng = np.random.default_rng(7)
-        psi = haar_unitary(rng, 4)
+        psi = nearest_symmetric_unitary(haar_unitary(rng, 4))
         state = PddState(omega=np.eye(4, dtype=complex), psi=psi,
                          lam=rand_complex(rng, 4), rho=0.0)
         forms = rand_forms(rng, 4)
@@ -289,7 +294,7 @@ class TestBlockUpdates:
             forms = rand_forms(rng, 5)
             state = rand_state(rng, 5, rho=0.5)
             state.psi = haar_unitary(rng, 5)
-            out = update_omega(state, forms, reciprocal=True)
+            out = update_omega(state, forms)
             assert np.linalg.norm(out.omega - out.omega.T) <= 1e-9
             gram = out.omega.conj().T @ out.omega
             assert np.linalg.norm(gram - np.eye(5)) <= 1e-9
@@ -344,8 +349,7 @@ class TestOuterUpdate:
         u = haar_unitary(rng, 4)
         diff = 1e-4 * rand_complex(rng, 4)
         state = PddState(omega=u + diff, psi=u, lam=np.zeros((4, 4)), rho=0.5)
-        settings = PddSettings(epsilon_eve=1.0)
-        out = outer_update(state, settings, viol_tol=1e-2)
+        out = outer_update(state, viol_tol=1e-2)
         np.testing.assert_allclose(out.lam, diff / 0.5, atol=1e-15)
         assert out.rho == 0.5
 
@@ -354,7 +358,7 @@ class TestOuterUpdate:
         u = haar_unitary(rng, 3)
         lam0 = rand_complex(rng, 3)
         state = PddState(omega=u, psi=u.copy(), lam=lam0, rho=0.9)
-        out = outer_update(state, PddSettings(epsilon_eve=1.0))
+        out = outer_update(state)
         np.testing.assert_allclose(out.lam, lam0, atol=0)
         assert out.rho == 0.9
 
@@ -363,19 +367,18 @@ class TestOuterUpdate:
         state = PddState(omega=haar_unitary(rng, 3),
                          psi=haar_unitary(rng, 3),
                          lam=np.zeros((3, 3)), rho=1.0)
-        settings = PddSettings(epsilon_eve=1.0, rho_shrink=0.7)
-        out = outer_update(state, settings, viol_tol=1e-8)
+        out = outer_update(state, viol_tol=1e-8)
         assert out.rho == pytest.approx(0.7)
         np.testing.assert_allclose(out.lam, 0.0, atol=0)
 
 
 class TestSolvePdd:
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            PddSettings(epsilon_eve=-1.0)
-        with pytest.raises(ValueError):
-            PddSettings(epsilon_eve=1.0, rho_shrink=1.0)
-        with pytest.raises(ValueError):
+        for eps in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                PddSettings(epsilon_eve=eps)
+        # The cap is the only setting; the solver's constants are not knobs.
+        with pytest.raises(TypeError):
             PddSettings(epsilon_eve=1.0, max_outer=0)
 
     def test_requires_eavesdropper_forms(self):
@@ -384,6 +387,8 @@ class TestSolvePdd:
         forms = QuadraticForms(e_b=forms.e_b, m=forms.m, h=forms.h, e_e=None)
         with pytest.raises(ValueError):
             solve_pdd(forms, PddSettings(epsilon_eve=1.0))
+        with pytest.raises(ValueError):
+            solve_nonreciprocal(forms, 1.0)
 
     def test_warm_start_architecture_mismatch(self):
         rng = np.random.default_rng(16)
@@ -391,27 +396,27 @@ class TestSolvePdd:
         base, rep = solve_nonreciprocal(forms)
         assert base.architecture == ARCH_NONRECIPROCAL
         with pytest.raises(ValueError):
-            solve_pdd(forms, PddSettings(epsilon_eve=1.0),
-                      reciprocal=True, warm=(base, rep))
+            solve_pdd(forms, PddSettings(epsilon_eve=1.0), warm=(base, rep))
 
     def test_slack_cap_returns_unconstrained_optimum(self):
         rng = np.random.default_rng(17)
         forms = rand_forms(rng, 4)
         base, rep0 = solve_nonreciprocal(forms)
         eve0 = quad_objective(base.matrix, forms.e_e, forms.m)
-        ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=2.0 * eve0))
+        ris, rep = solve_nonreciprocal(forms, 2.0 * eve0)
         assert rep.converged
         assert rep.iterations == 0
-        assert rep.constraint_values["constraint_active"] == 0.0
-        assert rep.objective == pytest.approx(rep0.objective, rel=1e-12)
-        np.testing.assert_allclose(ris.matrix, base.matrix, atol=1e-12)
+        assert rep.constraint_values["constraint_active"] is False
+        assert rep.constraint_values["dual_bound"] == rep.bound
+        assert rep.objective == rep0.objective
+        np.testing.assert_array_equal(ris.matrix, base.matrix)
 
-    def test_report_counts(self):
+    def test_report_counts(self, monkeypatch):
         """Counts are integers, the activity flag a bool, and every outer
-        round that used up max_inner is counted as a budget hit."""
+        round that used up the inner budget is counted as a budget hit."""
         cfg = SystemConfig(k=1, r=3, n_b=2, n_e=2, seed=2)
         forms = build_forms(generate_channels(cfg))
-        base = solve_nonreciprocal(forms)
+        base = solve_reciprocal_ao(forms)
         eve0 = quad_objective(base[0].matrix, forms.e_e, forms.m)
         keys = ("outer_rounds", "restarts", "inner_budget_hits")
 
@@ -421,8 +426,8 @@ class TestSolvePdd:
         assert [cv[k] for k in keys] == [0, 0, 0]
 
         max_inner = 3
-        _, rep = solve_pdd(forms, PddSettings(epsilon_eve=0.3 * eve0,
-                                              max_inner=max_inner), warm=base)
+        monkeypatch.setattr(pdd, "_MAX_INNER", max_inner)
+        _, rep = solve_pdd(forms, PddSettings(epsilon_eve=0.3 * eve0), warm=base)
         cv = rep.constraint_values
         assert cv["constraint_active"] is True
         assert all(type(cv[k]) is int for k in keys)
@@ -435,8 +440,8 @@ class TestSolvePdd:
         assert '"restarts": 0,' in rep.to_json()
 
     def test_frozen_small_instance(self):
-        """k=1, r=3 draw: warm-start values and the capped solve are frozen;
-        the violation trace must fall monotonically to the gate."""
+        """k=1, r=3 draw: warm-start values and the capped optimum are
+        frozen; the optimum meets the cap and its dual bound."""
         cfg = SystemConfig(k=1, r=3, n_b=2, n_e=2, seed=2)
         forms = build_forms(generate_channels(cfg))
         base, rep0 = solve_nonreciprocal(forms)
@@ -445,18 +450,22 @@ class TestSolvePdd:
         assert eve0 == pytest.approx(891.0127152169596, rel=1e-9)
 
         eps = 0.3 * eve0
-        ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps),
-                             warm=(base, rep0))
+        ris, rep = solve_nonreciprocal(forms, eps)
         assert rep.converged
-        assert rep.objective == pytest.approx(996.8748853496576, rel=1e-6)
-        eve = rep.constraint_values["eve_value"]
-        assert eps * 0.999 <= eve <= eps * (1 + 1e-3)
-        assert rep.constraint_values["restarts"] == 0.0
-        vt = rep.violation_trace
-        assert len(vt) <= 20
-        assert vt[-1] <= 1e-5
-        for a, b in zip(vt, vt[1:]):
-            assert b <= a * 1.01
+        assert rep.objective == pytest.approx(996.88289498220, rel=1e-9)
+        assert rep.objective >= 996.8748853496576   # the earlier PDD value
+        assert rep.objective == pytest.approx(
+            quad_objective(ris.matrix, forms.e_b, forms.m), rel=1e-12)
+        cv = rep.constraint_values
+        assert cv["constraint_active"] is True
+        assert eps * (1 - 1e-9) <= cv["eve_value"] <= eps * (1 + 1e-9)
+        assert cv["dual_bound"] - rep.objective <= 1e-9 * cv["dual_bound"]
+        # The bound is the dual function at the reported multiplier.
+        mu = cv["multiplier"]
+        assert mu > 0.0
+        d_l = np.linalg.eigvalsh(forms.e_b - mu * forms.e_e)[::-1]
+        d_m = np.linalg.eigvalsh(forms.m)[::-1]
+        assert cv["dual_bound"] == pytest.approx(d_l @ d_m + mu * eps, rel=1e-12)
 
     def test_beats_random_feasible_unitaries(self):
         rng = np.random.default_rng(11)
@@ -467,8 +476,7 @@ class TestSolvePdd:
                                e_e=he.conj().T @ he)
         base, rep0 = solve_nonreciprocal(forms)
         eps = 0.4 * quad_objective(base.matrix, forms.e_e, forms.m)
-        ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps),
-                             warm=(base, rep0))
+        ris, rep = solve_nonreciprocal(forms, eps)
         assert rep.converged
 
         u = batch_haar(rng, 20000, 4)
@@ -487,23 +495,29 @@ class TestSolvePdd:
             eve0 = quad_objective(base[0].matrix, forms.e_e, forms.m)
             for frac in (0.1, 0.5):
                 eps = frac * eve0
-                ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps),
-                                     reciprocal=reciprocal, warm=base)
+                if reciprocal:
+                    ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps),
+                                         warm=base)
+                else:
+                    ris, rep = solve_nonreciprocal(forms, eps)
                 assert rep.converged
                 w = ris.matrix
                 gram = w.conj().T @ w
-                assert np.linalg.norm(gram - np.eye(5)) <= 1e-6
+                assert np.linalg.norm(gram - np.eye(5)) <= (
+                    1e-6 if reciprocal else 1e-12)
                 if reciprocal:
                     assert np.linalg.norm(w - w.T) == 0.0
                 leak = quad_objective(w, forms.e_e, forms.m)
-                assert leak <= eps * (1 + 1e-3)
+                assert leak <= eps * (1 + (1e-3 if reciprocal else 1e-9))
                 assert rep.objective == pytest.approx(
                     quad_objective(w, forms.e_b, forms.m), rel=1e-12)
 
     def test_coincident_forms_converges_via_restart(self):
-        """Eve sharing Bob's quadratic form locks the warm start in a
-        sign-invariant manifold; the driver must detect the frozen split
-        and re-seed instead of running out the clock."""
+        """Eve sharing Bob's quadratic form makes objective and leakage one
+        number, so the capped optimum is the cap itself, which the dual
+        search meets exactly.  For reciprocal PDD it can also lock the split
+        in a sign-invariant manifold; the solver must detect the frozen
+        split and re-seed instead of running out the clock."""
         rng = np.random.default_rng(4)
         h = rand_complex(rng, 4, 2)
         hb = rand_complex(rng, 2, 4)
@@ -512,15 +526,20 @@ class TestSolvePdd:
         base, rep0 = solve_nonreciprocal(forms)
         eps = 0.5 * rep0.objective
 
-        ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps))
+        ris, rep = solve_nonreciprocal(forms, eps)
         assert rep.converged
-        assert rep.constraint_values["restarts"] >= 1.0
-        assert rep.objective <= eps * (1 + 1e-3)
-        assert rep.constraint_values["eve_value"] <= eps * (1 + 1e-3)
+        assert rep.objective == pytest.approx(eps, rel=1e-9)
+        assert rep.constraint_values["eve_value"] <= eps * (1 + 1e-9)
 
-        ris_r, rep_r = solve_pdd(forms, PddSettings(epsilon_eve=eps),
-                                 reciprocal=True)
+        ris_r, rep_r = solve_pdd(forms, PddSettings(epsilon_eve=eps))
         assert rep_r.converged
+        assert rep_r.objective <= eps * (1 + 1e-3)
+
+        # A looser cap on the same forms freezes the reciprocal split.
+        eps = 0.8 * rep0.objective
+        ris_r, rep_r = solve_pdd(forms, PddSettings(epsilon_eve=eps))
+        assert rep_r.converged
+        assert rep_r.constraint_values["restarts"] >= 1
         assert rep_r.objective <= eps * (1 + 1e-3)
 
     def test_infeasible_cap_reports_failure(self):
@@ -533,8 +552,11 @@ class TestSolvePdd:
         floor = float(np.sort(d_e) @ np.sort(d_m)[::-1])
         assert floor > 0
 
-        ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=0.5 * floor))
+        ris, rep = solve_nonreciprocal(forms, 0.5 * floor)
         assert not rep.converged
-        # The leakage cannot drop below the floor no matter the response.
-        assert rep.constraint_values["eve_value"] >= floor * (1 - 1e-3)
-        assert rep.constraint_values["equality_violation"] > 1e-5
+        cv = rep.constraint_values
+        assert cv["constraint_active"] is True
+        assert "dual_bound" not in cv
+        # Nothing meets the cap: the response returned is the floor's.
+        assert cv["eve_value"] == pytest.approx(floor, rel=1e-9)
+        assert quad_objective(ris.matrix, forms.e_e, forms.m) == cv["eve_value"]

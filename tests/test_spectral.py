@@ -1,15 +1,24 @@
-"""Unconstrained solvers: closed-form bound attainment and the symmetric
-ascent loop.
+"""Spectral solvers: closed-form bound attainment, the leakage-capped dual
+search, and the symmetric ascent loop.
 
 Ground truths: the sorted-spectrum trace bound itself (attained exactly by
-the closed form), random-unitary search staying below it, and a commuting
-real-diagonal case where the symmetric feasible set provably contains the
-global optimum (the identity), so the ascent must reach the bound too.
+the closed form), random-unitary search staying below it, the dual bound
+and the leakage floor of the capped problem, and a commuting real-diagonal
+case where the symmetric feasible set provably contains the global optimum
+(the identity), so the ascent must reach the bound too.
 """
 import numpy as np
 import pytest
 
-from bdris.model import ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, QuadraticForms
+from conftest import batch_haar, batch_trace_objective
+
+from bdris.model import (
+    ARCH_NONRECIPROCAL,
+    ARCH_RECIPROCAL,
+    QuadraticForms,
+    quad_objective,
+)
+from bdris.tolerances import ARCH_CHECK_TOL
 from bdris.spectral import (
     AoSettings,
     solve_nonreciprocal,
@@ -90,6 +99,115 @@ class TestNonReciprocal:
         _, rep = solve_nonreciprocal(forms)
         _, rep_p = solve_nonreciprocal(permuted)
         assert rep.objective == pytest.approx(rep_p.objective, rel=1e-9)
+
+
+def capped_cases():
+    """(name, forms) for the capped search, r = 2..8: random forms, commuting
+    forms (E_b, E_e = E_b^2 and M all diagonal, M of rank k), and coincident
+    forms (E_e = E_b), the last two with leakage jumps at the optimal
+    multiplier."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for r in range(2, 9):
+        k = max(1, r // 2)
+        h = rand_complex(rng, r, k)
+        hb = rand_complex(rng, 2 * k, r)
+        he = rand_complex(rng, 2 * k, r)
+        e_b = hb.conj().T @ hb
+        cases.append((f"random r={r}", QuadraticForms(
+            e_b=e_b, m=h @ h.conj().T, h=h, e_e=he.conj().T @ he)))
+        cases.append((f"coincident r={r}", QuadraticForms(
+            e_b=e_b, m=h @ h.conj().T, h=h, e_e=e_b.copy())))
+        hd = np.eye(r, k) * np.sqrt(rng.exponential(size=k))
+        d_b = rng.exponential(size=r)
+        cases.append((f"commuting r={r}", QuadraticForms(
+            e_b=np.diag(d_b).astype(complex),
+            m=(hd @ hd.T).astype(complex), h=hd.astype(complex),
+            e_e=np.diag(d_b ** 2).astype(complex))))
+    return cases
+
+
+def leakage_floor(forms):
+    """Smallest leakage over unitaries: sum d_E,i(ascending) d_M,i(descending)."""
+    d_e = np.linalg.eigvalsh(forms.e_e)
+    d_m = np.linalg.eigvalsh(forms.m)[::-1]
+    return float(d_e @ d_m)
+
+
+class TestCappedNonReciprocal:
+    @pytest.mark.parametrize("name,forms", capped_cases(),
+                             ids=[c[0] for c in capped_cases()])
+    def test_dual_search(self, name, forms):
+        """Caps from 0.1 to 0.9 of the uncapped leakage: each reachable cap
+        is met with a unitary response within 1e-9 of its dual bound and no
+        worse than any feasible Haar sample; each cap below the floor is
+        flagged."""
+        rng = np.random.default_rng(32)
+        r = forms.r
+        base, _ = solve_nonreciprocal(forms)
+        leak0 = quad_objective(base.matrix, forms.e_e, forms.m)
+        floor = leakage_floor(forms)
+        if r <= 4:
+            u = batch_haar(rng, 20000, r)
+            bob = batch_trace_objective(u, forms.e_b, forms.m)
+            eve = batch_trace_objective(u, forms.e_e, forms.m)
+        met = 0
+        for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+            eps = frac * leak0
+            ris, rep = solve_nonreciprocal(forms, eps)
+            cv = rep.constraint_values
+            assert cv["constraint_active"] is True
+            if eps < floor:
+                assert not rep.converged
+                assert cv["eve_value"] == pytest.approx(floor, rel=1e-9)
+                continue
+            met += 1
+            assert rep.converged
+            w = ris.matrix
+            assert np.abs(w.conj().T @ w - np.eye(r)).max() <= ARCH_CHECK_TOL
+            assert cv["eve_value"] <= eps * (1 + 1e-9)
+            assert cv["eve_value"] == quad_objective(w, forms.e_e, forms.m)
+            assert rep.objective == quad_objective(w, forms.e_b, forms.m)
+            assert cv["dual_bound"] - rep.objective <= 1e-9 * cv["dual_bound"]
+            assert rep.objective <= rep.bound * (1 + 1e-12)
+            if r <= 4 and (eve <= eps).any():
+                assert rep.objective >= bob[eve <= eps].max()
+        assert met >= 1
+
+    def test_cap_below_floor_is_flagged(self):
+        """A cap under the leakage floor returns the floor response,
+        unconverged, without raising."""
+        flagged = 0
+        for name, forms in capped_cases():
+            floor = leakage_floor(forms)
+            if floor <= 0.0:
+                continue
+            ris, rep = solve_nonreciprocal(forms, 0.5 * floor)
+            assert not rep.converged, name
+            cv = rep.constraint_values
+            assert cv["constraint_active"] is True
+            assert "dual_bound" not in cv
+            assert cv["eve_value"] == pytest.approx(floor, rel=1e-9), name
+            assert rep.objective == quad_objective(ris.matrix, forms.e_b, forms.m)
+            flagged += 1
+        assert flagged >= 5
+
+    def test_uncapped_call_is_unchanged(self):
+        rng = np.random.default_rng(33)
+        forms = rand_forms(rng, 6, with_eve=True)
+        ris, rep = solve_nonreciprocal(forms)
+        ris_c, rep_c = solve_nonreciprocal(forms, 1e300)
+        np.testing.assert_array_equal(ris_c.matrix, ris.matrix)
+        assert rep_c.objective == rep.objective
+        assert rep.constraint_values == {}
+        assert rep_c.constraint_values["constraint_active"] is False
+
+    def test_rejects_nonpositive_cap(self):
+        rng = np.random.default_rng(34)
+        forms = rand_forms(rng, 3, with_eve=True)
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                solve_nonreciprocal(forms, eps)
 
 
 class TestReciprocalAo:
