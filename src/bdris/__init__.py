@@ -9,7 +9,6 @@ unitary (reciprocal) and diagonal unit-modulus (conventional).
 
 from .diagonal import (
     DiagForms,
-    DiagSettings,
     diag_forms,
     solve_diagonal_constrained,
     solve_diagonal_unconstrained,
@@ -45,11 +44,6 @@ from .model import (
 )
 from .pdd import PddSettings, PddState, qcqp_spectral, solve_pdd
 from .reporting import SolveReport
-from .spectral import (
-    AoSettings,
-    solve_nonreciprocal,
-    solve_reciprocal_ao,
-    von_neumann_bound,
-)
+from .spectral import solve_nonreciprocal, solve_reciprocal_ao, von_neumann_bound
 
 __version__ = "0.1.0"

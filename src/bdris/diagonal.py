@@ -11,12 +11,15 @@ phases; the leakage-capped problem relaxes the magnitudes to |omega_i| <= 1
 and runs projected gradient ascent with an adaptive penalty on the cap.
 Both are multi-start heuristics, not certified global optimizers: they give
 a lower estimate of the diagonal baseline, which is all the architecture
-comparisons need.
+comparisons need.  Their knobs (restart count and seed, step and penalty
+schedules, tolerances, iteration budgets) are the module constants below;
+every caller uses the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .reporting import SolveReport
 
 __all__ = [
     "DiagForms",
-    "DiagSettings",
     "diag_forms",
     "solve_diagonal_unconstrained",
     "solve_diagonal_constrained",
@@ -34,6 +36,30 @@ __all__ = [
 
 _HADAMARD_TOL = 1e-10
 _STEP_FLOOR = 1e-12
+
+# Multi-start: start 0 is the given vector, starts 1.._RESTARTS-1 draw
+# uniform phases from default_rng(_SEED).
+_RESTARTS = 20
+_SEED = 0
+
+# Coordinate ascent stops when a pass gains at most _CA_REL_TOL (relative).
+_MAX_PASSES = 500
+_CA_REL_TOL = 1e-12
+
+# Projected gradient on unit-scaled forms: the step starts at _STEP0, grows
+# by _STEP_UP on an accepted move and shrinks by _STEP_DOWN on a rejected
+# one; a round ends at relative gain _STAT_TOL or after _MAX_ITERS steps.
+# The penalty starts at _PENALTY0 and grows by _PENALTY_GROWTH, for at most
+# _MAX_PENALTY_ROUNDS rounds, until the cap holds to relative slack _FEAS_TOL.
+_STEP0 = 0.1
+_STEP_UP = 1.2
+_STEP_DOWN = 0.5
+_STAT_TOL = 1e-9
+_MAX_ITERS = 2000
+_PENALTY0 = 1.0
+_PENALTY_GROWTH = 10.0
+_MAX_PENALTY_ROUNDS = 8
+_FEAS_TOL = 1e-6
 
 
 @dataclass
@@ -55,31 +81,6 @@ class DiagForms:
     @property
     def r(self) -> int:
         return self.c_b.shape[0]
-
-
-@dataclass
-class DiagSettings:
-    """Knobs of the relaxed leakage-capped solver."""
-
-    restarts: int = 20
-    step0: float = 0.1          # initial gradient step (unit-scaled forms)
-    step_up: float = 1.2
-    step_down: float = 0.5
-    penalty0: float = 1.0
-    penalty_growth: float = 10.0
-    max_penalty_rounds: int = 8
-    feas_tol: float = 1e-6      # relative cap slack accepted as feasible
-    stat_tol: float = 1e-9      # relative stationarity of an accepted step
-    max_iters: int = 2000       # per penalty round
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.max_penalty_rounds < 1 or self.max_iters < 1:
-            raise ValueError("counts must be at least 1")
-        if not (0 < self.step_down < 1 < self.step_up):
-            raise ValueError("need step_down < 1 < step_up")
-        if self.penalty_growth <= 1:
-            raise ValueError("penalty_growth must exceed 1")
 
 
 def _check_psd(c: np.ndarray, name: str) -> None:
@@ -104,8 +105,15 @@ def _quad(c: np.ndarray, omega: np.ndarray) -> float:
     return float(np.real(np.vdot(omega, c @ omega)))
 
 
-def _coordinate_ascent(c: np.ndarray, omega: np.ndarray,
-                       max_passes: int = 500, rel_tol: float = 1e-12):
+def _starts(first: np.ndarray) -> Iterator[np.ndarray]:
+    """The multi-start sequence: ``first``, then random-phase vectors."""
+    yield first
+    rng = np.random.default_rng(_SEED)
+    for _ in range(_RESTARTS - 1):
+        yield np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=first.size))
+
+
+def _coordinate_ascent(c: np.ndarray, omega: np.ndarray):
     """Unit-modulus Gauss-Seidel: omega_i <- c_i/|c_i|, c_i = sum_{j!=i} C_ij omega_j.
 
     Each update maximizes the objective over omega_i alone, so the trace is
@@ -116,38 +124,30 @@ def _coordinate_ascent(c: np.ndarray, omega: np.ndarray,
     trace = [_quad(c, omega)]
     converged = False
     passes = 0
-    for passes in range(1, max_passes + 1):
+    for passes in range(1, _MAX_PASSES + 1):
         for i in range(n):
             ci = c[i] @ omega - c[i, i] * omega[i]
             mag = abs(ci)
             if mag > 0.0:
                 omega[i] = ci / mag
         trace.append(_quad(c, omega))
-        if trace[-1] - trace[-2] <= rel_tol * max(1.0, abs(trace[-1])):
+        if trace[-1] - trace[-2] <= _CA_REL_TOL * max(1.0, abs(trace[-1])):
             converged = True
             break
     return omega, trace, passes, converged
 
 
-def solve_diagonal_unconstrained(dforms: DiagForms, restarts: int = 20,
-                                 seed: int = 0) -> tuple[RisMatrix, SolveReport]:
+def solve_diagonal_unconstrained(dforms: DiagForms) -> tuple[RisMatrix, SolveReport]:
     """Best unit-modulus diagonal response by multi-start coordinate ascent.
 
     Restart 0 starts from the all-ones phase vector; the rest draw phases
     uniformly on [0, 2pi).  The reported bound is lam_max(c_b) * r, the
     Rayleigh bound over the relaxed ball.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     c = dforms.c_b
     n = dforms.r
-    rng = np.random.default_rng(seed)
     best = None
-    for start in range(restarts):
-        if start == 0:
-            omega0 = np.ones(n, dtype=complex)
-        else:
-            omega0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+    for omega0 in _starts(np.ones(n, dtype=complex)):
         omega, trace, passes, conv = _coordinate_ascent(c, omega0)
         if best is None or trace[-1] > best[1][-1]:
             best = (omega, trace, passes, conv)
@@ -176,12 +176,12 @@ def _penalized(c_b: np.ndarray, c_e: np.ndarray, eps: float, tau: float,
 
 
 def _projected_ascent(c_b: np.ndarray, c_e: np.ndarray, eps: float, tau: float,
-                      omega: np.ndarray, settings: DiagSettings):
+                      omega: np.ndarray):
     """Adaptive-step projected gradient ascent on the penalized objective."""
-    step = settings.step0
+    step = _STEP0
     value = _penalized(c_b, c_e, eps, tau, omega)
     iters = 0
-    for iters in range(1, settings.max_iters + 1):
+    for iters in range(1, _MAX_ITERS + 1):
         gap = max(0.0, _quad(c_e, omega) - eps)
         grad = c_b @ omega - (2.0 * tau * gap) * (c_e @ omega)
         cand = _box(omega + step * grad)
@@ -189,24 +189,27 @@ def _projected_ascent(c_b: np.ndarray, c_e: np.ndarray, eps: float, tau: float,
         if cand_value > value:
             improved = cand_value - value
             omega, value = cand, cand_value
-            step *= settings.step_up
-            if improved <= settings.stat_tol * max(1.0, abs(value)):
+            step *= _STEP_UP
+            if improved <= _STAT_TOL * max(1.0, abs(value)):
                 return omega, value, iters, True
         else:
-            step *= settings.step_down
+            step *= _STEP_DOWN
             if step < _STEP_FLOOR:
                 return omega, value, iters, True
     return omega, value, iters, False
 
 
 def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
-                               settings: DiagSettings | None = None,
+                               warm: tuple[RisMatrix, SolveReport] | None = None,
                                ) -> tuple[RisMatrix, SolveReport]:
     """Leakage-capped diagonal response over the magnitude-relaxed set.
 
     Maximizes omega^H c_b omega subject to omega^H c_e omega <= eps and
-    |omega_i| <= 1.  If the unconstrained coordinate-ascent optimum already
-    meets the cap it is returned directly.  Otherwise each restart runs
+    |omega_i| <= 1.  The unconstrained coordinate-ascent optimum is the
+    first start; the (RisMatrix, SolveReport) pair that
+    ``solve_diagonal_unconstrained`` returned for the same forms may be
+    passed as `warm` to skip that solve, e.g. across a grid of caps.  If it
+    already meets the cap it is returned directly.  Otherwise each restart runs
     penalty rounds of box-projected gradient ascent, growing the penalty
     until the cap holds; the final iterate is rescaled onto the cap if a
     residual violation remains.  The box projection and that downward
@@ -216,50 +219,50 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
         raise ValueError("constrained solve needs c_e")
     if epsilon_eve <= 0:
         raise ValueError("epsilon_eve must be positive")
-    settings = settings if settings is not None else DiagSettings()
-
-    ris0, rep0 = solve_diagonal_unconstrained(
-        dforms, restarts=settings.restarts, seed=settings.seed)
+    if warm is not None:
+        ris0, rep0 = warm
+        if ris0.architecture != ARCH_DIAGONAL:
+            raise ValueError(f"warm start architecture {ris0.architecture!r} "
+                             f"does not match {ARCH_DIAGONAL!r}")
+    else:
+        ris0, rep0 = solve_diagonal_unconstrained(dforms)
     omega0 = np.diag(ris0.matrix).copy()
     eve0 = _quad(dforms.c_e, omega0)
     if eve0 <= epsilon_eve:
-        rep0.constraint_values = {
-            "epsilon_eve": float(epsilon_eve),
-            "eve_value": eve0,
-            "constraint_active": False,
-        }
-        return ris0, rep0
+        # A new report: the one passed as `warm` belongs to the caller.
+        return ris0, replace(
+            rep0, cost_trace=list(rep0.cost_trace),
+            constraint_values={
+                "epsilon_eve": float(epsilon_eve),
+                "eve_value": eve0,
+                "constraint_active": False,
+            })
 
-    # Unit-scale the forms so the step/penalty defaults are magnitude-free.
+    # Unit-scale the forms so the step/penalty constants are magnitude-free.
     s_b = float(np.linalg.eigvalsh(dforms.c_b).max()) or 1.0
     s_e = float(np.linalg.eigvalsh(dforms.c_e).max()) or 1.0
     cb, ce, eps = dforms.c_b / s_b, dforms.c_e / s_e, epsilon_eve / s_e
 
-    rng = np.random.default_rng(settings.seed)
     n = dforms.r
     best_omega = None
     best_value = -np.inf
     best_stalled = False
     total_iters = 0
-    for start in range(settings.restarts):
-        if start == 0:
-            omega = omega0.copy()
-        else:
-            omega = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+    for omega in _starts(omega0):
         # Scale into the cap so every restart begins feasible.
         g = _quad(ce, omega)
         if g > eps:
             omega = omega * np.sqrt(eps / g)
-        tau = settings.penalty0
+        tau = _PENALTY0
         stalled = False
-        for _ in range(settings.max_penalty_rounds):
+        for _ in range(_MAX_PENALTY_ROUNDS):
             omega, _val, iters, finished = _projected_ascent(
-                cb, ce, eps, tau, omega, settings)
+                cb, ce, eps, tau, omega)
             total_iters += iters
             stalled = not finished
-            if _quad(ce, omega) <= eps * (1.0 + settings.feas_tol):
+            if _quad(ce, omega) <= eps * (1.0 + _FEAS_TOL):
                 break
-            tau *= settings.penalty_growth
+            tau *= _PENALTY_GROWTH
         g = _quad(ce, omega)
         if g > eps:
             omega = omega * np.sqrt(eps / g)

@@ -8,9 +8,10 @@ eavesdropper cap over a grid of cap values, then writes
     <out>/plots/*.dat,.gp  gnuplot-ready curves (objective and CRB vs cap)
 
 CSV content is a pure function of the experiment description: timings are
-kept out of it (the wall_ms column is present but always empty) so that two
-runs with the same seed produce byte-identical files.  Measured wall times
-live in the JSON reports.
+kept out of it so that two runs with the same seed produce byte-identical
+files.  Measured wall times live in the JSON reports (``wall_ms``).  The
+sweep sets no solver option: each solver's knobs are constants of its
+module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagonal import DiagSettings, diag_forms, solve_diagonal_constrained, \
+from .diagonal import diag_forms, solve_diagonal_constrained, \
     solve_diagonal_unconstrained
 from .model import (
     ARCH_DIAGONAL,
@@ -61,7 +62,7 @@ SCENARIO_EVE = "eve"
 _SCENARIOS = (SCENARIO_NO_EVE, SCENARIO_EVE)
 
 CSV_COLUMNS = ("scenario", "architecture", "epsilon", "fim_bob", "fim_eve",
-               "crb", "mse_mc", "iters", "converged", "wall_ms")
+               "crb", "mse_mc", "iters", "converged")
 
 _GRID_POINTS = 20
 _GRID_LO = 1e-2
@@ -137,7 +138,7 @@ def _solve_eve(arch: str, forms, dforms, eps: float, warm):
         return solve_nonreciprocal(forms, eps)
     if arch == ARCH_RECIPROCAL:
         return solve_pdd(forms, PddSettings(epsilon_eve=eps), warm=warm)
-    return solve_diagonal_constrained(dforms, eps, DiagSettings())
+    return solve_diagonal_constrained(dforms, eps, warm=warm)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
@@ -147,9 +148,9 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     Rows are ordered deterministically: scenario, then architecture
     (each in the canonical order above), then increasing cap.  The
     no-eve cells are computed once per architecture and reused as
-    reference rows and, for the reciprocal class, as the warm start of
-    the capped solves.  A solver
-    that stops without converging flags its row; the run continues.
+    reference rows and, for the reciprocal and diagonal classes, as the
+    warm start of the capped solves.  A solver that stops without
+    converging flags its row; the run continues.
     """
     ch = generate_channels(spec.cfg)
     forms = build_forms(ch)
@@ -225,7 +226,6 @@ def _make_row(spec, ch, forms, scenario, arch, eps, ris, rep) -> dict:
         "mse_mc": mse,
         "iters": rep.iterations,
         "converged": rep.converged,
-        "wall_ms": None,       # timings live in the JSON reports only
     }
 
 

@@ -59,8 +59,7 @@ ARCHITECTURES = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL)
 class SystemConfig:
     """Dimensions and physical constants of one scenario.
 
-    ``eve_present`` defaults to ``n_e > 0``; pass it explicitly to keep an
-    unintended-receiver antenna count around without drawing its channel.
+    ``n_e = 0`` means no unintended receiver: no channel is drawn for it.
     """
 
     k: int
@@ -70,19 +69,19 @@ class SystemConfig:
     total_power: float = 30.0
     noise_variance: float = 1e-5
     seed: int = 0
-    eve_present: bool | None = None
 
     def __post_init__(self):
-        if self.eve_present is None:
-            self.eve_present = self.n_e > 0
         if self.k < 1 or self.r < 1 or self.n_b < 1:
             raise ValueError("k, r and n_b must all be at least 1")
-        if self.eve_present and self.n_e < 1:
-            raise ValueError("eve_present requires n_e >= 1")
         if not self.total_power > 0:
             raise ValueError("total_power must be positive")
         if not self.noise_variance > 0:
             raise ValueError("noise_variance must be positive")
+
+    @property
+    def eve_present(self) -> bool:
+        """Whether an unintended receiver is modelled (n_e > 0)."""
+        return self.n_e > 0
 
 
 def _check_covariance(sigma: np.ndarray, n: int, name: str) -> np.ndarray:
@@ -336,15 +335,14 @@ def crb_trace(fim: np.ndarray) -> float:
 
 
 def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, theta: np.ndarray | None = None,
-                     trials: int = 10_000, seed: int = 0, streams: int = 1) -> float:
+                     trials: int = 10_000, seed: int = 0) -> float:
     """Monte-Carlo mean-squared error of the weighted least-squares MLE.
 
     Each trial draws eta ~ CN(0, Sigma_b), forms y = G theta + eta and
     solves the weighted least-squares problem for theta-hat.  theta
     defaults to the all-ones vector (the information matrix does not
-    depend on it).  Trials can be split across ``streams`` independent
-    child generators; the result is deterministic for a given
-    (seed, streams) pair and merged by summation.
+    depend on it).  The noise is drawn from the first child of
+    ``SeedSequence(seed)``, so the result is deterministic for a given seed.
     """
     g, sigma, name = _effective_matrix(ch, ris, "bob")
     n_b, k = g.shape
@@ -364,21 +362,13 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, theta: np.ndarray | None = 
     f = g.conj().T @ weighted
     f_cho = cho_factor(0.5 * (f + f.conj().T), lower=True)
 
-    counts = np.full(streams, trials // streams)
-    counts[: trials % streams] += 1
-    total = 0.0
-    signal = g @ theta
-    for child, count in zip(np.random.SeedSequence(seed).spawn(streams), counts):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(child)
-        z = rng.standard_normal((count, n_b)) + 1j * rng.standard_normal((count, n_b))
-        eta = (np.sqrt(0.5) * z) @ low.T
-        y = signal[None, :] + eta
-        rhs = y @ np.conj(weighted)                   # rows of G^H Sigma^{-1} y
-        theta_hat = cho_solve(f_cho, rhs.T).T
-        total += float(np.sum(np.abs(theta_hat - theta[None, :]) ** 2))
-    return total / trials
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    z = rng.standard_normal((trials, n_b)) + 1j * rng.standard_normal((trials, n_b))
+    eta = (np.sqrt(0.5) * z) @ low.T
+    y = (g @ theta)[None, :] + eta
+    rhs = y @ np.conj(weighted)                       # rows of G^H Sigma^{-1} y
+    theta_hat = cho_solve(f_cho, rhs.T).T
+    return float(np.sum(np.abs(theta_hat - theta[None, :]) ** 2)) / trials
 
 
 # ---------------------------------------------------------------------------

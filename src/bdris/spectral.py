@@ -20,12 +20,13 @@ commuting forms).
 
 The reciprocal (symmetric unitary) case has no closed form; it is solved
 by manifold ascent over U with Omega = U U^T, initialized at the
-symmetric-unitary matrix closest to the unconstrained optimum.
+symmetric-unitary matrix closest to the unconstrained optimum.  The knobs
+of both searches (bracket and bisection budgets, the ascent's step
+schedule, tolerance and iteration budget) are the module constants below;
+every caller uses the same values.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
@@ -42,7 +43,6 @@ from .model import (
 from .reporting import SolveReport
 
 __all__ = [
-    "AoSettings",
     "solve_nonreciprocal",
     "von_neumann_bound",
     "solve_reciprocal_ao",
@@ -59,24 +59,15 @@ _MU_FLOOR = 1e-14
 _MAX_DOUBLINGS = 64
 _MAX_BISECT = 200
 
-
-@dataclass
-class AoSettings:
-    """Knobs of the alternating ascent for the reciprocal architecture."""
-
-    epsilon_conv: float = 1e-8   # relative cost improvement that counts as done
-    mu0: float = 1e-2            # initial retraction step
-    mu_up: float = 2.0           # step growth on accepted moves
-    mu_down: float = 0.5         # step shrink on rejected moves
-    max_iters: int = 5000
-
-    def __post_init__(self):
-        if min(self.epsilon_conv, self.mu0, self.mu_up, self.mu_down) <= 0:
-            raise ValueError("all AoSettings values must be positive")
-        if not (self.mu_down < 1.0 < self.mu_up):
-            raise ValueError("need mu_down < 1 < mu_up")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+# Reciprocal ascent: the retraction step starts at _AO_MU0, grows by
+# _AO_MU_UP on an accepted move and shrinks by _AO_MU_DOWN on a rejected
+# one; an accepted relative improvement below _AO_EPSILON_CONV ends the run,
+# and _AO_MAX_ITERS iterations end it unconverged.
+_AO_EPSILON_CONV = 1e-8
+_AO_MU0 = 1e-2
+_AO_MU_UP = 2.0
+_AO_MU_DOWN = 0.5
+_AO_MAX_ITERS = 5000
 
 
 def _check_forms(forms: QuadraticForms) -> None:
@@ -244,9 +235,7 @@ def _ao_cost(u: np.ndarray, e_b: np.ndarray, m: np.ndarray) -> float:
     return quad_objective(omega, e_b, m)
 
 
-def solve_reciprocal_ao(
-    forms: QuadraticForms, settings: AoSettings | None = None
-) -> tuple[RisMatrix, SolveReport]:
+def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     """Symmetric-unitary design Omega = U U^T by retraction ascent.
 
     Starts from the symmetric-unitary matrix nearest the unconstrained
@@ -254,11 +243,11 @@ def solve_reciprocal_ao(
     Each iteration forms the ascent matrix Z = E_b U U^T M U^*, projects
     it to the skew step S = (U^H Z - Z^H U)/2 and retracts along
     U exp(mu S).  Steps are accepted only on cost improvement; mu grows by
-    mu_up on acceptance and shrinks by mu_down on rejection.  Stops when
-    an accepted relative improvement falls below epsilon_conv or the step
-    stalls at the floor; hitting max_iters flags converged=False.
+    _AO_MU_UP on acceptance and shrinks by _AO_MU_DOWN on rejection.  Stops
+    when an accepted relative improvement falls below _AO_EPSILON_CONV or
+    the step stalls at the floor; hitting _AO_MAX_ITERS flags
+    converged=False.
     """
-    settings = settings or AoSettings()
     _check_forms(forms)
     e_b, m = forms.e_b, forms.m
     eig_e = hermitian_eig(e_b)
@@ -269,10 +258,10 @@ def solve_reciprocal_ao(
 
     cost = _ao_cost(u, e_b, m)
     trace = [cost]
-    mu = settings.mu0
+    mu = _AO_MU0
     converged = False
     iterations = 0
-    for iterations in range(1, settings.max_iters + 1):
+    for iterations in range(1, _AO_MAX_ITERS + 1):
         z = e_b @ u @ (u.T @ (m @ u.conj()))
         skew = 0.5 * (u.conj().T @ z - z.conj().T @ u)
         candidate = u @ expm_skew(skew, mu)
@@ -282,12 +271,12 @@ def solve_reciprocal_ao(
             u = candidate
             cost = cand_cost
             trace.append(cost)
-            mu *= settings.mu_up
-            if improvement < settings.epsilon_conv:
+            mu *= _AO_MU_UP
+            if improvement < _AO_EPSILON_CONV:
                 converged = True
                 break
         else:
-            mu *= settings.mu_down
+            mu *= _AO_MU_DOWN
             if mu < _MU_FLOOR:
                 converged = True  # no ascent direction at float resolution
                 break

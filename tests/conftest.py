@@ -21,9 +21,16 @@ def batch_haar(rng, count, n):
 
 
 def batch_trace_objective(u, e, m):
-    """tr(U^H E U M) for every U in the stack, via batched BLAS products."""
-    y = np.matmul(np.matmul(e, u), m)
-    return np.sum(u.conj() * y, axis=(1, 2)).real
+    """tr(U^H E U M) for every U in the stack, via two flat GEMMs.
+
+    Tiny batched matmuls are slow, so the stack is multiplied as one tall
+    matrix: its rows times M give every U_b M, and the transposed blocks
+    times E^T give every (E U_b M)^T.
+    """
+    count, n, _ = u.shape
+    um = (u.reshape(count * n, n) @ m).reshape(count, n, n)
+    eum_t = (um.transpose(0, 2, 1).reshape(count * n, n) @ e.T).reshape(count, n, n)
+    return np.einsum("bji,bij->b", u.conj(), eum_t).real
 
 
 def solve_based_qcqp_oracle(b, a, eps, steps=40):

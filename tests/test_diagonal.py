@@ -10,7 +10,6 @@ from conftest import rand_complex
 
 from bdris.diagonal import (
     DiagForms,
-    DiagSettings,
     diag_forms,
     solve_diagonal_constrained,
     solve_diagonal_unconstrained,
@@ -67,14 +66,6 @@ class TestReduction:
         with pytest.raises(ContractViolationError):
             DiagForms(c_b=np.eye(3), c_e=np.eye(2))
 
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            DiagSettings(restarts=0)
-        with pytest.raises(ValueError):
-            DiagSettings(step_down=1.5)
-        with pytest.raises(ValueError):
-            DiagSettings(penalty_growth=1.0)
-
 
 class TestUnconstrained:
     def test_rank_one_all_ones(self):
@@ -86,7 +77,7 @@ class TestUnconstrained:
     def test_diagonal_form_is_phase_invariant(self):
         d = np.array([3.0, 1.5, 0.25])
         df = DiagForms(c_b=np.diag(d).astype(complex))
-        ris, rep = solve_diagonal_unconstrained(df, restarts=3, seed=5)
+        ris, rep = solve_diagonal_unconstrained(df)
         assert rep.objective == pytest.approx(d.sum(), rel=1e-12)
 
     def test_beats_dense_phase_grid(self):
@@ -97,8 +88,7 @@ class TestUnconstrained:
         for _ in range(3):
             g = rand_complex(rng, 5)
             c = g.conj().T @ g
-            ris, rep = solve_diagonal_unconstrained(DiagForms(c_b=c),
-                                                    restarts=20, seed=1)
+            ris, rep = solve_diagonal_unconstrained(DiagForms(c_b=c))
             grids = np.meshgrid(*([levels] * 4), indexing="ij")
             combos = np.stack(
                 [np.ones(16 ** 4, dtype=complex)]
@@ -119,10 +109,6 @@ class TestUnconstrained:
         for a, b in zip(trace, trace[1:]):
             assert b >= a - 1e-12 * max(1.0, abs(a))
 
-    def test_restart_validation(self):
-        with pytest.raises(ValueError):
-            solve_diagonal_unconstrained(DiagForms(c_b=np.eye(2)), restarts=0)
-
 
 class TestConstrained:
     def test_validation(self):
@@ -132,6 +118,26 @@ class TestConstrained:
         df = DiagForms(c_b=np.eye(3), c_e=np.eye(3))
         with pytest.raises(ValueError):
             solve_diagonal_constrained(df, 0.0)
+
+    def test_warm_start_matches_cold_and_is_left_unchanged(self):
+        """Passing the uncapped pair as `warm` gives bit-identical results on
+        a slack and a binding cap, and the pair passed in is not modified."""
+        rng = np.random.default_rng(5)
+        df = diag_forms(rand_forms(rng, 5))
+        warm = solve_diagonal_unconstrained(df)
+        before = warm[1].to_dict()
+        eve0 = _quad(df.c_e, np.diag(warm[0].matrix))
+        for eps, active in ((2.0 * eve0, False), (0.3 * eve0, True)):
+            ris_w, rep_w = solve_diagonal_constrained(df, eps, warm=warm)
+            ris_c, rep_c = solve_diagonal_constrained(df, eps)
+            assert rep_w.constraint_values["constraint_active"] is active
+            np.testing.assert_array_equal(ris_w.matrix, ris_c.matrix)
+            assert rep_w.to_dict() == rep_c.to_dict()
+            assert rep_w is not warm[1]
+            assert warm[1].to_dict() == before
+        nonrec = solve_nonreciprocal(rand_forms(rng, 5))
+        with pytest.raises(ValueError):
+            solve_diagonal_constrained(df, eve0, warm=nonrec)
 
     def test_slack_cap_passthrough(self):
         rng = np.random.default_rng(3)

@@ -14,6 +14,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import batch_haar, batch_trace_objective
+
 from bdris.errors import (
     ContractViolationError,
     DimensionError,
@@ -190,6 +192,19 @@ class TestForms:
         for _ in range(5):
             val = quad_objective(haar_unitary(rng, 5), np.eye(5), m)
             assert val == pytest.approx(np.trace(m).real, rel=1e-12)
+
+    def test_batch_helper_matches_quad_objective(self):
+        # The stacked-GEMM helper of the Haar searches, matrix by matrix.
+        rng = np.random.default_rng(13)
+        for r in (1, 3, 6):
+            e = rand_complex(rng, r)
+            e = e @ e.conj().T
+            m = rand_complex(rng, r, 2)
+            m = m @ m.conj().T
+            u = batch_haar(rng, 7, r)
+            got = batch_trace_objective(u, e, m)
+            want = [quad_objective(ui, e, m) for ui in u]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_quad_objective_rejects_complex_residue(self):
         from bdris.errors import NumericalConsistencyError

@@ -18,9 +18,9 @@ from bdris.model import (
     QuadraticForms,
     quad_objective,
 )
+from bdris import spectral
 from bdris.tolerances import ARCH_CHECK_TOL
 from bdris.spectral import (
-    AoSettings,
     solve_nonreciprocal,
     solve_reciprocal_ao,
     von_neumann_bound,
@@ -254,18 +254,13 @@ class TestReciprocalAo:
             _, rep_r = solve_reciprocal_ao(forms)
             assert rep_r.objective >= 0.9 * rep_n.objective
 
-    def test_iteration_cap_flags_convergence(self):
+    def test_iteration_cap_flags_convergence(self, monkeypatch):
         rng = np.random.default_rng(9)
         forms = rand_forms(rng, 6)
-        _, rep = solve_reciprocal_ao(forms, AoSettings(max_iters=2))
+        monkeypatch.setattr(spectral, "_AO_MAX_ITERS", 2)
+        _, rep = solve_reciprocal_ao(forms)
         assert not rep.converged
         assert rep.iterations == 2
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            AoSettings(mu_down=1.5)
-        with pytest.raises(ValueError):
-            AoSettings(epsilon_conv=0.0)
 
 
 class TestBound:
