@@ -11,14 +11,23 @@ phases; the leakage-capped problem relaxes the magnitudes to |omega_i| <= 1
 and runs projected gradient ascent with an adaptive penalty on the cap.
 Both are multi-start heuristics, not certified global optimizers: they give
 a lower estimate of the diagonal baseline, which is all the architecture
-comparisons need.  Their knobs (restart count and seed, step and penalty
-schedules, tolerances, iteration budgets) are the module constants below;
-every caller uses the same values.
+comparisons need.
+
+Both run their restarts in lockstep: the _RESTARTS start vectors are the
+rows of one _RESTARTS x r iterate, each with its own step, penalty, round
+and stopping state, and a restart that has stopped is frozen (it neither
+moves nor counts further steps or passes).  A step of projected gradient
+costs one stacked product with each form, which the next step reuses for
+its gradient and leakage; a coordinate-ascent update of element i costs
+one stacked product with row i.  The products are stacks of per-restart
+matrix-vector products, so each restart follows exactly the path it would
+follow alone, whatever runs beside it.  The knobs (restart count and seed,
+step and penalty schedules, tolerances, iteration budgets) are the module
+constants below; every caller uses the same values.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,98 +114,185 @@ def _quad(c: np.ndarray, omega: np.ndarray) -> float:
     return float(np.real(np.vdot(omega, c @ omega)))
 
 
-def _starts(first: np.ndarray) -> Iterator[np.ndarray]:
-    """The multi-start sequence: ``first``, then random-phase vectors."""
-    yield first
+# The restarts are the rows of one iterate w.  Products are stacks of
+# per-row matrix-vector products, not one matrix-matrix product: a GEMM
+# rounds differently from a matrix-vector product, in a way that depends on
+# the number of rows, and the adaptive-step ascent turns last-bit
+# differences into different paths.  With the stacks, _scale and np.hypot,
+# every row is rounded exactly as a loop over one restart at a time, with
+# vector products and scalar arithmetic, rounds it.
+
+
+def _apply(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise c @ w_j."""
+    return np.matmul(c, w[:, :, None])[:, :, 0]
+
+
+def _quads(w: np.ndarray, cw: np.ndarray) -> np.ndarray:
+    """Row-wise w_j^H (c w_j), given cw = _apply(c, w)."""
+    return np.matmul(w.conj()[:, None, :], cw[:, :, None])[:, 0, 0].real
+
+
+def _scale(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a * v elementwise, each entry rounded as the scalar product is (the
+    vectorized complex multiply may fuse its multiply and add)."""
+    out = np.empty_like(v)
+    out.real = a.real * v.real - a.imag * v.imag
+    out.imag = a.real * v.imag + a.imag * v.real
+    return out
+
+
+def _starts(first: np.ndarray) -> np.ndarray:
+    """The multi-start rows: ``first``, then random-phase vectors."""
     rng = np.random.default_rng(_SEED)
-    for _ in range(_RESTARTS - 1):
-        yield np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=first.size))
+    rows = [first] + [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=first.size))
+                      for _ in range(_RESTARTS - 1)]
+    return np.array(rows, dtype=complex)
 
 
-def _coordinate_ascent(c: np.ndarray, omega: np.ndarray):
-    """Unit-modulus Gauss-Seidel: omega_i <- c_i/|c_i|, c_i = sum_{j!=i} C_ij omega_j.
+def _coordinate_ascent(c: np.ndarray, w: np.ndarray):
+    """Unit-modulus Gauss-Seidel on every row of `w` at once:
+    omega_i <- c_i/|c_i|, c_i = sum_{j!=i} C_ij omega_j.
 
-    Each update maximizes the objective over omega_i alone, so the trace is
-    non-decreasing.  A zero c_i leaves omega_i unchanged (any phase is
-    equally good there).
+    Each update maximizes the objective over omega_i alone, so every row's
+    trace is non-decreasing.  A zero c_i leaves omega_i unchanged (any phase
+    is equally good there).  A row stops, and is left as it is, after the
+    first pass that gains at most _CA_REL_TOL (relative); a pass updates the
+    rows still running.  Returns the iterate, the per-pass values (one
+    column per restart), each row's pass count and converged mask.
     """
-    n = omega.size
-    trace = [_quad(c, omega)]
-    converged = False
-    passes = 0
-    for passes in range(1, _MAX_PASSES + 1):
-        for i in range(n):
-            ci = c[i] @ omega - c[i, i] * omega[i]
-            mag = abs(ci)
-            if mag > 0.0:
-                omega[i] = ci / mag
-        trace.append(_quad(c, omega))
-        if trace[-1] - trace[-2] <= _CA_REL_TOL * max(1.0, abs(trace[-1])):
-            converged = True
+    d = np.diag(c)
+    values = [_quads(w, _apply(c, w))]
+    passes = np.zeros(w.shape[0], dtype=int)
+    live = np.ones(w.shape[0], dtype=bool)
+    for p in range(1, _MAX_PASSES + 1):
+        rows = np.flatnonzero(live)
+        v = w[rows]
+        # omega_i changes only at its own update, so the diagonal terms
+        # C_ii omega_i of the whole pass can be formed up front.
+        dv = _scale(d, v)
+        for i in range(v.shape[1]):
+            ci = np.matmul(v[:, None, :], c[i][:, None])[:, 0, 0] - dv[:, i]
+            mag = np.hypot(ci.real, ci.imag)
+            np.divide(ci, mag, out=v[:, i], where=mag > 0.0)
+        w[rows] = v
+        value = _quads(w, _apply(c, w))
+        passes[live] = p
+        live &= value - values[-1] > _CA_REL_TOL * np.maximum(1.0, np.abs(value))
+        values.append(value)
+        if not live.any():
             break
-    return omega, trace, passes, converged
+    return w, np.array(values), passes, ~live
 
 
 def solve_diagonal_unconstrained(dforms: DiagForms) -> tuple[RisMatrix, SolveReport]:
     """Best unit-modulus diagonal response by multi-start coordinate ascent.
 
     Restart 0 starts from the all-ones phase vector; the rest draw phases
-    uniformly on [0, 2pi).  The reported bound is lam_max(c_b) * r, the
-    Rayleigh bound over the relaxed ball.
+    uniformly on [0, 2pi).  All restarts run together as the rows of one
+    _RESTARTS x r iterate; the first restart with the highest value wins and
+    the report carries its trace and pass count.  The reported bound is
+    lam_max(c_b) * r, the Rayleigh bound over the relaxed ball.
     """
     c = dforms.c_b
     n = dforms.r
-    best = None
-    for omega0 in _starts(np.ones(n, dtype=complex)):
-        omega, trace, passes, conv = _coordinate_ascent(c, omega0)
-        if best is None or trace[-1] > best[1][-1]:
-            best = (omega, trace, passes, conv)
-    omega, trace, passes, conv = best
+    w, values, passes, conv = _coordinate_ascent(c, _starts(np.ones(n, dtype=complex)))
+    best = int(np.argmax(values[passes, np.arange(w.shape[0])]))
+    trace = values[:passes[best] + 1, best]
     bound = float(np.linalg.eigvalsh(c).max() * n)
     report = SolveReport(
-        objective=trace[-1],
+        objective=float(trace[-1]),
         bound=bound,
-        iterations=passes,
+        iterations=int(passes[best]),
         cost_trace=[float(v) for v in trace],
-        converged=conv,
+        converged=bool(conv[best]),
     )
-    return RisMatrix(np.diag(omega), ARCH_DIAGONAL), report
+    return RisMatrix(np.diag(w[best]), ARCH_DIAGONAL), report
 
 
-def _box(omega: np.ndarray) -> np.ndarray:
-    mags = np.abs(omega)
+def _box(w: np.ndarray) -> np.ndarray:
+    mags = np.abs(w)
     scale = np.where(mags > 1.0, mags, 1.0)
-    return omega / scale
+    return w / scale
 
 
-def _penalized(c_b: np.ndarray, c_e: np.ndarray, eps: float, tau: float,
-               omega: np.ndarray) -> float:
-    gap = max(0.0, _quad(c_e, omega) - eps)
-    return _quad(c_b, omega) - tau * gap * gap
+def _into_cap(ce: np.ndarray, eps: float, w: np.ndarray) -> np.ndarray:
+    """Scale every row whose leakage exceeds eps down onto the cap."""
+    g = _quads(w, _apply(ce, w))
+    return w * np.sqrt(eps / np.where(g > eps, g, eps))[:, None]
 
 
-def _projected_ascent(c_b: np.ndarray, c_e: np.ndarray, eps: float, tau: float,
-                      omega: np.ndarray):
-    """Adaptive-step projected gradient ascent on the penalized objective."""
-    step = _STEP0
-    value = _penalized(c_b, c_e, eps, tau, omega)
-    iters = 0
-    for iters in range(1, _MAX_ITERS + 1):
-        gap = max(0.0, _quad(c_e, omega) - eps)
-        grad = c_b @ omega - (2.0 * tau * gap) * (c_e @ omega)
-        cand = _box(omega + step * grad)
-        cand_value = _penalized(c_b, c_e, eps, tau, cand)
-        if cand_value > value:
-            improved = cand_value - value
-            omega, value = cand, cand_value
-            step *= _STEP_UP
-            if improved <= _STAT_TOL * max(1.0, abs(value)):
-                return omega, value, iters, True
-        else:
-            step *= _STEP_DOWN
-            if step < _STEP_FLOOR:
-                return omega, value, iters, True
-    return omega, value, iters, False
+def _penalized(b: np.ndarray, e: np.ndarray, eps: float, tau: np.ndarray) -> np.ndarray:
+    gap = np.maximum(e - eps, 0.0)
+    return b - tau * gap * gap
+
+
+def _projected_ascent(cb: np.ndarray, ce: np.ndarray, eps: float, w: np.ndarray):
+    """Penalty rounds of adaptive-step projected gradient ascent, run on
+    every row of `w` at once.
+
+    Each row keeps its own step, penalty tau, round and in-round step
+    count.  A round maximizes w^H cb w - tau * max(0, w^H ce w - eps)^2
+    until a move gains at most _STAT_TOL (relative), the step falls below
+    _STEP_FLOOR, or _MAX_ITERS steps are spent.  The row then stops if it
+    meets the cap to _FEAS_TOL or has used _MAX_PENALTY_ROUNDS rounds;
+    otherwise tau grows by _PENALTY_GROWTH and a new round starts from
+    _STEP0.  A stopped row neither moves nor counts further steps.  The
+    products cb w and ce w of the accepted iterate are kept, so a step
+    costs one product with each form.
+
+    Returns the iterate, the total step count over all rows, each row's
+    stalled flag (its last round ran out of steps) and the number of
+    rounds that did.
+    """
+    rows = w.shape[0]
+    bw, ew = _apply(cb, w), _apply(ce, w)
+    b, e = _quads(w, bw), _quads(w, ew)
+    tau = np.full(rows, _PENALTY0)
+    value = _penalized(b, e, eps, tau)
+    step = np.full(rows, _STEP0)
+    rounds = np.zeros(rows, dtype=int)
+    count = np.zeros(rows, dtype=int)
+    stalled = np.zeros(rows, dtype=bool)
+    live = np.ones(rows, dtype=bool)
+    total = budget_hits = 0
+    while live.any():
+        gap = np.maximum(e - eps, 0.0)
+        grad = bw - (2.0 * tau * gap)[:, None] * ew
+        cand = _box(w + step[:, None] * grad)
+        bc, ec = _apply(cb, cand), _apply(ce, cand)
+        b_c, e_c = _quads(cand, bc), _quads(cand, ec)
+        cand_value = _penalized(b_c, e_c, eps, tau)
+        up = live & (cand_value > value)
+        down = live & ~up
+        improved = cand_value - value
+        keep = up[:, None]
+        w = np.where(keep, cand, w)
+        bw = np.where(keep, bc, bw)
+        ew = np.where(keep, ec, ew)
+        b = np.where(up, b_c, b)
+        e = np.where(up, e_c, e)
+        value = np.where(up, cand_value, value)
+        step = np.where(up, step * _STEP_UP, np.where(down, step * _STEP_DOWN, step))
+        count += live
+        total += int(live.sum())
+        finished = ((up & (improved <= _STAT_TOL * np.maximum(1.0, np.abs(value))))
+                    | (down & (step < _STEP_FLOOR)))
+        ended = finished | (live & (count >= _MAX_ITERS))
+        if not ended.any():
+            continue
+        stalled = np.where(ended, ~finished, stalled)
+        budget_hits += int((ended & ~finished).sum())
+        rounds += ended
+        feasible = e <= eps * (1.0 + _FEAS_TOL)
+        stop = ended & (feasible | (rounds >= _MAX_PENALTY_ROUNDS))
+        live &= ~stop
+        again = ended & ~stop
+        tau = np.where(again, tau * _PENALTY_GROWTH, tau)
+        step = np.where(again, _STEP0, step)
+        count = np.where(again, 0, count)
+        value = np.where(again, _penalized(b, e, eps, tau), value)
+    return w, total, stalled, budget_hits
 
 
 def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
@@ -209,11 +305,15 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     first start; the (RisMatrix, SolveReport) pair that
     ``solve_diagonal_unconstrained`` returned for the same forms may be
     passed as `warm` to skip that solve, e.g. across a grid of caps.  If it
-    already meets the cap it is returned directly.  Otherwise each restart runs
-    penalty rounds of box-projected gradient ascent, growing the penalty
-    until the cap holds; the final iterate is rescaled onto the cap if a
-    residual violation remains.  The box projection and that downward
-    rescale keep |omega_i| <= 1 throughout.
+    already meets the cap it is returned directly.  Otherwise every restart,
+    scaled into the cap, runs penalty rounds of box-projected gradient
+    ascent, growing the penalty until the cap holds; each final iterate is
+    rescaled onto the cap if a residual violation remains, and the first
+    restart with the highest objective wins.  The box projection and that
+    downward rescale keep |omega_i| <= 1 throughout.  The report's
+    ``iterations`` sums the gradient steps of all restarts, and
+    ``budget_hits`` counts the penalty rounds, over all restarts, that
+    used all _MAX_ITERS steps.
     """
     if dforms.c_e is None:
         raise ValueError("constrained solve needs c_e")
@@ -236,51 +336,29 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
                 "epsilon_eve": float(epsilon_eve),
                 "eve_value": eve0,
                 "constraint_active": False,
+                "budget_hits": 0,
             })
 
     # Unit-scale the forms so the step/penalty constants are magnitude-free.
-    s_b = float(np.linalg.eigvalsh(dforms.c_b).max()) or 1.0
+    lam_b = float(np.linalg.eigvalsh(dforms.c_b).max())
     s_e = float(np.linalg.eigvalsh(dforms.c_e).max()) or 1.0
-    cb, ce, eps = dforms.c_b / s_b, dforms.c_e / s_e, epsilon_eve / s_e
+    cb, ce, eps = dforms.c_b / (lam_b or 1.0), dforms.c_e / s_e, epsilon_eve / s_e
 
-    n = dforms.r
-    best_omega = None
-    best_value = -np.inf
-    best_stalled = False
-    total_iters = 0
-    for omega in _starts(omega0):
-        # Scale into the cap so every restart begins feasible.
-        g = _quad(ce, omega)
-        if g > eps:
-            omega = omega * np.sqrt(eps / g)
-        tau = _PENALTY0
-        stalled = False
-        for _ in range(_MAX_PENALTY_ROUNDS):
-            omega, _val, iters, finished = _projected_ascent(
-                cb, ce, eps, tau, omega)
-            total_iters += iters
-            stalled = not finished
-            if _quad(ce, omega) <= eps * (1.0 + _FEAS_TOL):
-                break
-            tau *= _PENALTY_GROWTH
-        g = _quad(ce, omega)
-        if g > eps:
-            omega = omega * np.sqrt(eps / g)
-        value = _quad(cb, omega)
-        if value > best_value:
-            best_value = value
-            best_omega = omega
-            best_stalled = stalled
-    omega = best_omega
+    w, steps, stalled, budget_hits = _projected_ascent(
+        cb, ce, eps, _into_cap(ce, eps, _starts(omega0)))
+    w = _into_cap(ce, eps, w)
+    best = int(np.argmax(_quads(w, _apply(cb, w))))
+    omega = w[best]
     report = SolveReport(
         objective=_quad(dforms.c_b, omega),
-        bound=float(np.linalg.eigvalsh(dforms.c_b).max() * n),
-        iterations=total_iters,
-        converged=not best_stalled,
+        bound=lam_b * dforms.r,
+        iterations=steps,
+        converged=not stalled[best],
         constraint_values={
             "epsilon_eve": float(epsilon_eve),
             "eve_value": _quad(dforms.c_e, omega),
             "constraint_active": True,
+            "budget_hits": budget_hits,
         },
     )
     return RisMatrix(np.diag(omega), ARCH_DIAGONAL), report

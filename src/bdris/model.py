@@ -73,6 +73,8 @@ class SystemConfig:
     def __post_init__(self):
         if self.k < 1 or self.r < 1 or self.n_b < 1:
             raise ValueError("k, r and n_b must all be at least 1")
+        if self.n_e < 0:
+            raise ValueError("n_e must be non-negative (0: no unintended receiver)")
         if not self.total_power > 0:
             raise ValueError("total_power must be positive")
         if not self.noise_variance > 0:

@@ -1,13 +1,17 @@
 """Diagonal baseline: the Hadamard reduction against the full trace form,
-coordinate ascent against a dense phase grid, and the capped relaxation
-against a general-purpose NLP solver run from many starts.
+coordinate ascent against a dense phase grid, the capped relaxation against
+a general-purpose NLP solver run from many starts, and both batched solvers
+against the one-restart-at-a-time loops they replaced.
 """
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from conftest import rand_complex
 
+from bdris import diagonal
 from bdris.diagonal import (
     DiagForms,
     diag_forms,
@@ -31,6 +35,128 @@ def rand_forms(rng, r, k=None):
 
 def _quad(c, w):
     return float(np.real(np.vdot(w, c @ w)))
+
+
+# ------------------------------------------------------ serial reference
+# The solvers run their restarts as the rows of one iterate.  These are the
+# plain loops they replaced, one restart at a time, reading the same module
+# constants: the same starts, stopping rules, step counts and tie rule.
+
+def _ref_starts(first):
+    yield first
+    rng = np.random.default_rng(diagonal._SEED)
+    for _ in range(diagonal._RESTARTS - 1):
+        yield np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=first.size))
+
+
+def _ref_coordinate_ascent(c, omega):
+    trace = [_quad(c, omega)]
+    converged = False
+    passes = 0
+    for passes in range(1, diagonal._MAX_PASSES + 1):
+        for i in range(omega.size):
+            ci = c[i] @ omega - c[i, i] * omega[i]
+            mag = abs(ci)
+            if mag > 0.0:
+                omega[i] = ci / mag
+        trace.append(_quad(c, omega))
+        if trace[-1] - trace[-2] <= diagonal._CA_REL_TOL * max(1.0, abs(trace[-1])):
+            converged = True
+            break
+    return omega, trace, passes, converged
+
+
+def ref_unconstrained(c):
+    """Best (omega, trace, passes, converged) over the starts."""
+    best = None
+    for omega0 in _ref_starts(np.ones(c.shape[0], dtype=complex)):
+        run = _ref_coordinate_ascent(c, omega0)
+        if best is None or run[1][-1] > best[1][-1]:
+            best = run
+    return best
+
+
+def _ref_box(omega):
+    mags = np.abs(omega)
+    return omega / np.where(mags > 1.0, mags, 1.0)
+
+
+def _ref_penalized(cb, ce, eps, tau, omega):
+    gap = max(0.0, _quad(ce, omega) - eps)
+    return _quad(cb, omega) - tau * gap * gap
+
+
+def _ref_projected_ascent(cb, ce, eps, tau, omega):
+    step = diagonal._STEP0
+    value = _ref_penalized(cb, ce, eps, tau, omega)
+    iters = 0
+    for iters in range(1, diagonal._MAX_ITERS + 1):
+        gap = max(0.0, _quad(ce, omega) - eps)
+        grad = cb @ omega - (2.0 * tau * gap) * (ce @ omega)
+        cand = _ref_box(omega + step * grad)
+        cand_value = _ref_penalized(cb, ce, eps, tau, cand)
+        if cand_value > value:
+            improved = cand_value - value
+            omega, value = cand, cand_value
+            step *= diagonal._STEP_UP
+            if improved <= diagonal._STAT_TOL * max(1.0, abs(value)):
+                return omega, iters, True
+        else:
+            step *= diagonal._STEP_DOWN
+            if step < diagonal._STEP_FLOOR:
+                return omega, iters, True
+    return omega, iters, False
+
+
+@dataclass
+class RefCapped:
+    omega: np.ndarray
+    objective: float
+    steps: list          # gradient steps of each restart
+    budget_hits: int     # rounds, over all restarts, that ran out of steps
+    converged: bool
+
+
+def ref_constrained(dforms, eps, omega0):
+    """The capped solve from start ``omega0`` (the uncapped optimum)."""
+    s_b = float(np.linalg.eigvalsh(dforms.c_b).max()) or 1.0
+    s_e = float(np.linalg.eigvalsh(dforms.c_e).max()) or 1.0
+    cb, ce, eps_s = dforms.c_b / s_b, dforms.c_e / s_e, eps / s_e
+    best_omega, best_value, best_stalled = None, -np.inf, False
+    steps, hits = [], 0
+    for omega in _ref_starts(omega0):
+        g = _quad(ce, omega)
+        if g > eps_s:
+            omega = omega * np.sqrt(eps_s / g)
+        tau = diagonal._PENALTY0
+        stalled = False
+        steps.append(0)
+        for _ in range(diagonal._MAX_PENALTY_ROUNDS):
+            omega, iters, finished = _ref_projected_ascent(cb, ce, eps_s, tau, omega)
+            steps[-1] += iters
+            hits += not finished
+            stalled = not finished
+            if _quad(ce, omega) <= eps_s * (1.0 + diagonal._FEAS_TOL):
+                break
+            tau *= diagonal._PENALTY_GROWTH
+        g = _quad(ce, omega)
+        if g > eps_s:
+            omega = omega * np.sqrt(eps_s / g)
+        value = _quad(cb, omega)
+        if value > best_value:
+            best_omega, best_value, best_stalled = omega, value, stalled
+    return RefCapped(best_omega, _quad(dforms.c_b, best_omega), steps, hits,
+                     not best_stalled)
+
+
+def _oracle_cases():
+    """One seeded instance for each r = 2..8."""
+    rng = np.random.default_rng(31)
+    for r in range(2, 9):
+        yield diag_forms(rand_forms(rng, r))
+
+
+_ORACLE_CAPS = (0.1, 0.3, 0.6, 0.9)   # fractions of the uncapped leakage
 
 
 class TestReduction:
@@ -146,6 +272,7 @@ class TestConstrained:
         eve0 = _quad(df.c_e, np.diag(base.matrix))
         ris, rep = solve_diagonal_constrained(df, 2.0 * eve0)
         assert rep.constraint_values["constraint_active"] is False
+        assert rep.constraint_values["budget_hits"] == 0
         assert rep.objective == pytest.approx(rep0.objective, rel=1e-12)
         np.testing.assert_allclose(ris.matrix, base.matrix, atol=0)
 
@@ -161,6 +288,11 @@ class TestConstrained:
             cv = rep.constraint_values
             assert cv["constraint_active"] is True
             assert cv["eve_value"] <= eps * (1 + 1e-6)
+            # Penalty rounds, over all restarts, that spent every step.
+            hits = cv["budget_hits"]
+            assert type(hits) is int
+            assert 0 <= hits <= diagonal._RESTARTS * diagonal._MAX_PENALTY_ROUNDS
+            assert rep.iterations >= hits * diagonal._MAX_ITERS
             # Box projection and the downward rescale onto the cap keep
             # every entry in the unit disc; no clip step is needed.
             w = np.diag(ris.matrix)
@@ -229,6 +361,87 @@ class TestConstrained:
         ris, rep = solve_diagonal_constrained(df, eps)
         assert rep.objective == pytest.approx(eps, rel=1e-2)
         assert rep.constraint_values["eve_value"] <= eps * (1 + 1e-6)
+
+
+class TestBatchedRestarts:
+    """The batched solvers against the serial reference loops above."""
+
+    def test_unconstrained_matches_serial_reference(self):
+        for df in _oracle_cases():
+            ris, rep = solve_diagonal_unconstrained(df)
+            omega, trace, passes, conv = ref_unconstrained(df.c_b)
+            assert rep.objective == pytest.approx(trace[-1], rel=1e-9)
+            np.testing.assert_allclose(np.diag(ris.matrix), omega, rtol=0, atol=1e-9)
+            assert rep.iterations == passes
+            assert rep.converged is conv
+            assert len(rep.cost_trace) == passes + 1
+
+    def test_constrained_matches_serial_reference(self):
+        checked = 0
+        for df in _oracle_cases():
+            warm = solve_diagonal_unconstrained(df)
+            omega0 = np.diag(warm[0].matrix)
+            eve0 = _quad(df.c_e, omega0)
+            for frac in _ORACLE_CAPS:
+                eps = frac * eve0
+                ris, rep = solve_diagonal_constrained(df, eps, warm=warm)
+                ref = ref_constrained(df, eps, omega0.copy())
+                cv = rep.constraint_values
+                assert cv["constraint_active"] is True
+                assert rep.objective == pytest.approx(ref.objective, rel=1e-9)
+                np.testing.assert_allclose(np.diag(ris.matrix), ref.omega,
+                                           rtol=0, atol=1e-9)
+                assert cv["eve_value"] <= eps * (1 + 1e-12)
+                assert rep.iterations == sum(ref.steps)
+                assert cv["budget_hits"] == ref.budget_hits
+                assert rep.converged is ref.converged
+                checked += 1
+        assert checked == 7 * len(_ORACLE_CAPS)
+
+    def test_finished_restarts_stay_frozen(self, monkeypatch):
+        """With one restart the solvers are the reference run from start 0;
+        with three, start 0 keeps that path (the best can only improve) and
+        the step count is the sum of the three lone runs, so a restart that
+        has stopped neither moves nor counts further steps."""
+        rng = np.random.default_rng(9)
+        df = diag_forms(rand_forms(rng, 6))
+        warm = solve_diagonal_unconstrained(df)
+        omega0 = np.diag(warm[0].matrix)
+        eps = 0.3 * _quad(df.c_e, omega0)
+        capped, uncapped = {}, {}
+        for restarts in (1, 3):
+            monkeypatch.setattr(diagonal, "_RESTARTS", restarts)
+            ref = ref_constrained(df, eps, omega0.copy())
+            _, rep = solve_diagonal_constrained(df, eps, warm=warm)
+            assert rep.objective == pytest.approx(ref.objective, rel=1e-9)
+            assert rep.iterations == sum(ref.steps)
+            capped[restarts] = (rep, ref)
+            _, trace, passes, _ = ref_unconstrained(df.c_b)
+            _, rep_u = solve_diagonal_unconstrained(df)
+            assert rep_u.objective == pytest.approx(trace[-1], rel=1e-9)
+            assert rep_u.iterations == passes
+            uncapped[restarts] = rep_u
+        (one, _), (three, ref_three) = capped[1], capped[3]
+        assert len(ref_three.steps) == 3
+        assert ref_three.steps[0] == one.iterations
+        assert three.objective >= one.objective
+        assert uncapped[3].objective >= uncapped[1].objective
+
+    def test_budget_hits_count_exhausted_rounds(self, monkeypatch):
+        """A step budget too small to finish a round: every exhausted round,
+        over all restarts, is counted, as the reference counts them."""
+        monkeypatch.setattr(diagonal, "_MAX_ITERS", 40)
+        rng = np.random.default_rng(10)
+        df = diag_forms(rand_forms(rng, 5))
+        warm = solve_diagonal_unconstrained(df)
+        omega0 = np.diag(warm[0].matrix)
+        eps = 0.3 * _quad(df.c_e, omega0)
+        _, rep = solve_diagonal_constrained(df, eps, warm=warm)
+        ref = ref_constrained(df, eps, omega0.copy())
+        hits = rep.constraint_values["budget_hits"]
+        assert hits == ref.budget_hits > 0
+        assert rep.iterations == sum(ref.steps)
+        assert rep.converged is ref.converged
 
 
 class TestArchitectureOrdering:

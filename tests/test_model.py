@@ -16,6 +16,7 @@ import pytest
 
 from conftest import batch_haar, batch_trace_objective
 
+from bdris.cli import main
 from bdris.errors import (
     ContractViolationError,
     DimensionError,
@@ -116,6 +117,22 @@ class TestValidation:
             SystemConfig(k=0, r=4, n_b=2)
         with pytest.raises(ValueError):
             SystemConfig(k=2, r=4, n_b=2, noise_variance=0.0)
+
+    def test_config_rejects_negative_n_e(self):
+        with pytest.raises(ValueError, match="n_e"):
+            SystemConfig(k=1, r=2, n_b=1, n_e=-3)
+        assert not SystemConfig(k=1, r=2, n_b=1, n_e=0).eve_present
+
+    def test_cli_rejects_negative_n_e(self, tmp_path):
+        # The no-eve scenario alone needs no eavesdropper, so only the
+        # config check stands between a typo and a sweep without one.
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"n_e": -1}), encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["--config", str(conf), "--r", "3", "--k", "1",
+                     "--scenario", "no-eve", "--out", str(out), "--quiet"])
+        assert code != 0
+        assert not out.exists()
 
     def test_channelset_shape_mismatch(self):
         rng = np.random.default_rng(0)
