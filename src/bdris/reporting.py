@@ -12,9 +12,9 @@ class SolveReport:
 
     ``objective`` is the achieved value of tr(Omega^H E_b Omega M),
     ``bound`` the Von Neumann upper bound for the instance, ``cost_trace``
-    the accepted objective values in order, ``constraint_values`` named
-    scalars (Eve trace, violations, step counts) and ``violation_trace``
-    the equality-violation history of penalty solvers.
+    the accepted objective values in order (per round, for round-based
+    solvers) and ``constraint_values`` named diagnostics: leakage, cap,
+    bounds, step counts and, for the reciprocal solvers, ``stop_reason``.
     """
 
     objective: float
@@ -23,7 +23,6 @@ class SolveReport:
     cost_trace: list = field(default_factory=list)
     converged: bool = True
     constraint_values: dict = field(default_factory=dict)
-    violation_trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -33,7 +32,6 @@ class SolveReport:
             "cost_trace": list(self.cost_trace),
             "converged": self.converged,
             "constraint_values": dict(self.constraint_values),
-            "violation_trace": list(self.violation_trace),
         }
 
     def to_json(self, **kwargs) -> str:

@@ -18,12 +18,12 @@ between the two bracketing maximizers, which stays in the set of
 maximizers when the leakage jumps at the optimal multiplier (coincident or
 commuting forms).
 
-The reciprocal (symmetric unitary) case has no closed form; it is solved
-by manifold ascent over U with Omega = U U^T, initialized at the
-symmetric-unitary matrix closest to the unconstrained optimum.  The knobs
-of both searches (bracket and bisection budgets, the ascent's step
-schedule, tolerance and iteration budget) are the module constants below;
-every caller uses the same values.
+The reciprocal (symmetric unitary) case has no closed form: a
+Barzilai-Borwein gradient ascent on U, Omega = U U^T, solves it from the
+symmetric-unitary matrix closest to the unconstrained optimum, and is
+also the inner solver of the capped reciprocal design in
+:mod:`bdris.pdd`.  The knobs of both searches are the module constants
+below; every caller uses the same values.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from .errors import DimensionError
-from .kernels import HermEig, expm_skew, hermitian_eig, takagi
+from .kernels import HermEig, hermitian_eig, takagi
 from .model import (
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
@@ -48,10 +48,6 @@ __all__ = [
     "solve_reciprocal_ao",
 ]
 
-# Step sizes below this are treated as a stalled line search: the current
-# iterate is a numerical critical point and the run counts as converged.
-_MU_FLOOR = 1e-14
-
 # Capped closed form: the multiplier bracket starts at lambda_max(E_b) /
 # lambda_max(E_e) and doubles at most this often before the cap counts as
 # unreachable; each bisection (on the multiplier, then along the geodesic)
@@ -59,14 +55,12 @@ _MU_FLOOR = 1e-14
 _MAX_DOUBLINGS = 64
 _MAX_BISECT = 200
 
-# Reciprocal ascent: the retraction step starts at _AO_MU0, grows by
-# _AO_MU_UP on an accepted move and shrinks by _AO_MU_DOWN on a rejected
-# one; an accepted relative improvement below _AO_EPSILON_CONV ends the run,
-# and _AO_MAX_ITERS iterations end it unconverged.
-_AO_EPSILON_CONV = 1e-8
-_AO_MU0 = 1e-2
-_AO_MU_UP = 2.0
-_AO_MU_DOWN = 0.5
+# Reciprocal ascent: Armijo constant of the line search, clamp on the
+# Barzilai-Borwein step lengths, and the uncapped run's stationarity
+# tolerance on ||A||_F (unit-scale forms) and step budget.
+_ARMIJO = 1e-4
+_BB_CLAMP = 1e10
+_AO_GRAD_TOL = 1e-6
 _AO_MAX_ITERS = 5000
 
 
@@ -230,23 +224,108 @@ def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
     return omega, report(omega, True, multiplier=mu_hi, dual_bound=g_hi)
 
 
-def _ao_cost(u: np.ndarray, e_b: np.ndarray, m: np.ndarray) -> float:
+def _ascend(u: np.ndarray, e_b: np.ndarray, m: np.ndarray, tol: float,
+            max_iters: int, eta: float = 0.0, penalty=None):
+    """Barzilai-Borwein ascent on U for f_b = tr(Omega^H E_b Omega M), Omega = U U^T.
+
+    ``penalty`` = (E_e, eps, lam, rho) subtracts the augmented-Lagrangian
+    term (rho/2) max(0, f_e - eps + lam/rho)^2 of the leakage f_e.  The
+    direction A = Im(G + G^T), G = U^H X Omega M U^* (X = E_b, or
+    E_b - w E_e with w = max(0, lam + rho (f_e - eps))), is the gradient
+    along the moves U V diag(e^{i t lambda / 2}) V^T, A = V diag(lambda)
+    V^T, which take Omega to U e^{i t A} U^T and keep it symmetric
+    unitary; the moves U O, O real orthogonal, that leave Omega alone are
+    left out, so ||A||_F vanishes at a stationary point.  Steps alternate
+    the two Barzilai-Borwein lengths (Barzilai & Borwein 1988), clamped to
+    [1/_BB_CLAMP, _BB_CLAMP] and kept when s^T y <= 0, and are halved until
+    the cost beats the Zhang-Hager (2004) reference by _ARMIJO t ||A||^2;
+    eta = 0 makes the reference the current cost, so costs rise
+    monotonically.  The test adds up cost changes computed from
+    Omega(t) - Omega = U V diag(e^{i t lambda} - 1) V^T U^T, which resolves
+    gains far below the rounding of the cost itself.  Returns U, ||A||_F,
+    the accepted steps, the trace of f_b and the stop reason:
+    ``stationary`` (||A||_F <= tol), ``budget`` or ``stalled``.
+    """
+    e_e, eps, lam, rho = penalty or (None, 0.0, 0.0, 0.0)
+    mats = (e_b,) if penalty is None else (e_b, e_e)
+
+    def direction(u, prods, vals):
+        x = prods[0]
+        if penalty is not None:
+            x = x - max(0.0, lam + rho * (vals[1] - eps)) * prods[1]
+        g = u.conj().T @ x @ u.conj()
+        return (g + g.T).imag
+
+    def penalty_rise(f_e, d_e):
+        """Growth of (rho/2) max(0, f_e - eps + lam/rho)^2 as f_e moves by d_e."""
+        lo = lam + rho * (f_e - eps)
+        hi = lo + rho * d_e
+        rise = rho * d_e if min(lo, hi) >= 0.0 else max(hi, 0.0) - max(lo, 0.0)
+        return rise * (max(lo, 0.0) + max(hi, 0.0)) / (2.0 * rho)
+
     omega = u @ u.T
-    return quad_objective(omega, e_b, m)
+    om = omega @ m
+    prods = [e @ om for e in mats]                  # E Omega M
+    vals = [np.vdot(omega, p).real for p in prods]  # f_b (and f_e)
+    a = direction(u, prods, vals)
+    grad = float(np.linalg.norm(a))
+    step = 1.0 / grad if grad > 0.0 else 1.0
+    trace = [vals[0]]
+    value, ref, q = 0.0, 0.0, 1.0   # cost and reference, less the start cost
+    iterations = 0
+    stop = "stationary"
+    while grad > tol:
+        if iterations == max_iters:
+            stop = "budget"
+            break
+        lam_a, v = np.linalg.eigh(a)
+        uv = u @ v
+        need = _ARMIJO * grad * grad
+        while True:
+            delta = (uv * np.expm1(1j * step * lam_a)) @ uv.T
+            dm = delta @ m
+            dprods = [e @ dm for e in mats]
+            dvals = [2.0 * np.vdot(delta, p).real + np.vdot(delta, dp).real
+                     for p, dp in zip(prods, dprods)]
+            gain = dvals[0]
+            if penalty is not None:
+                gain -= penalty_rise(vals[1], dvals[1])
+            passed = value + gain >= ref + step * need
+            if passed or step < 1.0 / _BB_CLAMP:
+                break
+            step *= 0.5
+        if not passed:
+            stop = "stalled"
+            break
+        iterations += 1
+        u = (uv * np.exp(0.5j * step * lam_a)) @ v.T
+        omega = omega + delta
+        prods = [p + dp for p, dp in zip(prods, dprods)]
+        vals = [f + df for f, df in zip(vals, dvals)]
+        new_a = direction(u, prods, vals)
+        s, y = step * a, a - new_a
+        sy = float(np.vdot(s, y))
+        if sy > 0.0:
+            step = (float(np.vdot(s, s)) / sy if iterations % 2
+                    else sy / float(np.vdot(y, y)))
+            step = min(max(step, 1.0 / _BB_CLAMP), _BB_CLAMP)
+        a = new_a
+        grad = float(np.linalg.norm(a))
+        value += gain
+        trace.append(vals[0])
+        ref = (eta * q * ref + value) / (eta * q + 1.0)
+        q = eta * q + 1.0
+    return u, grad, iterations, trace, stop
 
 
 def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
-    """Symmetric-unitary design Omega = U U^T by retraction ascent.
+    """Symmetric-unitary design Omega = U U^T by Barzilai-Borwein ascent.
 
-    Starts from the symmetric-unitary matrix nearest the unconstrained
-    optimum: U0 from the Takagi factorization of V_E V_M^H + V_M^* V_E^T.
-    Each iteration forms the ascent matrix Z = E_b U U^T M U^*, projects
-    it to the skew step S = (U^H Z - Z^H U)/2 and retracts along
-    U exp(mu S).  Steps are accepted only on cost improvement; mu grows by
-    _AO_MU_UP on acceptance and shrinks by _AO_MU_DOWN on rejection.  Stops
-    when an accepted relative improvement falls below _AO_EPSILON_CONV or
-    the step stalls at the floor; hitting _AO_MAX_ITERS flags
-    converged=False.
+    Starts from U0, the Takagi factor of V_E V_M^H + V_M^* V_E^T, and runs
+    :func:`_ascend` monotonically on the forms scaled to unit spectral
+    norm until ||A||_F <= _AO_GRAD_TOL; _AO_MAX_ITERS steps (or a stalled
+    line search) flag converged=False.  The report carries ``grad_norm``
+    and ``stop_reason``.
     """
     _check_forms(forms)
     e_b, m = forms.e_b, forms.m
@@ -255,32 +334,11 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     aligned = eig_e.vectors @ eig_m.vectors.conj().T
     u = takagi(aligned + aligned.T).u
     bound = float(eig_e.values @ eig_m.values)
+    s_b = float(eig_e.values[0]) or 1.0
+    s_m = float(eig_m.values[0]) or 1.0
 
-    cost = _ao_cost(u, e_b, m)
-    trace = [cost]
-    mu = _AO_MU0
-    converged = False
-    iterations = 0
-    for iterations in range(1, _AO_MAX_ITERS + 1):
-        z = e_b @ u @ (u.T @ (m @ u.conj()))
-        skew = 0.5 * (u.conj().T @ z - z.conj().T @ u)
-        candidate = u @ expm_skew(skew, mu)
-        cand_cost = _ao_cost(candidate, e_b, m)
-        if cand_cost > cost:
-            improvement = (cand_cost - cost) / max(abs(cost), 1e-300)
-            u = candidate
-            cost = cand_cost
-            trace.append(cost)
-            mu *= _AO_MU_UP
-            if improvement < _AO_EPSILON_CONV:
-                converged = True
-                break
-        else:
-            mu *= _AO_MU_DOWN
-            if mu < _MU_FLOOR:
-                converged = True  # no ascent direction at float resolution
-                break
-
+    u, grad, iterations, trace, stop = _ascend(u, e_b / s_b, m / s_m,
+                                               _AO_GRAD_TOL, _AO_MAX_ITERS)
     omega = u @ u.T
     omega = 0.5 * (omega + omega.T)
     objective = quad_objective(omega, e_b, m)
@@ -288,8 +346,8 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
         objective=objective,
         bound=bound,
         iterations=iterations,
-        cost_trace=trace,
-        converged=converged,
-        constraint_values={"final_step": mu},
+        cost_trace=[s_b * s_m * f for f in trace],
+        converged=stop == "stationary",
+        constraint_values={"grad_norm": grad, "stop_reason": stop},
     )
     return RisMatrix(omega, ARCH_RECIPROCAL), report

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite (no fixtures, plain functions)."""
 import numpy as np
 
+from bdris.model import QuadraticForms
+
 
 def rand_complex(rng, n, m=None):
     m = n if m is None else m
@@ -31,6 +33,32 @@ def batch_trace_objective(u, e, m):
     um = (u.reshape(count * n, n) @ m).reshape(count, n, n)
     eum_t = (um.transpose(0, 2, 1).reshape(count * n, n) @ e.T).reshape(count, n, n)
     return np.einsum("bji,bij->b", u.conj(), eum_t).real
+
+
+def capped_cases():
+    """(name, forms) for the capped search, r = 2..8: random forms, commuting
+    forms (E_b, E_e = E_b^2 and M all diagonal, M of rank k), and coincident
+    forms (E_e = E_b), the last two with leakage jumps at the optimal
+    multiplier."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for r in range(2, 9):
+        k = max(1, r // 2)
+        h = rand_complex(rng, r, k)
+        hb = rand_complex(rng, 2 * k, r)
+        he = rand_complex(rng, 2 * k, r)
+        e_b = hb.conj().T @ hb
+        cases.append((f"random r={r}", QuadraticForms(
+            e_b=e_b, m=h @ h.conj().T, h=h, e_e=he.conj().T @ he)))
+        cases.append((f"coincident r={r}", QuadraticForms(
+            e_b=e_b, m=h @ h.conj().T, h=h, e_e=e_b.copy())))
+        hd = np.eye(r, k) * np.sqrt(rng.exponential(size=k))
+        d_b = rng.exponential(size=r)
+        cases.append((f"commuting r={r}", QuadraticForms(
+            e_b=np.diag(d_b).astype(complex),
+            m=(hd @ hd.T).astype(complex), h=hd.astype(complex),
+            e_e=np.diag(d_b ** 2).astype(complex))))
+    return cases
 
 
 def solve_based_qcqp_oracle(b, a, eps, steps=40):

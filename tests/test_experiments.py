@@ -1,8 +1,13 @@
 """Sweep harness and CLI: deterministic output files, row ordering, report
-context, warm-start passthrough, and exit-code contract.
+context, warm-start passthrough, exit-code contract, and the package names
+the benchmark harness binds.
 """
+import ast
 import csv
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +279,38 @@ class TestCli:
             table = list(csv.reader(fh))
         conv_idx = table[0].index("converged")
         assert table[1][conv_idx] == "false"
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+class TestBenchmarkBindings:
+    """The benchmark harness rebinds package functions by name; a renamed
+    or deleted one must fail here rather than crash a benchmark run."""
+
+    def test_traced_functions_exist(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_spans", BENCHMARKS / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        missing = [f"{layer}.{name}"
+                   for layer, names in spans.TRACED.items()
+                   for name in names
+                   if not callable(getattr(importlib.import_module(
+                       f"bdris.{layer}"), name, None))]
+        assert sum(len(names) for names in spans.TRACED.values()) > 10
+        assert missing == []
+
+    def test_captured_solvers_exist(self):
+        """Every name in the loop of ``Runner.capture_responses`` is a
+        solver that ``bdris.experiments`` calls through its globals."""
+        tree = ast.parse((BENCHMARKS / "run.py").read_text(encoding="utf-8"))
+        names = [elt.value
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "capture_responses"
+                 for loop in ast.walk(node) if isinstance(loop, ast.For)
+                 for elt in loop.iter.elts]
+        assert len(names) >= 5
+        import bdris.experiments as experiments
+        assert [n for n in names if not callable(getattr(experiments, n, None))] == []

@@ -10,7 +10,7 @@ case where the symmetric feasible set provably contains the global optimum
 import numpy as np
 import pytest
 
-from conftest import batch_haar, batch_trace_objective
+from conftest import batch_haar, batch_trace_objective, capped_cases
 
 from bdris.model import (
     ARCH_NONRECIPROCAL,
@@ -19,6 +19,7 @@ from bdris.model import (
     quad_objective,
 )
 from bdris import spectral
+from bdris.kernels import nearest_symmetric_unitary, takagi
 from bdris.tolerances import ARCH_CHECK_TOL
 from bdris.spectral import (
     solve_nonreciprocal,
@@ -99,32 +100,6 @@ class TestNonReciprocal:
         _, rep = solve_nonreciprocal(forms)
         _, rep_p = solve_nonreciprocal(permuted)
         assert rep.objective == pytest.approx(rep_p.objective, rel=1e-9)
-
-
-def capped_cases():
-    """(name, forms) for the capped search, r = 2..8: random forms, commuting
-    forms (E_b, E_e = E_b^2 and M all diagonal, M of rank k), and coincident
-    forms (E_e = E_b), the last two with leakage jumps at the optimal
-    multiplier."""
-    rng = np.random.default_rng(31)
-    cases = []
-    for r in range(2, 9):
-        k = max(1, r // 2)
-        h = rand_complex(rng, r, k)
-        hb = rand_complex(rng, 2 * k, r)
-        he = rand_complex(rng, 2 * k, r)
-        e_b = hb.conj().T @ hb
-        cases.append((f"random r={r}", QuadraticForms(
-            e_b=e_b, m=h @ h.conj().T, h=h, e_e=he.conj().T @ he)))
-        cases.append((f"coincident r={r}", QuadraticForms(
-            e_b=e_b, m=h @ h.conj().T, h=h, e_e=e_b.copy())))
-        hd = np.eye(r, k) * np.sqrt(rng.exponential(size=k))
-        d_b = rng.exponential(size=r)
-        cases.append((f"commuting r={r}", QuadraticForms(
-            e_b=np.diag(d_b).astype(complex),
-            m=(hd @ hd.T).astype(complex), h=hd.astype(complex),
-            e_e=np.diag(d_b ** 2).astype(complex))))
-    return cases
 
 
 def leakage_floor(forms):
@@ -261,6 +236,42 @@ class TestReciprocalAo:
         _, rep = solve_reciprocal_ao(forms)
         assert not rep.converged
         assert rep.iterations == 2
+
+
+class TestReciprocalStationarity:
+    @staticmethod
+    def slopes(u, forms, rng, count=20, t=1e-4):
+        """Central-difference slopes of the objective along the moves
+        Omega -> U e^{itB} U^T for random unit real symmetric B."""
+        out = []
+        for _ in range(count):
+            b = rng.normal(size=u.shape)
+            b = b + b.T
+            lam, v = np.linalg.eigh(b / np.linalg.norm(b))
+            values = [objective(u @ ((v * np.exp(1j * s * lam)) @ v.T) @ u.T, forms)
+                      for s in (t, -t)]
+            out.append((values[0] - values[1]) / (2.0 * t))
+        return np.abs(out)
+
+    def test_stops_at_a_stationary_point(self):
+        """No symmetric-unitary direction improves the reported optimum to
+        first order, where the same test at a random symmetric unitary
+        finds slopes a thousand times larger; the report says why the
+        ascent stopped."""
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            forms = rand_forms(rng, int(rng.integers(3, 8)))
+            scale = (np.linalg.eigvalsh(forms.e_b)[-1]
+                     * np.linalg.eigvalsh(forms.m)[-1])
+            ris, rep = solve_reciprocal_ao(forms)
+            cv = rep.constraint_values
+            assert rep.converged and cv["stop_reason"] == "stationary"
+            assert cv["grad_norm"] <= spectral._AO_GRAD_TOL
+            u = takagi(ris.matrix).u
+            assert self.slopes(u, forms, rng).max() <= 1e-5 * scale
+            start = takagi(nearest_symmetric_unitary(
+                haar_unitary(rng, forms.r))).u
+            assert self.slopes(start, forms, rng).max() >= 1e-2 * scale
 
 
 class TestBound:
