@@ -142,6 +142,12 @@ def _scale(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stop_reason(converged) -> str:
+    """``stationary`` for a winning restart that met its stopping rule,
+    ``budget`` for one that ran out of passes or steps."""
+    return "stationary" if converged else "budget"
+
+
 def _starts(first: np.ndarray) -> np.ndarray:
     """The multi-start rows: ``first``, then random-phase vectors."""
     rng = np.random.default_rng(_SEED)
@@ -191,8 +197,9 @@ def solve_diagonal_unconstrained(dforms: DiagForms) -> tuple[RisMatrix, SolveRep
     Restart 0 starts from the all-ones phase vector; the rest draw phases
     uniformly on [0, 2pi).  All restarts run together as the rows of one
     _RESTARTS x r iterate; the first restart with the highest value wins and
-    the report carries its trace and pass count.  The reported bound is
-    lam_max(c_b) * r, the Rayleigh bound over the relaxed ball.
+    the report carries its trace, pass count and ``stop_reason``
+    (``stationary``, or ``budget`` after _MAX_PASSES passes).  The reported
+    bound is lam_max(c_b) * r, the Rayleigh bound over the relaxed ball.
     """
     c = dforms.c_b
     n = dforms.r
@@ -206,6 +213,7 @@ def solve_diagonal_unconstrained(dforms: DiagForms) -> tuple[RisMatrix, SolveRep
         iterations=int(passes[best]),
         cost_trace=[float(v) for v in trace],
         converged=bool(conv[best]),
+        constraint_values={"stop_reason": _stop_reason(conv[best])},
     )
     return RisMatrix(np.diag(w[best]), ARCH_DIAGONAL), report
 
@@ -313,7 +321,9 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     downward rescale keep |omega_i| <= 1 throughout.  The report's
     ``iterations`` sums the gradient steps of all restarts, and
     ``budget_hits`` counts the penalty rounds, over all restarts, that
-    used all _MAX_ITERS steps.
+    used all _MAX_ITERS steps.  ``stop_reason`` is ``budget`` when the
+    winning restart's last round did, else ``stationary`` (an inactive cap
+    passes on the warm solve's).
     """
     if dforms.c_e is None:
         raise ValueError("constrained solve needs c_e")
@@ -337,6 +347,7 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
                 "eve_value": eve0,
                 "constraint_active": False,
                 "budget_hits": 0,
+                "stop_reason": _stop_reason(rep0.converged),
             })
 
     # Unit-scale the forms so the step/penalty constants are magnitude-free.
@@ -359,6 +370,7 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
             "eve_value": _quad(dforms.c_e, omega),
             "constraint_active": True,
             "budget_hits": budget_hits,
+            "stop_reason": _stop_reason(not stalled[best]),
         },
     )
     return RisMatrix(np.diag(omega), ARCH_DIAGONAL), report

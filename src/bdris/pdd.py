@@ -36,8 +36,8 @@ from .errors import ContractViolationError
 from .kernels import HermEig, hermitian_eig, nearest_symmetric_unitary, takagi
 from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
 from .reporting import SolveReport
-from .spectral import _ascend, solve_nonreciprocal, solve_reciprocal_ao, \
-    von_neumann_bound
+from .spectral import _ascend, _check_source, solve_nonreciprocal, \
+    solve_reciprocal_ao, von_neumann_bound
 
 __all__ = [
     "PddSettings",
@@ -275,10 +275,12 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
     and ``infeasible`` when growing rho no longer lowers the residual.
     The report carries the non-reciprocal ``dual_bound`` (it bounds every
     symmetric response too), ``outer_rounds``, ``grad_norm`` and
-    ``stop_reason``; ``iterations`` counts ascent steps.
+    ``stop_reason``; ``iterations`` counts ascent steps.  Forms whose m
+    differs from h h^H raise ContractViolationError.
     """
     if forms.e_e is None:
         raise ValueError("solve_pdd needs eavesdropper forms (e_e is None)")
+    _check_source(forms)
     if warm is not None:
         ris0, rep0 = warm
         if ris0.architecture != ARCH_RECIPROCAL:
@@ -308,7 +310,7 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
         residual, stuck, grown, stop = np.inf, 0, False, "budget"
         for rounds in range(1, _MAX_ROUNDS + 1):
             u, grad, steps, _, inner = _ascend(
-                u, nforms.e_b, nforms.m, inner_tol, _MAX_INNER, _ETA,
+                u, nforms.e_b, nforms.h, inner_tol, _MAX_INNER, _ETA,
                 penalty=(nforms.e_e, eps_hat, lam, rho))
             iterations += steps
             omega = u @ u.T

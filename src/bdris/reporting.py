@@ -14,7 +14,7 @@ class SolveReport:
     ``bound`` the Von Neumann upper bound for the instance, ``cost_trace``
     the accepted objective values in order (per round, for round-based
     solvers) and ``constraint_values`` named diagnostics: leakage, cap,
-    bounds, step counts and, for the reciprocal solvers, ``stop_reason``.
+    bounds, step counts and, on every solver's report, ``stop_reason``.
     """
 
     objective: float

@@ -22,8 +22,14 @@ The reciprocal (symmetric unitary) case has no closed form: a
 Barzilai-Borwein gradient ascent on U, Omega = U U^T, solves it from the
 symmetric-unitary matrix closest to the unconstrained optimum, and is
 also the inner solver of the capped reciprocal design in
-:mod:`bdris.pdd`.  The knobs of both searches are the module constants
-below; every caller uses the same values.
+:mod:`bdris.pdd`.  The ascent works on the r-by-k source matrix h rather
+than on M = h h^H, which has rank k <= r, so the reciprocal solvers
+require m = h h^H (checked).  Its state is a frame B with Omega = B B^T
+plus r-by-k products of h; a step costs one real r-by-r eigh, one
+complex-by-real r-by-r product that rotates the frame, and r-by-r-by-k
+products, and a line-search trial only the latter.  The knobs of both
+searches are the module constants below; every caller uses the same
+values.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import schur
 
-from .errors import DimensionError
+from . import tolerances as tol
+from .errors import ContractViolationError, DimensionError
 from .kernels import HermEig, hermitian_eig, takagi
 from .model import (
     ARCH_NONRECIPROCAL,
@@ -69,6 +76,19 @@ def _check_forms(forms: QuadraticForms) -> None:
         raise DimensionError("e_b and m must be square matrices of equal size")
 
 
+def _check_source(forms: QuadraticForms) -> None:
+    """The reciprocal solvers read the r-by-k source matrix h: M = h h^H must
+    hold to HERMITIAN_INPUT_TOL, relative to the largest entry of M."""
+    h = np.asarray(forms.h)
+    if h.ndim != 2 or h.shape[0] != forms.r:
+        raise DimensionError(f"h must have {forms.r} rows, got shape {h.shape}")
+    scale = float(np.max(np.abs(forms.m))) or 1.0
+    dev = float(np.max(np.abs(h @ h.conj().T - forms.m)))
+    if dev > tol.HERMITIAN_INPUT_TOL * scale:
+        raise ContractViolationError(
+            f"m differs from h h^H: relative deviation {dev / scale:.3e}")
+
+
 def von_neumann_bound(forms: QuadraticForms, target: str = "bob") -> float:
     """Upper bound sum_i d_E,i d_M,i on tr(Omega^H E Omega M) over unitaries.
 
@@ -104,7 +124,9 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
     objective.  A cap below the leakage floor sum_i d_E,i(ascending)
     d_M,i(descending) cannot be met: the floor response V_E(ascending)
     V_M^H is returned with converged=False (and no dual bound).
-    ``bound`` stays the uncapped Von Neumann bound.
+    ``bound`` stays the uncapped Von Neumann bound.  The report's
+    ``stop_reason`` is ``closed_form`` (uncapped or inactive cap),
+    ``stationary`` (cap met by the dual search) or ``infeasible``.
     """
     _check_forms(forms)
     eig_e = hermitian_eig(forms.e_b)
@@ -118,6 +140,7 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
         iterations=0,
         cost_trace=[objective],
         converged=True,
+        constraint_values={"stop_reason": "closed_form"},
     )
     if epsilon_eve is None:
         return RisMatrix(omega, ARCH_NONRECIPROCAL), report
@@ -134,6 +157,7 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
             "constraint_active": False,
             "multiplier": 0.0,
             "dual_bound": bound,
+            "stop_reason": "closed_form",
         }
         return RisMatrix(omega, ARCH_NONRECIPROCAL), report
     omega, report = _capped_nonreciprocal(forms, eig_e, eig_m, epsilon_eve)
@@ -170,6 +194,7 @@ def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
                 "epsilon_eve": epsilon_eve,
                 "eve_value": quad_objective(omega, e_e, m),
                 "constraint_active": True,
+                "stop_reason": "stationary" if converged else "infeasible",
                 **extra,
             },
         )
@@ -224,10 +249,21 @@ def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
     return omega, report(omega, True, multiplier=mu_hi, dual_bound=g_hi)
 
 
-def _ascend(u: np.ndarray, e_b: np.ndarray, m: np.ndarray, tol: float,
+def _direction(b: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Ascent direction A = Im(G + G^T), G = (B^H X) c^H, in the frame B.
+
+    With X = E Omega h and c = B^T h, G = B^H E Omega M B^* for M = h h^H:
+    two r-by-r-by-k products instead of r-by-r-by-r ones.
+    """
+    g = ((b.conj().T @ x) @ c.conj().T).imag
+    return g + g.T
+
+
+def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
             max_iters: int, eta: float = 0.0, penalty=None):
     """Barzilai-Borwein ascent on U for f_b = tr(Omega^H E_b Omega M), Omega = U U^T.
 
+    M = h h^H must hold for the r-by-k ``h`` (see :func:`_check_source`).
     ``penalty`` = (E_e, eps, lam, rho) subtracts the augmented-Lagrangian
     term (rho/2) max(0, f_e - eps + lam/rho)^2 of the leakage f_e.  The
     direction A = Im(G + G^T), G = U^H X Omega M U^* (X = E_b, or
@@ -242,19 +278,29 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, m: np.ndarray, tol: float,
     eta = 0 makes the reference the current cost, so costs rise
     monotonically.  The test adds up cost changes computed from
     Omega(t) - Omega = U V diag(e^{i t lambda} - 1) V^T U^T, which resolves
-    gains far below the rounding of the cost itself.  Returns U, ||A||_F,
-    the accepted steps, the trace of f_b and the stop reason:
+    gains far below the rounding of the cost itself.
+
+    The state is thin: the frame B (Omega = B B^T; B = U up to a real
+    orthogonal factor, which leaves Omega alone), and the r-by-k c = B^T h
+    and E Omega h = E B c for each form.  A step takes one real eigh of A
+    (given in the frame B) and rotates the frame, B <- B V (two real
+    GEMMs) and c <- V^T c.  A line-search trial then costs only the
+    r-by-r-by-k products Delta h = B (expm1(i t lambda) o c) and E Delta h;
+    an accepted step adds E Delta h and scales the columns of B and the
+    rows of c by e^{i t lambda / 2}.  In the rotated frame the old
+    direction is diag(lambda), so the Barzilai-Borwein inner products are
+    s^T y = t lambda^T (lambda - diag A'), s^T s = t^2 lambda^T lambda and
+    y^T y = ||diag(lambda) - A'||^2, A' the new direction.  Returns B,
+    ||A||_F, the accepted steps, the trace of f_b and the stop reason:
     ``stationary`` (||A||_F <= tol), ``budget`` or ``stalled``.
     """
     e_e, eps, lam, rho = penalty or (None, 0.0, 0.0, 0.0)
     mats = (e_b,) if penalty is None else (e_b, e_e)
 
-    def direction(u, prods, vals):
-        x = prods[0]
-        if penalty is not None:
-            x = x - max(0.0, lam + rho * (vals[1] - eps)) * prods[1]
-        g = u.conj().T @ x @ u.conj()
-        return (g + g.T).imag
+    def weighted(prods, vals):
+        if penalty is None:
+            return prods[0]
+        return prods[0] - max(0.0, lam + rho * (vals[1] - eps)) * prods[1]
 
     def penalty_rise(f_e, d_e):
         """Growth of (rho/2) max(0, f_e - eps + lam/rho)^2 as f_e moves by d_e."""
@@ -263,11 +309,12 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, m: np.ndarray, tol: float,
         rise = rho * d_e if min(lo, hi) >= 0.0 else max(hi, 0.0) - max(lo, 0.0)
         return rise * (max(lo, 0.0) + max(hi, 0.0)) / (2.0 * rho)
 
-    omega = u @ u.T
-    om = omega @ m
-    prods = [e @ om for e in mats]                  # E Omega M
-    vals = [np.vdot(omega, p).real for p in prods]  # f_b (and f_e)
-    a = direction(u, prods, vals)
+    b = np.asarray(u, dtype=complex)
+    c = b.T @ h
+    oh = b @ c                                       # Omega h
+    prods = [e @ oh for e in mats]                   # E Omega h
+    vals = [np.vdot(oh, p).real for p in prods]      # f_b (and f_e)
+    a = _direction(b, c, weighted(prods, vals))
     grad = float(np.linalg.norm(a))
     step = 1.0 / grad if grad > 0.0 else 1.0
     trace = [vals[0]]
@@ -279,13 +326,15 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, m: np.ndarray, tol: float,
             stop = "budget"
             break
         lam_a, v = np.linalg.eigh(a)
-        uv = u @ v
+        rotated = np.empty_like(b)
+        rotated.real = b.real @ v
+        rotated.imag = b.imag @ v
+        b, c = rotated, v.T @ c
         need = _ARMIJO * grad * grad
         while True:
-            delta = (uv * np.expm1(1j * step * lam_a)) @ uv.T
-            dm = delta @ m
-            dprods = [e @ dm for e in mats]
-            dvals = [2.0 * np.vdot(delta, p).real + np.vdot(delta, dp).real
+            dh = b @ (np.expm1(1j * step * lam_a)[:, None] * c)
+            dprods = [e @ dh for e in mats]
+            dvals = [2.0 * np.vdot(dh, p).real + np.vdot(dh, dp).real
                      for p, dp in zip(prods, dprods)]
             gain = dvals[0]
             if penalty is not None:
@@ -298,24 +347,25 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, m: np.ndarray, tol: float,
             stop = "stalled"
             break
         iterations += 1
-        u = (uv * np.exp(0.5j * step * lam_a)) @ v.T
-        omega = omega + delta
+        half = np.exp(0.5j * step * lam_a)
+        b, c = b * half, half[:, None] * c
         prods = [p + dp for p, dp in zip(prods, dprods)]
         vals = [f + df for f, df in zip(vals, dvals)]
-        new_a = direction(u, prods, vals)
-        s, y = step * a, a - new_a
-        sy = float(np.vdot(s, y))
+        a = _direction(b, c, weighted(prods, vals))
+        sy = step * float(lam_a @ (lam_a - np.diagonal(a)))
         if sy > 0.0:
-            step = (float(np.vdot(s, s)) / sy if iterations % 2
-                    else sy / float(np.vdot(y, y)))
+            if iterations % 2:
+                step = step * step * float(lam_a @ lam_a) / sy
+            else:
+                y = np.diag(lam_a) - a
+                step = sy / float(np.vdot(y, y))
             step = min(max(step, 1.0 / _BB_CLAMP), _BB_CLAMP)
-        a = new_a
         grad = float(np.linalg.norm(a))
         value += gain
         trace.append(vals[0])
         ref = (eta * q * ref + value) / (eta * q + 1.0)
         q = eta * q + 1.0
-    return u, grad, iterations, trace, stop
+    return b, grad, iterations, trace, stop
 
 
 def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
@@ -325,9 +375,11 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     :func:`_ascend` monotonically on the forms scaled to unit spectral
     norm until ||A||_F <= _AO_GRAD_TOL; _AO_MAX_ITERS steps (or a stalled
     line search) flag converged=False.  The report carries ``grad_norm``
-    and ``stop_reason``.
+    and ``stop_reason``.  Forms whose m differs from h h^H raise
+    ContractViolationError.
     """
     _check_forms(forms)
+    _check_source(forms)
     e_b, m = forms.e_b, forms.m
     eig_e = hermitian_eig(e_b)
     eig_m = hermitian_eig(m)
@@ -337,9 +389,9 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     s_b = float(eig_e.values[0]) or 1.0
     s_m = float(eig_m.values[0]) or 1.0
 
-    u, grad, iterations, trace, stop = _ascend(u, e_b / s_b, m / s_m,
-                                               _AO_GRAD_TOL, _AO_MAX_ITERS)
-    omega = u @ u.T
+    b, grad, iterations, trace, stop = _ascend(
+        u, e_b / s_b, forms.h / np.sqrt(s_m), _AO_GRAD_TOL, _AO_MAX_ITERS)
+    omega = b @ b.T
     omega = 0.5 * (omega + omega.T)
     objective = quad_objective(omega, e_b, m)
     report = SolveReport(

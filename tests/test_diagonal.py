@@ -444,6 +444,27 @@ class TestBatchedRestarts:
         assert rep.converged is ref.converged
 
 
+class TestStopReason:
+    def test_reason_follows_the_winning_restart(self, monkeypatch):
+        """``stationary`` when the winning restart met its stopping rule,
+        ``budget`` when it ran out of passes or steps; an inactive cap
+        passes on the warm solve's reason."""
+        rng = np.random.default_rng(11)
+        df = diag_forms(rand_forms(rng, 5))
+
+        def reasons(warm):
+            eve0 = _quad(df.c_e, np.diag(warm[0].matrix))
+            return [(rep.converged, rep.constraint_values["stop_reason"])
+                    for _, rep in (warm,
+                                   solve_diagonal_constrained(df, 2.0 * eve0, warm=warm),
+                                   solve_diagonal_constrained(df, 0.3 * eve0, warm=warm))]
+
+        assert reasons(solve_diagonal_unconstrained(df)) == [(True, "stationary")] * 3
+        monkeypatch.setattr(diagonal, "_MAX_PASSES", 1)
+        monkeypatch.setattr(diagonal, "_MAX_ITERS", 1)
+        assert reasons(solve_diagonal_unconstrained(df)) == [(False, "budget")] * 3
+
+
 class TestArchitectureOrdering:
     def test_diagonal_below_reciprocal_below_nonreciprocal(self):
         """The three feasible sets nest, so the optima must order."""

@@ -168,6 +168,23 @@ class TestRunExperiment:
         assert payload["cell"]["architecture"] == ARCH_NONRECIPROCAL
         assert payload["converged"] is True
 
+    def test_every_report_says_why_it_stopped(self, result):
+        """Each cell's JSON report carries a ``stop_reason`` its solver
+        documents, and ``converged`` agrees with it."""
+        spec, rows = result
+        reasons = {
+            ARCH_NONRECIPROCAL: {"closed_form", "stationary", "infeasible"},
+            ARCH_RECIPROCAL: {"stationary", "budget", "stalled", "infeasible"},
+            ARCH_DIAGONAL: {"stationary", "budget"},
+        }
+        reports = sorted((spec.output_path / "reports").glob("*.json"))
+        assert len(reports) == len(rows)
+        for path in reports:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            reason = payload["constraint_values"]["stop_reason"]
+            assert reason in reasons[payload["cell"]["architecture"]], path.name
+            assert payload["converged"] == (reason in ("closed_form", "stationary"))
+
     def test_plot_files(self, result):
         spec, _ = result
         plots = spec.output_path / "plots"

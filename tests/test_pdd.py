@@ -368,6 +368,24 @@ class TestSolvePdd:
         with pytest.raises(ValueError):
             solve_nonreciprocal(forms, 1.0)
 
+    def test_rejects_source_inconsistent_with_m(self):
+        """The ascent reads h, so m = h h^H is checked, also when a warm
+        start skips the uncapped solve and when the cap is slack."""
+        rng = np.random.default_rng(19)
+        forms = rand_forms(rng, 4)
+        warm = solve_reciprocal_ao(forms)
+        # Another factor of the same m passes.
+        same = QuadraticForms(e_b=forms.e_b, m=forms.m, h=1j * forms.h[:, ::-1],
+                              e_e=forms.e_e)
+        solve_pdd(same, PddSettings(epsilon_eve=1e300), warm=warm)
+        h = forms.h.copy()
+        h[0, 0] += 1e-3 * np.abs(h).max()
+        bad = QuadraticForms(e_b=forms.e_b, m=forms.m, h=h, e_e=forms.e_e)
+        for cap in (1e-3, 1e300):
+            for start in (None, warm):
+                with pytest.raises(ContractViolationError):
+                    solve_pdd(bad, PddSettings(epsilon_eve=cap), warm=start)
+
     def test_warm_start_architecture_mismatch(self):
         rng = np.random.default_rng(16)
         forms = rand_forms(rng, 3)

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import batch_haar, batch_trace_objective, capped_cases
 
+from bdris.errors import ContractViolationError, DimensionError
 from bdris.model import (
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
@@ -133,11 +134,11 @@ class TestCappedNonReciprocal:
             cv = rep.constraint_values
             assert cv["constraint_active"] is True
             if eps < floor:
-                assert not rep.converged
+                assert not rep.converged and cv["stop_reason"] == "infeasible"
                 assert cv["eve_value"] == pytest.approx(floor, rel=1e-9)
                 continue
             met += 1
-            assert rep.converged
+            assert rep.converged and cv["stop_reason"] == "stationary"
             w = ris.matrix
             assert np.abs(w.conj().T @ w - np.eye(r)).max() <= ARCH_CHECK_TOL
             assert cv["eve_value"] <= eps * (1 + 1e-9)
@@ -161,6 +162,7 @@ class TestCappedNonReciprocal:
             assert not rep.converged, name
             cv = rep.constraint_values
             assert cv["constraint_active"] is True
+            assert cv["stop_reason"] == "infeasible"
             assert "dual_bound" not in cv
             assert cv["eve_value"] == pytest.approx(floor, rel=1e-9), name
             assert rep.objective == quad_objective(ris.matrix, forms.e_b, forms.m)
@@ -174,8 +176,9 @@ class TestCappedNonReciprocal:
         ris_c, rep_c = solve_nonreciprocal(forms, 1e300)
         np.testing.assert_array_equal(ris_c.matrix, ris.matrix)
         assert rep_c.objective == rep.objective
-        assert rep.constraint_values == {}
+        assert rep.constraint_values == {"stop_reason": "closed_form"}
         assert rep_c.constraint_values["constraint_active"] is False
+        assert rep_c.constraint_values["stop_reason"] == "closed_form"
 
     def test_rejects_nonpositive_cap(self):
         rng = np.random.default_rng(34)
@@ -272,6 +275,66 @@ class TestReciprocalStationarity:
             start = takagi(nearest_symmetric_unitary(
                 haar_unitary(rng, forms.r))).u
             assert self.slopes(start, forms, rng).max() >= 1e-2 * scale
+
+
+class TestThinAscent:
+    """The ascent carries B (Omega = B B^T), c = B^T h and E Omega h instead
+    of r-by-r products; these pin what that bookkeeping must preserve."""
+
+    @staticmethod
+    def full_direction(u, e, h):
+        omega = u @ u.T
+        g = u.conj().T @ e @ omega @ (h @ h.conj().T) @ u.conj()
+        return (g + g.T).imag
+
+    def test_direction_matches_full_matrix_form(self):
+        rng = np.random.default_rng(41)
+        r = 12
+        for k in (1, 5, r):
+            u = haar_unitary(rng, r)
+            hb = rand_complex(rng, r)
+            e = hb.conj().T @ hb
+            h = rand_complex(rng, r, k)
+            full = self.full_direction(u, e, h)
+            thin = spectral._direction(u, u.T @ h, e @ (u @ (u.T @ h)))
+            assert np.abs(thin - full).max() <= 1e-12 * np.abs(full).max(), k
+            np.testing.assert_array_equal(thin, thin.T)
+
+    @pytest.mark.parametrize("with_penalty", [False, True])
+    def test_no_drift_over_a_long_run(self, with_penalty):
+        """After a full run the last traced cost is the cost of the returned
+        frame, recomputed from scratch, and the frame is still unitary."""
+        rng = np.random.default_rng(42)
+        forms = rand_forms(rng, 24, k=6, with_eve=True)
+        s_b = np.linalg.eigvalsh(forms.e_b)[-1]
+        s_m = np.linalg.eigvalsh(forms.m)[-1]
+        e_b, h = forms.e_b / s_b, forms.h / np.sqrt(s_m)
+        penalty = None
+        if with_penalty:
+            e_e = forms.e_e / np.linalg.eigvalsh(forms.e_e)[-1]
+            penalty = (e_e, 0.5 * quad_objective(np.eye(24), e_e, h @ h.conj().T),
+                       0.1, 10.0)
+        u0 = takagi(nearest_symmetric_unitary(haar_unitary(rng, 24))).u
+        b, grad, steps, trace, stop = spectral._ascend(
+            u0, e_b, h, 1e-9, spectral._AO_MAX_ITERS, penalty=penalty)
+        assert stop == "stationary" and grad <= 1e-9
+        assert steps >= 100 and len(trace) == steps + 1
+        final = quad_objective(b @ b.T, e_b, h @ h.conj().T)
+        assert abs(trace[-1] - final) <= 1e-10 * final
+        assert np.abs(b.conj().T @ b - np.eye(24)).max() <= 1e-12
+
+
+class TestSourceContract:
+    def test_inconsistent_h_is_rejected(self):
+        rng = np.random.default_rng(43)
+        forms = rand_forms(rng, 6)
+        bad = QuadraticForms(e_b=forms.e_b, m=forms.m, h=1.001 * forms.h)
+        with pytest.raises(ContractViolationError):
+            solve_reciprocal_ao(bad)
+        with pytest.raises(DimensionError):
+            solve_reciprocal_ao(QuadraticForms(e_b=forms.e_b, m=forms.m,
+                                               h=forms.h[:-1]))
+        solve_reciprocal_ao(forms)
 
 
 class TestBound:
