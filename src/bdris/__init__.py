@@ -42,7 +42,7 @@ from .model import (
     simulate_mle_mse,
     trace_fim,
 )
-from .pdd import PddSettings, PddState, qcqp_spectral, solve_pdd
+from .pdd import PddState, qcqp_spectral, solve_pdd
 from .reporting import SolveReport
 from .spectral import solve_nonreciprocal, solve_reciprocal_ao, von_neumann_bound
 

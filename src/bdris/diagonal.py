@@ -212,7 +212,6 @@ def solve_diagonal_unconstrained(dforms: DiagForms) -> tuple[RisMatrix, SolveRep
         bound=bound,
         iterations=int(passes[best]),
         cost_trace=[float(v) for v in trace],
-        converged=bool(conv[best]),
         constraint_values={"stop_reason": _stop_reason(conv[best])},
     )
     return RisMatrix(np.diag(w[best]), ARCH_DIAGONAL), report
@@ -327,7 +326,7 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     """
     if dforms.c_e is None:
         raise ValueError("constrained solve needs c_e")
-    if epsilon_eve <= 0:
+    if not epsilon_eve > 0:
         raise ValueError("epsilon_eve must be positive")
     if warm is not None:
         ris0, rep0 = warm
@@ -364,7 +363,6 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
         objective=_quad(dforms.c_b, omega),
         bound=lam_b * dforms.r,
         iterations=steps,
-        converged=not stalled[best],
         constraint_values={
             "epsilon_eve": float(epsilon_eve),
             "eve_value": _quad(dforms.c_e, omega),

@@ -41,7 +41,7 @@ from .model import (
     quad_objective,
     simulate_mle_mse,
 )
-from .pdd import PddSettings, solve_pdd
+from .pdd import solve_pdd
 from .spectral import solve_nonreciprocal, solve_reciprocal_ao
 
 __all__ = [
@@ -98,7 +98,7 @@ class ExperimentSpec:
             grid = np.asarray(self.epsilon_grid, dtype=float)
             if grid.ndim != 1 or grid.size == 0:
                 raise ValueError("epsilon_grid must be a non-empty vector")
-            if grid.min() <= 0 or np.any(np.diff(grid) <= 0):
+            if not ((grid > 0).all() and (np.diff(grid) > 0).all()):
                 raise ValueError("epsilon_grid must be positive and strictly increasing")
             self.epsilon_grid = grid
         if self.mc_trials < 0:
@@ -137,7 +137,7 @@ def _solve_eve(arch: str, forms, dforms, eps: float, warm):
     if arch == ARCH_NONRECIPROCAL:
         return solve_nonreciprocal(forms, eps)
     if arch == ARCH_RECIPROCAL:
-        return solve_pdd(forms, PddSettings(epsilon_eve=eps), warm=warm)
+        return solve_pdd(forms, eps, warm=warm)
     return solve_diagonal_constrained(dforms, eps, warm=warm)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -143,12 +143,26 @@ class ChannelSet:
 
 @dataclass
 class QuadraticForms:
-    """Quadratic forms entering the trace objective tr(Omega^H E Omega M)."""
+    """Quadratic forms entering the trace objective tr(Omega^H E Omega M).
+
+    M = h h^H is derived from the source matrix h, so the two always agree.
+    """
 
     e_b: np.ndarray                  # (r, r) Hermitian PSD
-    m: np.ndarray                    # (r, r) Hermitian PSD, equal to h h^H
     h: np.ndarray                    # (r, k) effective source matrix H_ar P
     e_e: np.ndarray | None = None    # (r, r) Hermitian PSD, eavesdropper side
+    m: np.ndarray = field(init=False)   # (r, r) Hermitian PSD, h h^H
+
+    def __post_init__(self):
+        r = self.e_b.shape[0]
+        if self.e_b.shape != (r, r):
+            raise DimensionError(f"e_b must be square, got shape {self.e_b.shape}")
+        if self.h.ndim != 2 or self.h.shape[0] != r:
+            raise DimensionError(f"h must have {r} rows, got shape {self.h.shape}")
+        if self.e_e is not None and self.e_e.shape != (r, r):
+            raise DimensionError(f"e_e must have shape {(r, r)}, got {self.e_e.shape}")
+        m = self.h @ self.h.conj().T
+        self.m = 0.5 * (m + m.conj().T)
 
     @property
     def r(self) -> int:
@@ -244,10 +258,7 @@ def build_forms(ch: ChannelSet) -> QuadraticForms:
     e_e = None
     if ch.h_re is not None:
         e_e = receiver_form(ch.h_re, ch.sigma_e, "sigma_e")
-    h = ch.h_ar @ ch.p
-    m = h @ h.conj().T
-    m = 0.5 * (m + m.conj().T)
-    return QuadraticForms(e_b=e_b, m=m, h=h, e_e=e_e)
+    return QuadraticForms(e_b=e_b, h=ch.h_ar @ ch.p, e_e=e_e)
 
 
 def quad_objective(omega: np.ndarray, e: np.ndarray, m: np.ndarray) -> float:

@@ -36,11 +36,10 @@ from .errors import ContractViolationError
 from .kernels import HermEig, hermitian_eig, nearest_symmetric_unitary, takagi
 from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
 from .reporting import SolveReport
-from .spectral import _ascend, _check_source, solve_nonreciprocal, \
-    solve_reciprocal_ao, von_neumann_bound
+from .spectral import _ascend, solve_nonreciprocal, solve_reciprocal_ao, \
+    von_neumann_bound
 
 __all__ = [
-    "PddSettings",
     "PddState",
     "solve_pdd",
     "update_omega",
@@ -71,17 +70,6 @@ _MAX_ROUNDS = 30
 _ETA = 0.85
 _RESIDUAL_TOL = 1e-10
 _STUCK = 0.99
-
-
-@dataclass
-class PddSettings:
-    """The leakage cap :func:`solve_pdd` enforces."""
-
-    epsilon_eve: float           # leakage cap at the unintended receiver
-
-    def __post_init__(self):
-        if self.epsilon_eve <= 0:
-            raise ValueError("epsilon_eve must be positive")
 
 
 @dataclass
@@ -151,7 +139,7 @@ def _kkt_shrink(lam: np.ndarray, coeff: np.ndarray,
     lam_i that carries weight: every such 1 + mu lam_i then grows by at
     least t, so the returned point is feasible.
     """
-    if epsilon_eve <= 0:
+    if not epsilon_eve > 0:
         raise ValueError("epsilon_eve must be positive")
     weights = np.abs(coeff) ** 2
     if float(lam @ weights) <= epsilon_eve:
@@ -200,17 +188,14 @@ def _normalized_problem(forms: QuadraticForms, epsilon_eve: float):
     the unitary iterates; dividing each form by its top eigenvalue (and
     the cap by the matching product) leaves the argmax unchanged while
     making the penalty weight _RHO0 and the ascent tolerances balanced.
+    Returns the scaled E_b, h, E_e and M and the scaled cap; M is scaled
+    as it is, not derived again from the scaled h.
     """
     s_b = float(hermitian_eig(forms.e_b).values[0]) or 1.0
     s_m = float(hermitian_eig(forms.m).values[0]) or 1.0
     s_e = float(hermitian_eig(forms.e_e).values[0]) or 1.0
-    scaled = QuadraticForms(
-        e_b=forms.e_b / s_b,
-        m=forms.m / s_m,
-        h=forms.h / np.sqrt(s_m),
-        e_e=forms.e_e / s_e,
-    )
-    return scaled, epsilon_eve / (s_e * s_m)
+    return (forms.e_b / s_b, forms.h / np.sqrt(s_m), forms.e_e / s_e,
+            forms.m / s_m, epsilon_eve / (s_e * s_m))
 
 
 def _constrained_shrink(target: np.ndarray, eig_e: HermEig, eig_m: HermEig,
@@ -241,7 +226,7 @@ def update_omega(state: PddState, forms: QuadraticForms) -> PddState:
     return replace(state, omega=nearest_symmetric_unitary(target))
 
 
-def update_psi(state: PddState, forms: QuadraticForms, settings: PddSettings,
+def update_psi(state: PddState, forms: QuadraticForms, epsilon_eve: float,
                spectra: tuple[HermEig, HermEig] | None = None) -> PddState:
     """Exact minimizer of the augmented Lagrangian over the copy block.
 
@@ -253,11 +238,11 @@ def update_psi(state: PddState, forms: QuadraticForms, settings: PddSettings,
     target = state.omega + state.rho * (
         forms.e_b.conj().T @ state.omega @ forms.m.conj().T + state.lam
     )
-    psi = _constrained_shrink(target, eig_e, eig_m, settings.epsilon_eve)
+    psi = _constrained_shrink(target, eig_e, eig_m, epsilon_eve)
     return replace(state, psi=psi)
 
 
-def solve_pdd(forms: QuadraticForms, settings: PddSettings,
+def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
               warm: tuple[RisMatrix, SolveReport] | None = None,
               ) -> tuple[RisMatrix, SolveReport]:
     """Best symmetric-unitary response under a leakage cap at the unintended receiver.
@@ -275,12 +260,12 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
     and ``infeasible`` when growing rho no longer lowers the residual.
     The report carries the non-reciprocal ``dual_bound`` (it bounds every
     symmetric response too), ``outer_rounds``, ``grad_norm`` and
-    ``stop_reason``; ``iterations`` counts ascent steps.  Forms whose m
-    differs from h h^H raise ContractViolationError.
+    ``stop_reason``; ``iterations`` counts ascent steps.
     """
     if forms.e_e is None:
         raise ValueError("solve_pdd needs eavesdropper forms (e_e is None)")
-    _check_source(forms)
+    if not epsilon_eve > 0:
+        raise ValueError("epsilon_eve must be positive")
     if warm is not None:
         ris0, rep0 = warm
         if ris0.architecture != ARCH_RECIPROCAL:
@@ -288,33 +273,32 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
                              f"does not match {ARCH_RECIPROCAL!r}")
     else:
         ris0, rep0 = solve_reciprocal_ao(forms)
-    eps = settings.epsilon_eve
     bound = von_neumann_bound(forms, "bob")
     eve0 = quad_objective(ris0.matrix, forms.e_e, forms.m)
-    cv = {"epsilon_eve": eps, "constraint_active": eve0 > eps, "outer_rounds": 0}
-    if eve0 <= eps:
+    cv = {"epsilon_eve": epsilon_eve, "constraint_active": eve0 > epsilon_eve,
+          "outer_rounds": 0}
+    if eve0 <= epsilon_eve:
         cv.update(eve_value=eve0, stop_reason=rep0.constraint_values.get(
             "stop_reason", "stationary"))
         return ris0, SolveReport(objective=rep0.objective, bound=bound, iterations=0,
-                                 cost_trace=[rep0.objective],
-                                 converged=rep0.converged, constraint_values=cv)
+                                 cost_trace=[rep0.objective], constraint_values=cv)
 
-    ris_n, rep_n = solve_nonreciprocal(forms, eps)
+    ris_n, rep_n = solve_nonreciprocal(forms, epsilon_eve)
     omega = nearest_symmetric_unitary(ris_n.matrix)
     iterations, cost_trace, stop = 0, [], "infeasible"
     if rep_n.converged:
         cv["dual_bound"] = rep_n.constraint_values["dual_bound"]
-        nforms, eps_hat = _normalized_problem(forms, eps)
+        e_b_hat, h_hat, e_e_hat, m_hat, eps_hat = _normalized_problem(forms, epsilon_eve)
         u = takagi(omega).u
         rho, lam, inner_tol = _RHO0, 0.0, _INNER_TOL0
         residual, stuck, grown, stop = np.inf, 0, False, "budget"
         for rounds in range(1, _MAX_ROUNDS + 1):
             u, grad, steps, _, inner = _ascend(
-                u, nforms.e_b, nforms.h, inner_tol, _MAX_INNER, _ETA,
-                penalty=(nforms.e_e, eps_hat, lam, rho))
+                u, e_b_hat, h_hat, inner_tol, _MAX_INNER, _ETA,
+                penalty=(e_e_hat, eps_hat, lam, rho))
             iterations += steps
             omega = u @ u.T
-            leak = quad_objective(omega, nforms.e_e, nforms.m)
+            leak = quad_objective(omega, e_e_hat, m_hat)
             cost_trace.append(quad_objective(omega, forms.e_b, forms.m))
             cv.update(outer_rounds=rounds, grad_norm=grad)
             last, residual = residual, abs(max(leak - eps_hat, -lam / rho)) / eps_hat
@@ -342,5 +326,4 @@ def solve_pdd(forms: QuadraticForms, settings: PddSettings,
     cv.update(eve_value=quad_objective(omega, forms.e_e, forms.m), stop_reason=stop)
     return RisMatrix(omega, ARCH_RECIPROCAL), SolveReport(
         objective=objective, bound=bound, iterations=iterations,
-        cost_trace=cost_trace or [objective], converged=stop == "stationary",
-        constraint_values=cv)
+        cost_trace=cost_trace or [objective], constraint_values=cv)

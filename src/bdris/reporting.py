@@ -15,14 +15,22 @@ class SolveReport:
     the accepted objective values in order (per round, for round-based
     solvers) and ``constraint_values`` named diagnostics: leakage, cap,
     bounds, step counts and, on every solver's report, ``stop_reason``.
+    ``converged`` is derived from the stop reason.
     """
 
     objective: float
     bound: float
     iterations: int
     cost_trace: list = field(default_factory=list)
-    converged: bool = True
     constraint_values: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the solver reached its answer: stop reason ``closed_form``
+        or ``stationary`` (not ``budget``, ``stalled``, ``infeasible`` or
+        missing)."""
+        reason = self.constraint_values.get("stop_reason")
+        return reason in ("closed_form", "stationary")
 
     def to_dict(self) -> dict:
         return {

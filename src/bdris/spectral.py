@@ -23,13 +23,12 @@ Barzilai-Borwein gradient ascent on U, Omega = U U^T, solves it from the
 symmetric-unitary matrix closest to the unconstrained optimum, and is
 also the inner solver of the capped reciprocal design in
 :mod:`bdris.pdd`.  The ascent works on the r-by-k source matrix h rather
-than on M = h h^H, which has rank k <= r, so the reciprocal solvers
-require m = h h^H (checked).  Its state is a frame B with Omega = B B^T
-plus r-by-k products of h; a step costs one real r-by-r eigh, one
-complex-by-real r-by-r product that rotates the frame, and r-by-r-by-k
-products, and a line-search trial only the latter.  The knobs of both
-searches are the module constants below; every caller uses the same
-values.
+than on M = h h^H, which has rank k <= r.  Its state is a frame B with
+Omega = B B^T plus r-by-k products of h; a step costs one real r-by-r
+eigh, one complex-by-real r-by-r product that rotates the frame, and
+r-by-r-by-k products, and a line-search trial only the latter.  The
+knobs of both searches are the module constants below; every caller uses
+the same values.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import schur
 
-from . import tolerances as tol
-from .errors import ContractViolationError, DimensionError
 from .kernels import HermEig, hermitian_eig, takagi
 from .model import (
     ARCH_NONRECIPROCAL,
@@ -71,31 +68,12 @@ _AO_GRAD_TOL = 1e-6
 _AO_MAX_ITERS = 5000
 
 
-def _check_forms(forms: QuadraticForms) -> None:
-    if forms.e_b.shape != forms.m.shape or forms.e_b.shape[0] != forms.e_b.shape[1]:
-        raise DimensionError("e_b and m must be square matrices of equal size")
-
-
-def _check_source(forms: QuadraticForms) -> None:
-    """The reciprocal solvers read the r-by-k source matrix h: M = h h^H must
-    hold to HERMITIAN_INPUT_TOL, relative to the largest entry of M."""
-    h = np.asarray(forms.h)
-    if h.ndim != 2 or h.shape[0] != forms.r:
-        raise DimensionError(f"h must have {forms.r} rows, got shape {h.shape}")
-    scale = float(np.max(np.abs(forms.m))) or 1.0
-    dev = float(np.max(np.abs(h @ h.conj().T - forms.m)))
-    if dev > tol.HERMITIAN_INPUT_TOL * scale:
-        raise ContractViolationError(
-            f"m differs from h h^H: relative deviation {dev / scale:.3e}")
-
-
 def von_neumann_bound(forms: QuadraticForms, target: str = "bob") -> float:
     """Upper bound sum_i d_E,i d_M,i on tr(Omega^H E Omega M) over unitaries.
 
     Both spectra are sorted descending; by Von Neumann's trace inequality
     no unitary response can exceed this value.
     """
-    _check_forms(forms)
     e = forms.e_b if target == "bob" else None
     if target == "eve":
         if forms.e_e is None:
@@ -123,12 +101,11 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
     and ``dual_bound`` = g(mu), an upper bound on every feasible
     objective.  A cap below the leakage floor sum_i d_E,i(ascending)
     d_M,i(descending) cannot be met: the floor response V_E(ascending)
-    V_M^H is returned with converged=False (and no dual bound).
+    V_M^H is returned, not converged (and no dual bound).
     ``bound`` stays the uncapped Von Neumann bound.  The report's
     ``stop_reason`` is ``closed_form`` (uncapped or inactive cap),
     ``stationary`` (cap met by the dual search) or ``infeasible``.
     """
-    _check_forms(forms)
     eig_e = hermitian_eig(forms.e_b)
     eig_m = hermitian_eig(forms.m)
     omega = eig_e.vectors @ eig_m.vectors.conj().T
@@ -139,7 +116,6 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
         bound=bound,
         iterations=0,
         cost_trace=[objective],
-        converged=True,
         constraint_values={"stop_reason": "closed_form"},
     )
     if epsilon_eve is None:
@@ -189,7 +165,6 @@ def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
             bound=bound,
             iterations=evaluations,
             cost_trace=[objective],
-            converged=converged,
             constraint_values={
                 "epsilon_eve": epsilon_eve,
                 "eve_value": quad_objective(omega, e_e, m),
@@ -263,7 +238,7 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
             max_iters: int, eta: float = 0.0, penalty=None):
     """Barzilai-Borwein ascent on U for f_b = tr(Omega^H E_b Omega M), Omega = U U^T.
 
-    M = h h^H must hold for the r-by-k ``h`` (see :func:`_check_source`).
+    ``h`` is the r-by-k source matrix, M = h h^H.
     ``penalty`` = (E_e, eps, lam, rho) subtracts the augmented-Lagrangian
     term (rho/2) max(0, f_e - eps + lam/rho)^2 of the leakage f_e.  The
     direction A = Im(G + G^T), G = U^H X Omega M U^* (X = E_b, or
@@ -374,12 +349,9 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     Starts from U0, the Takagi factor of V_E V_M^H + V_M^* V_E^T, and runs
     :func:`_ascend` monotonically on the forms scaled to unit spectral
     norm until ||A||_F <= _AO_GRAD_TOL; _AO_MAX_ITERS steps (or a stalled
-    line search) flag converged=False.  The report carries ``grad_norm``
-    and ``stop_reason``.  Forms whose m differs from h h^H raise
-    ContractViolationError.
+    line search) end the run unconverged.  The report carries ``grad_norm``
+    and ``stop_reason``.
     """
-    _check_forms(forms)
-    _check_source(forms)
     e_b, m = forms.e_b, forms.m
     eig_e = hermitian_eig(e_b)
     eig_m = hermitian_eig(m)
@@ -399,7 +371,6 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
         bound=bound,
         iterations=iterations,
         cost_trace=[s_b * s_m * f for f in trace],
-        converged=stop == "stationary",
         constraint_values={"grad_norm": grad, "stop_reason": stop},
     )
     return RisMatrix(omega, ARCH_RECIPROCAL), report

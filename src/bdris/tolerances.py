@@ -7,8 +7,7 @@ sizes, stopping tolerances, budgets) are module constants of that solver.
 """
 
 # Input contract checks (relative to the largest entry of the input).
-HERMITIAN_INPUT_TOL = 1e-8      # accepted deviation of A from A^H, and
-                                # of M from h h^H in the reciprocal solvers
+HERMITIAN_INPUT_TOL = 1e-8      # accepted deviation of A from A^H
 SYMMETRIC_INPUT_TOL = 1e-8      # accepted deviation of A from A^T
 SKEW_INPUT_TOL = 1e-8           # accepted deviation of S from -S^H
 

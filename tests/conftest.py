@@ -49,14 +49,13 @@ def capped_cases():
         he = rand_complex(rng, 2 * k, r)
         e_b = hb.conj().T @ hb
         cases.append((f"random r={r}", QuadraticForms(
-            e_b=e_b, m=h @ h.conj().T, h=h, e_e=he.conj().T @ he)))
+            e_b=e_b, h=h, e_e=he.conj().T @ he)))
         cases.append((f"coincident r={r}", QuadraticForms(
-            e_b=e_b, m=h @ h.conj().T, h=h, e_e=e_b.copy())))
+            e_b=e_b, h=h, e_e=e_b.copy())))
         hd = np.eye(r, k) * np.sqrt(rng.exponential(size=k))
         d_b = rng.exponential(size=r)
         cases.append((f"commuting r={r}", QuadraticForms(
-            e_b=np.diag(d_b).astype(complex),
-            m=(hd @ hd.T).astype(complex), h=hd.astype(complex),
+            e_b=np.diag(d_b).astype(complex), h=hd.astype(complex),
             e_e=np.diag(d_b ** 2).astype(complex))))
     return cases
 

@@ -47,7 +47,7 @@ from bdris.model import (
     quad_objective,
     simulate_mle_mse,
 )
-from bdris.pdd import PddSettings, PddState, qcqp_spectral, update_psi
+from bdris.pdd import PddState, qcqp_spectral, update_psi
 from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao, von_neumann_bound
 
 # Reference setups: 36 elements / 10 streams and 64 elements / 15 streams,
@@ -99,7 +99,7 @@ def test_criterion_01_closed_form_attains_spectral_bound():
             k = max(1, r // 2)
             h = rand_complex(rng, r, k)
             hb = rand_complex(rng, 2 * k, r)
-            forms = QuadraticForms(e_b=hb.conj().T @ hb, m=h @ h.conj().T, h=h)
+            forms = QuadraticForms(e_b=hb.conj().T @ hb, h=h)
             ris, rep = solve_nonreciprocal(forms)
             bound = von_neumann_bound(forms, "bob")
             worst_rel = max(worst_rel, abs(rep.objective - bound) / bound)
@@ -157,20 +157,18 @@ def test_criterion_03_kronecker_shortcut_is_exact():
         h = rand_complex(rng, r, k)
         hb = rand_complex(rng, 2 * k, r)
         he = rand_complex(rng, 2 * k, r)
-        forms = QuadraticForms(e_b=hb.conj().T @ hb, m=h @ h.conj().T, h=h,
-                               e_e=he.conj().T @ he)
+        forms = QuadraticForms(e_b=hb.conj().T @ hb, h=h, e_e=he.conj().T @ he)
         eve_id = quad_objective(np.eye(r, dtype=complex), forms.e_e, forms.m)
-        settings = PddSettings(epsilon_eve=0.1 * eve_id)
+        eps = 0.1 * eve_id
         state = PddState(omega=haar_unitary(rng, r),
                          psi=np.eye(r, dtype=complex),
                          lam=0.1 * rand_complex(rng, r), rho=0.8)
-        fast = update_psi(state, forms, settings).psi
+        fast = update_psi(state, forms, eps).psi
 
         target = state.omega + state.rho * (
             forms.e_b.conj().T @ state.omega @ forms.m.conj().T + state.lam)
         big = np.kron(forms.m.T, forms.e_e)
-        x = qcqp_spectral(target.ravel(order="F"), hermitian_eig(big),
-                          settings.epsilon_eve)
+        x = qcqp_spectral(target.ravel(order="F"), hermitian_eig(big), eps)
         slow = x.reshape((r, r), order="F")
         diff = float(np.abs(fast - slow).max())
         scale = max(1.0, float(np.abs(slow).max()))

@@ -20,7 +20,7 @@ from bdris.diagonal import (
 )
 from bdris.errors import ContractViolationError
 from bdris.model import ARCH_DIAGONAL, QuadraticForms, quad_objective
-from bdris.pdd import solve_pdd, PddSettings
+from bdris.pdd import solve_pdd
 from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao
 
 
@@ -29,8 +29,7 @@ def rand_forms(rng, r, k=None):
     h = rand_complex(rng, r, k)
     hb = rand_complex(rng, 2 * k, r)
     he = rand_complex(rng, 2 * k, r)
-    return QuadraticForms(e_b=hb.conj().T @ hb, m=h @ h.conj().T, h=h,
-                          e_e=he.conj().T @ he)
+    return QuadraticForms(e_b=hb.conj().T @ hb, h=h, e_e=he.conj().T @ he)
 
 
 def _quad(c, w):
@@ -242,8 +241,11 @@ class TestConstrained:
         with pytest.raises(ValueError):
             solve_diagonal_constrained(df, 1.0)
         df = DiagForms(c_b=np.eye(3), c_e=np.eye(3))
-        with pytest.raises(ValueError):
-            solve_diagonal_constrained(df, 0.0)
+        # NaN fails every comparison: it must be refused, not run to an
+        # all-NaN response reported as converged.
+        for eps in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                solve_diagonal_constrained(df, eps)
 
     def test_warm_start_matches_cold_and_is_left_unchanged(self):
         """Passing the uncapped pair as `warm` gives bit-identical results on
@@ -484,7 +486,7 @@ class TestArchitectureOrdering:
         eve0 = quad_objective(base_n.matrix, forms.e_e, forms.m)
         eps = 0.35 * eve0
         _, rep_n = solve_nonreciprocal(forms, eps)
-        _, rep_r = solve_pdd(forms, PddSettings(epsilon_eve=eps))
+        _, rep_r = solve_pdd(forms, eps)
         _, rep_d = solve_diagonal_constrained(diag_forms(forms), eps)
         assert rep_n.converged and rep_r.converged and rep_d.converged
         # The non-reciprocal value is a certified optimum over all unitaries,

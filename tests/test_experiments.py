@@ -79,6 +79,16 @@ class TestSpecValidation:
             ExperimentSpec(cfg=SystemConfig(**TINY),
                            epsilon_grid=np.array([0.0, 1.0]))
 
+    def test_grid_rejects_nan(self):
+        # NaN fails both comparisons, so it must fail the checks, not pass.
+        for grid in ([np.nan], [1e3, np.nan], [np.nan, 1e3]):
+            with pytest.raises(ValueError):
+                ExperimentSpec(cfg=SystemConfig(**TINY),
+                               epsilon_grid=np.array(grid))
+        # +inf is a slack cap, and valid.
+        ExperimentSpec(cfg=SystemConfig(**TINY),
+                       epsilon_grid=np.array([1e3, np.inf]))
+
     def test_trials_non_negative(self):
         with pytest.raises(ValueError):
             ExperimentSpec(cfg=SystemConfig(**TINY), mc_trials=-1)
@@ -283,6 +293,13 @@ class TestCli:
                      "--scenario", "eve", "--out", str(tmp_path / "o"),
                      "--quiet"])
         assert code == 1
+
+    def test_nan_grid_exits_one(self, tmp_path, capsys):
+        code = main(["--r", "6", "--k", "2", "--eps-grid", "1e3,nan",
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
 
     def test_unreachable_cap_exits_two(self, tmp_path):
         # n_e + k > r: the leakage has a positive floor, and a cap far below

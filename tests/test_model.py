@@ -28,6 +28,7 @@ from bdris.model import (
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
     ChannelSet,
+    QuadraticForms,
     RisMatrix,
     SystemConfig,
     build_forms,
@@ -40,6 +41,7 @@ from bdris.model import (
     simulate_mle_mse,
     trace_fim,
 )
+from bdris.reporting import SolveReport
 
 
 def rand_complex(rng, n, m=None):
@@ -228,6 +230,41 @@ class TestForms:
         with pytest.raises(NumericalConsistencyError):
             # Anti-Hermitian "form" makes the value purely imaginary.
             quad_objective(np.eye(2), 1j * np.eye(2), np.eye(2))
+
+    def test_m_is_derived_from_h(self):
+        # Bit for bit the Hermitian part of h h^H; there is no m argument.
+        ch = make_channels(np.random.default_rng(14), n_e=4)
+        forms = build_forms(ch)
+        hh = forms.h @ forms.h.conj().T
+        np.testing.assert_array_equal(forms.h, ch.h_ar @ ch.p)
+        np.testing.assert_array_equal(forms.m, 0.5 * (hh + hh.conj().T))
+        with pytest.raises(TypeError):
+            QuadraticForms(e_b=forms.e_b, h=forms.h, m=forms.m)
+
+    def test_bad_shape_raises_at_construction(self):
+        rng = np.random.default_rng(15)
+        e, h = np.eye(4), rand_complex(rng, 4, 2)
+        QuadraticForms(e_b=e, h=h, e_e=e)
+        for e_b, h_bad, e_e in ((e[:3], h, None),            # e_b not square
+                                (e, h[:-1], None),           # h short of rows
+                                (e, h[:, 0], None),          # h not 2-D
+                                (e, h, np.eye(3))):          # e_e of wrong size
+            with pytest.raises(DimensionError):
+                QuadraticForms(e_b=e_b, h=h_bad, e_e=e_e)
+
+
+class TestSolveReport:
+    @pytest.mark.parametrize("reason, converged", [
+        ("closed_form", True), ("stationary", True), ("budget", False),
+        ("stalled", False), ("infeasible", False), (None, False)])
+    def test_converged_follows_stop_reason(self, reason, converged):
+        cv = {} if reason is None else {"stop_reason": reason}
+        rep = SolveReport(objective=1.0, bound=2.0, iterations=0,
+                          constraint_values=cv)
+        assert rep.converged is converged
+        assert rep.to_dict()["converged"] is converged
+        with pytest.raises(AttributeError):
+            rep.converged = not converged
 
 
 # ------------------------------------------------------------------- crb / mle

@@ -32,7 +32,6 @@ from bdris.model import (
 )
 import bdris.pdd as pdd
 from bdris.pdd import (
-    PddSettings,
     PddState,
     augmented_lagrangian,
     qcqp_spectral,
@@ -51,8 +50,7 @@ def rand_forms(rng, r, k=None, n_b=None, n_e=None):
     h = rand_complex(rng, r, k)
     hb = rand_complex(rng, n_b, r)
     he = rand_complex(rng, n_e, r)
-    return QuadraticForms(e_b=hb.conj().T @ hb, m=h @ h.conj().T, h=h,
-                          e_e=he.conj().T @ he)
+    return QuadraticForms(e_b=hb.conj().T @ hb, h=h, e_e=he.conj().T @ he)
 
 
 def rand_state(rng, r, rho=1.0, symmetric=False):
@@ -156,9 +154,12 @@ class TestQcqpSpectral:
             qcqp_spectral(np.array([1.0, 1.0], dtype=complex), eig, 1.0)
 
     def test_rejects_nonpositive_cap(self):
+        # NaN fails every comparison: it must be refused, not read as a
+        # slack cap that returns b with mu = 0.
         eig = HermEig(values=np.ones(2), vectors=np.eye(2, dtype=complex))
-        with pytest.raises(ValueError):
-            qcqp_spectral(np.ones(2, dtype=complex), eig, 0.0)
+        for eps in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                qcqp_spectral(np.ones(2, dtype=complex), eig, eps)
 
 
 def bisect_multiplier(lam, weights, eps):
@@ -265,15 +266,15 @@ class TestBlockUpdates:
         """Both block minimizers are exact, so L must be non-increasing from
         a symmetric-unitary start."""
         rng = np.random.default_rng(6)
-        settings = PddSettings(epsilon_eve=1.0)
+        eps = 1.0
         for _ in range(10):
             r = int(rng.integers(3, 6))
             forms = rand_forms(rng, r)
             # Unit-scale copies so the additive tolerance is meaningful.
             forms = QuadraticForms(
                 e_b=forms.e_b / hermitian_eig(forms.e_b).values[0],
-                m=forms.m / hermitian_eig(forms.m).values[0],
-                h=forms.h, e_e=forms.e_e / hermitian_eig(forms.e_e).values[0])
+                h=forms.h / np.sqrt(hermitian_eig(forms.m).values[0]),
+                e_e=forms.e_e / hermitian_eig(forms.e_e).values[0])
             state = rand_state(rng, r, symmetric=True)
             level = augmented_lagrangian(state, forms)
             for _ in range(30):
@@ -281,7 +282,7 @@ class TestBlockUpdates:
                 now = augmented_lagrangian(state, forms)
                 assert now <= level + 1e-10 * max(1.0, abs(level))
                 level = now
-                state = update_psi(state, forms, settings)
+                state = update_psi(state, forms, eps)
                 now = augmented_lagrangian(state, forms)
                 assert now <= level + 1e-10 * max(1.0, abs(level))
                 level = now
@@ -312,21 +313,21 @@ class TestBlockUpdates:
             r = int(rng.integers(3, 6))
             forms = rand_forms(rng, r)
             eve0 = quad_objective(np.eye(r, dtype=complex), forms.e_e, forms.m)
-            settings = PddSettings(epsilon_eve=0.05 * eve0)
+            eps = 0.05 * eve0
             state = rand_state(rng, r, rho=0.7)
-            out = update_psi(state, forms, settings)
+            out = update_psi(state, forms, eps)
             leak = quad_objective(out.psi, forms.e_e, forms.m)
-            assert leak <= settings.epsilon_eve * (1 + 1e-8)
+            assert leak <= eps * (1 + 1e-8)
 
     def test_psi_update_slack_cap_reproduces_target(self):
         # With a huge cap the projection is the identity map on its target.
         rng = np.random.default_rng(10)
         forms = rand_forms(rng, 4)
         state = rand_state(rng, 4, rho=0.3)
-        settings = PddSettings(epsilon_eve=1e12)
+        eps = 1e12
         target = state.omega + state.rho * (
             forms.e_b.conj().T @ state.omega @ forms.m.conj().T + state.lam)
-        out = update_psi(state, forms, settings)
+        out = update_psi(state, forms, eps)
         np.testing.assert_allclose(out.psi, target, atol=1e-10)
 
     def test_psi_update_matches_explicit_kronecker(self):
@@ -336,55 +337,38 @@ class TestBlockUpdates:
         for r in (2, 3, 4):
             forms = rand_forms(rng, r)
             eve0 = quad_objective(np.eye(r, dtype=complex), forms.e_e, forms.m)
-            settings = PddSettings(epsilon_eve=0.1 * eve0)
+            eps = 0.1 * eve0
             state = rand_state(rng, r, rho=0.8)
             state.lam = 0.1 * rand_complex(rng, r)
-            fast = update_psi(state, forms, settings).psi
+            fast = update_psi(state, forms, eps).psi
 
             target = state.omega + state.rho * (
                 forms.e_b.conj().T @ state.omega @ forms.m.conj().T + state.lam)
             big = np.kron(forms.m.T, forms.e_e)
-            x = qcqp_spectral(target.ravel(order="F"), hermitian_eig(big),
-                              settings.epsilon_eve)
+            x = qcqp_spectral(target.ravel(order="F"), hermitian_eig(big), eps)
             slow = x.reshape((r, r), order="F")
             np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-9)
 
 
 class TestSolvePdd:
     def test_settings_validation(self):
-        for eps in (-1.0, 0.0):
+        rng = np.random.default_rng(14)
+        forms = rand_forms(rng, 3)
+        for eps in (-1.0, 0.0, float("nan")):
             with pytest.raises(ValueError):
-                PddSettings(epsilon_eve=eps)
+                solve_pdd(forms, eps)
         # The cap is the only setting; the solver's constants are not knobs.
         with pytest.raises(TypeError):
-            PddSettings(epsilon_eve=1.0, max_outer=0)
+            solve_pdd(forms, 1.0, max_outer=0)
 
     def test_requires_eavesdropper_forms(self):
         rng = np.random.default_rng(15)
         forms = rand_forms(rng, 3)
-        forms = QuadraticForms(e_b=forms.e_b, m=forms.m, h=forms.h, e_e=None)
+        forms = QuadraticForms(e_b=forms.e_b, h=forms.h, e_e=None)
         with pytest.raises(ValueError):
-            solve_pdd(forms, PddSettings(epsilon_eve=1.0))
+            solve_pdd(forms, 1.0)
         with pytest.raises(ValueError):
             solve_nonreciprocal(forms, 1.0)
-
-    def test_rejects_source_inconsistent_with_m(self):
-        """The ascent reads h, so m = h h^H is checked, also when a warm
-        start skips the uncapped solve and when the cap is slack."""
-        rng = np.random.default_rng(19)
-        forms = rand_forms(rng, 4)
-        warm = solve_reciprocal_ao(forms)
-        # Another factor of the same m passes.
-        same = QuadraticForms(e_b=forms.e_b, m=forms.m, h=1j * forms.h[:, ::-1],
-                              e_e=forms.e_e)
-        solve_pdd(same, PddSettings(epsilon_eve=1e300), warm=warm)
-        h = forms.h.copy()
-        h[0, 0] += 1e-3 * np.abs(h).max()
-        bad = QuadraticForms(e_b=forms.e_b, m=forms.m, h=h, e_e=forms.e_e)
-        for cap in (1e-3, 1e300):
-            for start in (None, warm):
-                with pytest.raises(ContractViolationError):
-                    solve_pdd(bad, PddSettings(epsilon_eve=cap), warm=start)
 
     def test_warm_start_architecture_mismatch(self):
         rng = np.random.default_rng(16)
@@ -392,7 +376,7 @@ class TestSolvePdd:
         base, rep = solve_nonreciprocal(forms)
         assert base.architecture == ARCH_NONRECIPROCAL
         with pytest.raises(ValueError):
-            solve_pdd(forms, PddSettings(epsilon_eve=1.0), warm=(base, rep))
+            solve_pdd(forms, 1.0, warm=(base, rep))
 
     def test_slack_cap_returns_unconstrained_optimum(self):
         rng = np.random.default_rng(17)
@@ -416,14 +400,14 @@ class TestSolvePdd:
         base = solve_reciprocal_ao(forms)
         eve0 = quad_objective(base[0].matrix, forms.e_e, forms.m)
 
-        _, rep = solve_pdd(forms, PddSettings(epsilon_eve=2.0 * eve0), warm=base)
+        _, rep = solve_pdd(forms, 2.0 * eve0, warm=base)
         cv = rep.constraint_values
         assert cv["constraint_active"] is False
         assert cv["outer_rounds"] == 0 and rep.iterations == 0
         assert cv["stop_reason"] == base[1].constraint_values["stop_reason"]
 
         eps = 0.3 * eve0
-        _, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps), warm=base)
+        _, rep = solve_pdd(forms, eps, warm=base)
         cv = rep.constraint_values
         assert cv["constraint_active"] is True
         assert type(cv["outer_rounds"]) is int and type(rep.iterations) is int
@@ -437,7 +421,7 @@ class TestSolvePdd:
         assert "violation_trace" not in rep.to_dict()
 
         monkeypatch.setattr(pdd, "_MAX_ROUNDS", 2)
-        _, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps), warm=base)
+        _, rep = solve_pdd(forms, eps, warm=base)
         cv = rep.constraint_values
         assert not rep.converged
         assert cv["stop_reason"] == "budget" and cv["outer_rounds"] == 2
@@ -475,8 +459,7 @@ class TestSolvePdd:
         h = rand_complex(rng, 4, 2)
         hb = rand_complex(rng, 4)
         he = rand_complex(rng, 4)
-        forms = QuadraticForms(e_b=hb.conj().T @ hb, m=h @ h.conj().T, h=h,
-                               e_e=he.conj().T @ he)
+        forms = QuadraticForms(e_b=hb.conj().T @ hb, h=h, e_e=he.conj().T @ he)
         base, rep0 = solve_nonreciprocal(forms)
         eps = 0.4 * quad_objective(base.matrix, forms.e_e, forms.m)
         ris, rep = solve_nonreciprocal(forms, eps)
@@ -499,8 +482,7 @@ class TestSolvePdd:
             for frac in (0.1, 0.5):
                 eps = frac * eve0
                 if reciprocal:
-                    ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps),
-                                         warm=base)
+                    ris, rep = solve_pdd(forms, eps, warm=base)
                 else:
                     ris, rep = solve_nonreciprocal(forms, eps)
                 assert rep.converged
@@ -525,7 +507,7 @@ class TestSolvePdd:
         h = rand_complex(rng, 4, 2)
         hb = rand_complex(rng, 2, 4)
         e = hb.conj().T @ hb
-        forms = QuadraticForms(e_b=e, m=h @ h.conj().T, h=h, e_e=e.copy())
+        forms = QuadraticForms(e_b=e, h=h, e_e=e.copy())
         base, rep0 = solve_nonreciprocal(forms)
         eps = 0.5 * rep0.objective
 
@@ -534,13 +516,13 @@ class TestSolvePdd:
         assert rep.objective == pytest.approx(eps, rel=1e-9)
         assert rep.constraint_values["eve_value"] <= eps * (1 + 1e-9)
 
-        ris_r, rep_r = solve_pdd(forms, PddSettings(epsilon_eve=eps))
+        ris_r, rep_r = solve_pdd(forms, eps)
         assert rep_r.converged
         assert rep_r.objective <= eps * (1 + 1e-9)
 
         # A looser cap on the same forms froze the split solver's iterates.
         eps = 0.8 * rep0.objective
-        ris_r, rep_r = solve_pdd(forms, PddSettings(epsilon_eve=eps))
+        ris_r, rep_r = solve_pdd(forms, eps)
         assert rep_r.converged
         assert rep_r.objective <= eps * (1 + 1e-9)
 
@@ -585,7 +567,7 @@ class TestCappedReciprocalContract:
         leak0 = quad_objective(base[0].matrix, forms.e_e, forms.m)
         for frac in (0.1, 0.3, 0.6, 0.9):
             eps = frac * leak0
-            ris, rep = solve_pdd(forms, PddSettings(epsilon_eve=eps), warm=base)
+            ris, rep = solve_pdd(forms, eps, warm=base)
             cv = rep.constraint_values
             assert cv["constraint_active"] is True
             w = ris.matrix

@@ -12,7 +12,6 @@ import pytest
 
 from conftest import batch_haar, batch_trace_objective, capped_cases
 
-from bdris.errors import ContractViolationError, DimensionError
 from bdris.model import (
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
@@ -46,7 +45,6 @@ def rand_forms(rng, r, k=None, n_b=None, with_eve=False):
     hb = rand_complex(rng, n_b, r)
     forms = QuadraticForms(
         e_b=hb.conj().T @ hb,
-        m=h @ h.conj().T,
         h=h,
         e_e=None if not with_eve else (lambda he: he.conj().T @ he)(
             rand_complex(rng, n_b, r)),
@@ -79,14 +77,14 @@ class TestNonReciprocal:
 
     def test_diagonal_example(self):
         # E = diag(2,1), M = diag(3,1): bound 2*3 + 1*1 = 7, met by identity.
-        forms = QuadraticForms(e_b=np.diag([2.0, 1.0]), m=np.diag([3.0, 1.0]),
+        forms = QuadraticForms(e_b=np.diag([2.0, 1.0]),
                                h=np.diag([np.sqrt(3.0), 1.0]))
         _, rep = solve_nonreciprocal(forms)
         assert rep.objective == pytest.approx(7.0, rel=1e-12)
 
     def test_antidiagonal_alignment(self):
         # E = diag(1,2), M = diag(3,1): the permutation pairs 2 with 3.
-        forms = QuadraticForms(e_b=np.diag([1.0, 2.0]), m=np.diag([3.0, 1.0]),
+        forms = QuadraticForms(e_b=np.diag([1.0, 2.0]),
                                h=np.diag([np.sqrt(3.0), 1.0]))
         ris, rep = solve_nonreciprocal(forms)
         assert rep.objective == pytest.approx(7.0, rel=1e-12)
@@ -95,9 +93,7 @@ class TestNonReciprocal:
         rng = np.random.default_rng(3)
         forms = rand_forms(rng, 5)
         perm = np.eye(5)[rng.permutation(5)]
-        permuted = QuadraticForms(e_b=perm @ forms.e_b @ perm.T,
-                                  m=perm @ forms.m @ perm.T,
-                                  h=perm @ forms.h)
+        permuted = QuadraticForms(e_b=perm @ forms.e_b @ perm.T, h=perm @ forms.h)
         _, rep = solve_nonreciprocal(forms)
         _, rep_p = solve_nonreciprocal(permuted)
         assert rep.objective == pytest.approx(rep_p.objective, rel=1e-9)
@@ -218,7 +214,6 @@ class TestReciprocalAo:
         # Real diagonal forms aligned in order: identity (symmetric) is
         # globally optimal, so the symmetric restriction costs nothing.
         forms = QuadraticForms(e_b=np.diag([4.0, 2.0, 1.0]),
-                               m=np.diag([3.0, 2.0, 0.5]),
                                h=np.diag(np.sqrt([3.0, 2.0, 0.5])))
         _, rep = solve_reciprocal_ao(forms)
         assert rep.objective == pytest.approx(von_neumann_bound(forms, "bob"),
@@ -322,19 +317,6 @@ class TestThinAscent:
         final = quad_objective(b @ b.T, e_b, h @ h.conj().T)
         assert abs(trace[-1] - final) <= 1e-10 * final
         assert np.abs(b.conj().T @ b - np.eye(24)).max() <= 1e-12
-
-
-class TestSourceContract:
-    def test_inconsistent_h_is_rejected(self):
-        rng = np.random.default_rng(43)
-        forms = rand_forms(rng, 6)
-        bad = QuadraticForms(e_b=forms.e_b, m=forms.m, h=1.001 * forms.h)
-        with pytest.raises(ContractViolationError):
-            solve_reciprocal_ao(bad)
-        with pytest.raises(DimensionError):
-            solve_reciprocal_ao(QuadraticForms(e_b=forms.e_b, m=forms.m,
-                                               h=forms.h[:-1]))
-        solve_reciprocal_ao(forms)
 
 
 class TestBound:
