@@ -312,12 +312,13 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     first start; the (RisMatrix, SolveReport) pair that
     ``solve_diagonal_unconstrained`` returned for the same forms may be
     passed as `warm` to skip that solve, e.g. across a grid of caps.  If it
-    already meets the cap it is returned directly.  Otherwise every restart,
-    scaled into the cap, runs penalty rounds of box-projected gradient
-    ascent, growing the penalty until the cap holds; each final iterate is
-    rescaled onto the cap if a residual violation remains, and the first
-    restart with the highest objective wins.  The box projection and that
-    downward rescale keep |omega_i| <= 1 throughout.  The report's
+    already meets the cap it is returned directly, with no steps counted
+    (``iterations`` 0, the objective as the whole trace).  Otherwise every
+    restart, scaled into the cap, runs penalty rounds of box-projected
+    gradient ascent, growing the penalty until the cap holds; each final
+    iterate is rescaled onto the cap if a residual violation remains, and
+    the first restart with the highest objective wins.  The box projection
+    and that downward rescale keep |omega_i| <= 1 throughout.  The report's
     ``iterations`` sums the gradient steps of all restarts, and
     ``budget_hits`` counts the penalty rounds, over all restarts, that
     used all _MAX_ITERS steps.  ``stop_reason`` is ``budget`` when the
@@ -340,7 +341,7 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     if eve0 <= epsilon_eve:
         # A new report: the one passed as `warm` belongs to the caller.
         return ris0, replace(
-            rep0, cost_trace=list(rep0.cost_trace),
+            rep0, iterations=0, cost_trace=[rep0.objective],
             constraint_values={
                 "epsilon_eve": float(epsilon_eve),
                 "eve_value": eve0,

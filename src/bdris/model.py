@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from . import tolerances as tol
 from .errors import (
@@ -236,11 +235,22 @@ def generate_channels(cfg: SystemConfig) -> ChannelSet:
                       h_re=h_re, sigma_e=sigma_e)
 
 
-def _cho(sigma: np.ndarray, name: str):
+def _cho(sigma: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor L of Sigma = L L^H (only the lower triangle is read)."""
     try:
-        return cho_factor(sigma, lower=True)
+        return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
+
+
+def _cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sigma^{-1} B from the factor L: solve with L, then with L^H.
+
+    Two solves divide by each diagonal entry of L twice, as a Cholesky
+    solve does; one solve with Sigma itself would divide by its square
+    once and round differently.
+    """
+    return np.linalg.solve(low.conj().T, np.linalg.solve(low, b))
 
 
 def build_forms(ch: ChannelSet) -> QuadraticForms:
@@ -250,7 +260,7 @@ def build_forms(ch: ChannelSet) -> QuadraticForms:
     inverse is ever formed (the noise floor makes Sigma badly scaled).
     """
     def receiver_form(h_out, sigma, name):
-        solved = cho_solve(_cho(sigma, name), h_out)
+        solved = _cho_solve(_cho(sigma, name), h_out)
         e = h_out.conj().T @ solved
         return 0.5 * (e + e.conj().T)
 
@@ -316,15 +326,18 @@ def _effective_matrix(ch: ChannelSet, ris: RisMatrix, target: str):
 def fim_matrix(ch: ChannelSet, ris: RisMatrix, target: str = "bob") -> np.ndarray:
     """Hermitian k-by-k Fisher information matrix G^H Sigma^{-1} G."""
     g, sigma, name = _effective_matrix(ch, ris, target)
-    f = g.conj().T @ cho_solve(_cho(sigma, name), g)
+    f = g.conj().T @ _cho_solve(_cho(sigma, name), g)
     return 0.5 * (f + f.conj().T)
 
 
 def crb_trace(fim: np.ndarray) -> float:
     """Trace of the inverse Fisher information matrix.
 
-    Returns +inf (with a warning) when the matrix is numerically singular:
-    Cholesky failure or condition number beyond COND_LIMIT.
+    With F = L L^H the Cholesky factorization, the singular values s_i of L
+    are the square roots of the eigenvalues of F, so tr F^-1 = sum 1/s_i^2;
+    the same singular values give the condition number.  Returns +inf
+    (with a warning) when the matrix is numerically singular: Cholesky
+    failure or condition number beyond COND_LIMIT.
     """
     fim = np.asarray(fim)
     if fim.ndim != 2 or fim.shape[0] != fim.shape[1]:
@@ -343,8 +356,7 @@ def crb_trace(fim: np.ndarray) -> float:
         warnings.warn("information matrix condition number exceeds limit; "
                       "CRB reported as inf", RuntimeWarning, stacklevel=2)
         return float("inf")
-    inv_low = solve_triangular(low, np.eye(fim.shape[0]), lower=True)
-    return float(np.sum(np.abs(inv_low) ** 2))
+    return float(np.sum(1.0 / (s * s)))
 
 
 def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, theta: np.ndarray | None = None,
@@ -370,17 +382,18 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, theta: np.ndarray | None = 
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
-    low = np.linalg.cholesky(0.5 * (sigma + sigma.conj().T)).astype(complex)
-    weighted = cho_solve(_cho(sigma, name), g)        # Sigma^{-1} G
+    low = _cho(sigma, name)                           # also colours the noise
+    weighted = _cho_solve(low, g)                     # Sigma^{-1} G
     f = g.conj().T @ weighted
-    f_cho = cho_factor(0.5 * (f + f.conj().T), lower=True)
+    # theta-hat = F^{-1} G^H Sigma^{-1} y for every trial: one k-by-n_b solve
+    # gives the estimator, so the trials need a single product with it.
+    estimator = np.linalg.solve(0.5 * (f + f.conj().T), weighted.conj().T)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     z = rng.standard_normal((trials, n_b)) + 1j * rng.standard_normal((trials, n_b))
     eta = (np.sqrt(0.5) * z) @ low.T
     y = (g @ theta)[None, :] + eta
-    rhs = y @ np.conj(weighted)                       # rows of G^H Sigma^{-1} y
-    theta_hat = cho_solve(f_cho, rhs.T).T
+    theta_hat = y @ estimator.T
     return float(np.sum(np.abs(theta_hat - theta[None, :]) ** 2)) / trials
 
 

@@ -226,15 +226,14 @@ def update_omega(state: PddState, forms: QuadraticForms) -> PddState:
     return replace(state, omega=nearest_symmetric_unitary(target))
 
 
-def update_psi(state: PddState, forms: QuadraticForms, epsilon_eve: float,
-               spectra: tuple[HermEig, HermEig] | None = None) -> PddState:
+def update_psi(state: PddState, forms: QuadraticForms, epsilon_eve: float) -> PddState:
     """Exact minimizer of the augmented Lagrangian over the copy block.
 
     The target is Omega + rho E_b^H Omega M^H + rho Lambda and the
     leakage cap is enforced here (on Psi); the solution is the capped
     projection computed in the joint eigenbasis.
     """
-    eig_e, eig_m = spectra if spectra is not None else _leak_spectra(forms)
+    eig_e, eig_m = _leak_spectra(forms)
     target = state.omega + state.rho * (
         forms.e_b.conj().T @ state.omega @ forms.m.conj().T + state.lam
     )

@@ -34,7 +34,6 @@ the same values.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import schur
 
 from .kernels import HermEig, hermitian_eig, takagi
 from .model import (
@@ -55,7 +54,10 @@ __all__ = [
 # Capped closed form: the multiplier bracket starts at lambda_max(E_b) /
 # lambda_max(E_e) and doubles at most this often before the cap counts as
 # unreachable; each bisection (on the multiplier, then along the geodesic)
-# stops once its midpoint no longer moves, or after this many steps.
+# stops once its midpoint no longer moves, or after this many steps.  The
+# geodesic one also stops once its interval in t (within [0, 1]) is no wider
+# than the float spacing at 1: when the feasible end already sits on the cap
+# its lower end stays at 0, and the midpoint would halve on towards 0.
 _MAX_DOUBLINGS = 64
 _MAX_BISECT = 200
 
@@ -203,8 +205,12 @@ def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
 
     # Geodesic Omega(t) = Omega_hi W^t from Omega_hi (t = 0, feasible) to
     # Omega_lo (t = 1), with W = Omega_hi^H Omega_lo = Z diag(e^{i theta}) Z^H.
-    tri, z = schur(omega_hi.conj().T @ omega_lo, output="complex")
-    theta = np.angle(np.diag(tri))
+    # Z is the Q factor of the eigenvectors V = Q R of W: from W V = V Lambda,
+    # Q^H W Q = R Lambda R^{-1} is upper triangular with diagonal Lambda, and a
+    # triangular matrix unitarily similar to the normal W is diagonal.
+    lam, vecs = np.linalg.eig(omega_hi.conj().T @ omega_lo)
+    z = np.linalg.qr(vecs)[0]
+    theta = np.angle(lam)
     left = omega_hi @ z
 
     def along(t: float) -> np.ndarray:
@@ -214,7 +220,7 @@ def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
     omega = omega_hi
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (t_lo + t_hi)
-        if not t_lo < mid < t_hi:
+        if t_hi - t_lo <= np.finfo(float).eps or not t_lo < mid < t_hi:
             break
         candidate = along(mid)
         if leak(candidate) <= epsilon_eve:

@@ -277,6 +277,10 @@ class TestConstrained:
         assert rep.constraint_values["budget_hits"] == 0
         assert rep.objective == pytest.approx(rep0.objective, rel=1e-12)
         np.testing.assert_allclose(ris.matrix, base.matrix, atol=0)
+        # The uncapped solve's passes are not this call's work.
+        assert rep0.iterations > 0
+        assert rep.iterations == 0
+        assert rep.cost_trace == [rep.objective]
 
     def test_cap_satisfied_and_reported(self):
         rng = np.random.default_rng(4)

@@ -7,6 +7,9 @@ import csv
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -315,7 +318,22 @@ class TestCli:
         assert table[1][conv_idx] == "false"
 
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+REPO = Path(__file__).resolve().parent.parent
+BENCHMARKS = REPO / "benchmarks"
+
+
+class TestRuntimeDependencies:
+    def test_package_and_cli_load_no_scipy(self):
+        """numpy is the only runtime dependency: a fresh interpreter that
+        imports the package and its command line has loaded no scipy
+        module (the tests themselves use scipy as an oracle)."""
+        code = ("import sys, bdris, bdris.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestBenchmarkBindings:

@@ -12,10 +12,14 @@ import pytest
 
 from conftest import batch_haar, batch_trace_objective, capped_cases
 
+from bdris.experiments import default_epsilon_grid
 from bdris.model import (
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
     QuadraticForms,
+    SystemConfig,
+    build_forms,
+    generate_channels,
     quad_objective,
 )
 from bdris import spectral
@@ -175,6 +179,24 @@ class TestCappedNonReciprocal:
         assert rep.constraint_values == {"stop_reason": "closed_form"}
         assert rep_c.constraint_values["constraint_active"] is False
         assert rep_c.constraint_values["stop_reason"] == "closed_form"
+
+    def test_geodesic_bisection_stops_at_float_resolution(self):
+        """At cap 3 of the 36-element reference sweep the feasible end of
+        the geodesic already sits on the cap, so the lower end of the
+        bisection in t stays 0.  The bisection stops once its interval is
+        one float spacing at 1 wide (about 53 halvings), not after halving
+        towards 0 for _MAX_BISECT steps; with the doubling and the
+        multiplier bisection the cell takes about 110 leakage evaluations."""
+        forms = build_forms(generate_channels(
+            SystemConfig(k=10, r=36, n_b=20, n_e=20, seed=7)))
+        scale = solve_nonreciprocal(forms)[1].objective
+        eps = float(default_epsilon_grid(scale, points=10)[3])
+        ris, rep = solve_nonreciprocal(forms, eps)
+        cv = rep.constraint_values
+        assert rep.converged and cv["constraint_active"] is True
+        assert cv["eve_value"] <= eps
+        assert cv["dual_bound"] - rep.objective <= 1e-9 * cv["dual_bound"]
+        assert rep.iterations < spectral._MAX_BISECT
 
     def test_rejects_nonpositive_cap(self):
         rng = np.random.default_rng(34)
