@@ -2,7 +2,8 @@
 
 Configuration comes from an optional JSON file (--config) whose keys mirror
 the experiment description, overridden by individual flags.  Exit status is
-0 when every cell converged and 2 when any cell was flagged.
+0 when every cell converged, 1 on an invalid description or an output
+directory that cannot be written, and 2 when any cell was flagged.
 """
 
 from __future__ import annotations
@@ -118,7 +119,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = run_experiment(spec)
+    try:
+        rows = run_experiment(spec)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     bad = [row for row in rows if not row["converged"]]
     if bad:
         print(f"{len(bad)} of {len(rows)} cells did not converge "

@@ -134,11 +134,16 @@ def _solve_no_eve(arch: str, forms, dforms):
 
 
 def _solve_eve(arch: str, forms, dforms, eps: float, warm):
+    """Capped solve; the report gains ``cap_residual`` = leakage / cap - 1."""
     if arch == ARCH_NONRECIPROCAL:
-        return solve_nonreciprocal(forms, eps)
-    if arch == ARCH_RECIPROCAL:
-        return solve_pdd(forms, eps, warm=warm)
-    return solve_diagonal_constrained(dforms, eps, warm=warm)
+        ris, rep = solve_nonreciprocal(forms, eps)
+    elif arch == ARCH_RECIPROCAL:
+        ris, rep = solve_pdd(forms, eps, warm=warm)
+    else:
+        ris, rep = solve_diagonal_constrained(dforms, eps, warm=warm)
+    cv = rep.constraint_values
+    cv["cap_residual"] = cv["eve_value"] / eps - 1.0
+    return ris, rep
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:

@@ -198,6 +198,23 @@ class TestRunExperiment:
             assert reason in reasons[payload["cell"]["architecture"]], path.name
             assert payload["converged"] == (reason in ("closed_form", "stationary"))
 
+    def test_capped_reports_carry_cap_residual(self, result):
+        """Every capped report, active cap or not, carries the relative
+        leakage margin eve_value / epsilon_eve - 1; the no-eve ones do not."""
+        spec, rows = result
+        reports = sorted((spec.output_path / "reports").glob("*.json"))
+        capped = 0
+        for path in reports:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            cv = payload["constraint_values"]
+            if payload["cell"]["scenario"] == SCENARIO_NO_EVE:
+                assert "cap_residual" not in cv, path.name
+                continue
+            capped += 1
+            assert cv["cap_residual"] == cv["eve_value"] / cv["epsilon_eve"] - 1.0
+            assert cv["epsilon_eve"] == payload["cell"]["epsilon"]
+        assert capped == 3 * len(spec.epsilon_grid)
+
     def test_plot_files(self, result):
         spec, _ = result
         plots = spec.output_path / "plots"
@@ -303,6 +320,15 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
+
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        # The output directory would sit below a regular file.
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["--r", "6", "--k", "2", "--scenario", "no-eve",
+                     "--out", str(blocker / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unreachable_cap_exits_two(self, tmp_path):
         # n_e + k > r: the leakage has a positive floor, and a cap far below

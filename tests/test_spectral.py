@@ -341,6 +341,68 @@ class TestThinAscent:
         assert np.abs(b.conj().T @ b - np.eye(24)).max() <= 1e-12
 
 
+class TestLbfgsDirection:
+    """The ascent's direction is the limited-memory BFGS product H A."""
+
+    def test_two_loop_matches_dense_bfgs(self):
+        """With 3 stored pairs the two-loop product equals the dense BFGS
+        inverse-Hessian update on vec(A), started from the scaled identity
+        of the newest pair."""
+        rng = np.random.default_rng(51)
+        r = 4
+
+        def sym():
+            x = rng.normal(size=(r, r))
+            return x + x.T
+
+        pairs = []
+        for _ in range(3):
+            s, y = sym(), sym()
+            if np.vdot(s, y) < 0:
+                y = -y
+            pairs.append((s, y, 1.0 / np.vdot(s, y)))
+        s, y, rho = pairs[-1]
+        hess_inv = np.eye(r * r) / (rho * np.vdot(y, y))
+        for s, y, rho in pairs:
+            left = np.eye(r * r) - rho * np.outer(s.ravel(), y.ravel())
+            hess_inv = left @ hess_inv @ left.T + rho * np.outer(s.ravel(), s.ravel())
+        a = sym()
+        dense = (hess_inv @ a.ravel()).reshape(r, r)
+        got = spectral._two_loop(a, pairs)
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+        np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12)
+        assert np.vdot(a, got) > 0.0
+
+    def test_empty_memory_is_the_normalized_gradient(self):
+        rng = np.random.default_rng(52)
+        a = rng.normal(size=(5, 5))
+        a = a + a.T
+        np.testing.assert_array_equal(spectral._two_loop(a, []),
+                                      a / np.linalg.norm(a))
+
+
+class TestStepCountStability:
+    """Channel draw 11 of the 36-element setup: a Barzilai-Borwein ascent
+    spent all 5 000 steps there (grad_norm 1.2e-3), while rescaling E_b by
+    one ulp let it converge in about 450; the L-BFGS ascent converges in a
+    few hundred steps either way."""
+
+    def test_draw_11_converges_whatever_the_last_bit(self):
+        forms = build_forms(generate_channels(
+            SystemConfig(k=10, r=36, n_b=20, n_e=20, seed=11)))
+        steps = []
+        for scale in (1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -50):
+            scaled = QuadraticForms(e_b=forms.e_b * scale, h=forms.h,
+                                    e_e=forms.e_e)
+            _, rep = solve_reciprocal_ao(scaled)
+            assert rep.constraint_values["stop_reason"] == "stationary", scale
+            if scale == 1.0:
+                assert rep.iterations <= 1000
+                assert rep.objective >= 309_000.0
+            steps.append(rep.iterations)
+        assert max(steps) <= 2 * min(steps), steps
+
+
 class TestBound:
     def test_eve_target_uses_eve_form(self):
         rng = np.random.default_rng(10)
