@@ -10,9 +10,13 @@ from dataclasses import dataclass, field
 class SolveReport:
     """What a solver did and how well.
 
-    ``objective`` is the achieved value of tr(Omega^H E_b Omega M),
-    ``bound`` the Von Neumann upper bound for the instance, ``cost_trace``
-    the accepted objective values in order (per round, for round-based
+    ``objective`` is the achieved value of tr(Omega^H E_b Omega M) and
+    ``bound`` an upper bound on it over the solver's feasible set: the
+    uncapped Von Neumann trace bound for the unitary classes (capped ones
+    add a tighter ``dual_bound`` where it exists), lam_max(c_b) r for the
+    uncapped diagonal class and, under a cap, the smaller of that and
+    eps lam_max(c_e^{-1/2} c_b c_e^{-1/2}).  ``cost_trace`` holds the
+    accepted objective values in order (per round, for round-based
     solvers) and ``constraint_values`` named diagnostics: leakage, cap,
     bounds, step counts and, on every solver's report, ``stop_reason``.
     ``converged`` is derived from the stop reason.

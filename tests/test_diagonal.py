@@ -1,12 +1,14 @@
 """Diagonal baseline: the Hadamard reduction against the full trace form,
 coordinate ascent against a dense phase grid, the capped relaxation against
-a general-purpose NLP solver run from many starts, and both batched solvers
-against the one-restart-at-a-time loops they replaced.
+a general-purpose NLP solver run from many starts and against its
+certified bound, and both batched solvers against one-restart-at-a-time
+reference loops.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh as generalized_eigh
 from scipy.optimize import minimize
 
 from conftest import rand_complex
@@ -38,8 +40,9 @@ def _quad(c, w):
 
 # ------------------------------------------------------ serial reference
 # The solvers run their restarts as the rows of one iterate.  These are the
-# plain loops they replaced, one restart at a time, reading the same module
-# constants: the same starts, stopping rules, step counts and tie rule.
+# same methods as plain loops, one restart at a time, reading the same
+# module constants: the same starts, stopping rules, step counts and tie
+# rule.
 
 def _ref_starts(first):
     yield first
@@ -80,25 +83,38 @@ def _ref_box(omega):
     return omega / np.where(mags > 1.0, mags, 1.0)
 
 
-def _ref_penalized(cb, ce, eps, tau, omega):
-    gap = max(0.0, _quad(ce, omega) - eps)
-    return _quad(cb, omega) - tau * gap * gap
+def _ref_weight(e, eps, lam, rho):
+    return max(0.0, lam + rho * (e - eps))
 
 
-def _ref_projected_ascent(cb, ce, eps, tau, omega):
+def _ref_augmented(cb, ce, eps, lam, rho, omega):
+    gap = max(0.0, _quad(ce, omega) - eps + lam / rho)
+    return _quad(cb, omega) - 0.5 * rho * gap * gap
+
+
+def _ref_grad(cb, ce, eps, lam, rho, omega):
+    return cb @ omega - _ref_weight(_quad(ce, omega), eps, lam, rho) * (ce @ omega)
+
+
+def _ref_round(cb, ce, eps, lam, rho, stat_tol, omega):
+    """One augmented-Lagrangian round of projected gradient with BB steps."""
     step = diagonal._STEP0
-    value = _ref_penalized(cb, ce, eps, tau, omega)
+    value = _ref_augmented(cb, ce, eps, lam, rho, omega)
+    grad = _ref_grad(cb, ce, eps, lam, rho, omega)
     iters = 0
     for iters in range(1, diagonal._MAX_ITERS + 1):
-        gap = max(0.0, _quad(ce, omega) - eps)
-        grad = cb @ omega - (2.0 * tau * gap) * (ce @ omega)
         cand = _ref_box(omega + step * grad)
-        cand_value = _ref_penalized(cb, ce, eps, tau, cand)
+        cand_value = _ref_augmented(cb, ce, eps, lam, rho, cand)
         if cand_value > value:
             improved = cand_value - value
-            omega, value = cand, cand_value
-            step *= diagonal._STEP_UP
-            if improved <= diagonal._STAT_TOL * max(1.0, abs(value)):
+            cand_grad = _ref_grad(cb, ce, eps, lam, rho, cand)
+            s = cand - omega
+            ss = np.vdot(s, s).real
+            sy = np.vdot(s, grad - cand_grad).real
+            step = ss / sy if sy > 0.0 else step * diagonal._STEP_UP
+            step = min(max(step, diagonal._STEP_FLOOR), diagonal._STEP_MAX)
+            omega, value, grad = cand, cand_value, cand_grad
+            if improved <= stat_tol * max(1.0, abs(value)):
                 return omega, iters, True
         else:
             step *= diagonal._STEP_DOWN
@@ -114,38 +130,51 @@ class RefCapped:
     steps: list          # gradient steps of each restart
     budget_hits: int     # rounds, over all restarts, that ran out of steps
     converged: bool
+    rounds: int          # the winning restart's rounds
+    multiplier: float    # its multiplier, in the caller's units
 
 
 def ref_constrained(dforms, eps, omega0):
     """The capped solve from start ``omega0`` (the uncapped optimum)."""
-    s_b = float(np.linalg.eigvalsh(dforms.c_b).max()) or 1.0
-    s_e = float(np.linalg.eigvalsh(dforms.c_e).max()) or 1.0
+    def lam_max(c):
+        return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T)).max()) or 1.0
+
+    s_b, s_e = lam_max(dforms.c_b), lam_max(dforms.c_e)
     cb, ce, eps_s = dforms.c_b / s_b, dforms.c_e / s_e, eps / s_e
-    best_omega, best_value, best_stalled = None, -np.inf, False
+    best, best_value = None, -np.inf
     steps, hits = [], 0
     for omega in _ref_starts(omega0):
         g = _quad(ce, omega)
         if g > eps_s:
             omega = omega * np.sqrt(eps_s / g)
-        tau = diagonal._PENALTY0
-        stalled = False
+        lam, rho, stat_tol = 0.0, diagonal._RHO0 / eps_s, diagonal._STAT_TOL0
+        residual = np.inf
         steps.append(0)
-        for _ in range(diagonal._MAX_PENALTY_ROUNDS):
-            omega, iters, finished = _ref_projected_ascent(cb, ce, eps_s, tau, omega)
+        for rounds in range(1, diagonal._MAX_ROUNDS + 1):
+            omega, iters, finished = _ref_round(cb, ce, eps_s, lam, rho, stat_tol, omega)
             steps[-1] += iters
             hits += not finished
-            stalled = not finished
-            if _quad(ce, omega) <= eps_s * (1.0 + diagonal._FEAS_TOL):
+            e = _quad(ce, omega)
+            last, residual = residual, abs(max(e - eps_s, -lam / rho)) / eps_s
+            lam = _ref_weight(e, eps_s, lam, rho)
+            done = residual <= diagonal._RESIDUAL_TOL and stat_tol <= diagonal._STAT_TOL
+            stalled = not (finished and done)
+            if done:
                 break
-            tau *= diagonal._PENALTY_GROWTH
+            if finished and residual > max(diagonal._RESIDUAL_TOL,
+                                           last / diagonal._RESIDUAL_FALL):
+                rho *= diagonal._RHO_GROWTH
+            stat_tol = max(diagonal._STAT_TOL, stat_tol * diagonal._STAT_SHRINK)
         g = _quad(ce, omega)
         if g > eps_s:
             omega = omega * np.sqrt(eps_s / g)
         value = _quad(cb, omega)
         if value > best_value:
-            best_omega, best_value, best_stalled = omega, value, stalled
-    return RefCapped(best_omega, _quad(dforms.c_b, best_omega), steps, hits,
-                     not best_stalled)
+            best_value = value
+            best = (omega, stalled, rounds, lam * s_b / s_e)
+    omega, stalled, rounds, multiplier = best
+    return RefCapped(omega, _quad(dforms.c_b, omega), steps, hits, not stalled,
+                     rounds, multiplier)
 
 
 def _oracle_cases():
@@ -190,6 +219,37 @@ class TestReduction:
             DiagForms(c_b=np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
         with pytest.raises(ContractViolationError):
             DiagForms(c_b=np.eye(3), c_e=np.eye(2))
+
+    def test_forms_keep_their_largest_eigenvalues(self, monkeypatch):
+        """lam_b and lam_e are kept from the PSD check, and lam_gen is the
+        largest generalized eigenvalue of (c_b, c_e); once the forms exist
+        neither solver decomposes them again."""
+        rng = np.random.default_rng(12)
+        df = diag_forms(rand_forms(rng, 5))
+        assert df.lam_b == pytest.approx(np.linalg.eigvalsh(df.c_b).max(), rel=1e-12)
+        assert df.lam_e == pytest.approx(np.linalg.eigvalsh(df.c_e).max(), rel=1e-12)
+        assert DiagForms(c_b=np.eye(2)).lam_e is None
+        gen = generalized_eigh(df.c_b, df.c_e, eigvals_only=True)
+        assert df.lam_gen == pytest.approx(gen[-1], rel=1e-12)
+        warm = solve_diagonal_unconstrained(df)
+        eve0 = _quad(df.c_e, np.diag(warm[0].matrix))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition repeated")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        solve_diagonal_unconstrained(df)
+        for frac in (0.3, 2.0):
+            solve_diagonal_constrained(df, frac * eve0, warm=warm)
+
+    def test_singular_leakage_form_has_no_generalized_bound(self):
+        # c_e of rank 1: omega^H c_b omega / omega^H c_e omega is unbounded.
+        u = np.array([1.0, 1j, 0.5])
+        df = DiagForms(c_b=np.eye(3), c_e=np.outer(u, u.conj()))
+        assert df.lam_gen == np.inf
+        _, rep = solve_diagonal_constrained(df, 0.1)
+        assert rep.bound == pytest.approx(3.0, rel=1e-12)
 
 
 class TestUnconstrained:
@@ -294,10 +354,10 @@ class TestConstrained:
             cv = rep.constraint_values
             assert cv["constraint_active"] is True
             assert cv["eve_value"] <= eps * (1 + 1e-6)
-            # Penalty rounds, over all restarts, that spent every step.
+            # Rounds, over all restarts, that spent every step.
             hits = cv["budget_hits"]
             assert type(hits) is int
-            assert 0 <= hits <= diagonal._RESTARTS * diagonal._MAX_PENALTY_ROUNDS
+            assert 0 <= hits <= diagonal._RESTARTS * diagonal._MAX_ROUNDS
             assert rep.iterations >= hits * diagonal._MAX_ITERS
             # Box projection and the downward rescale onto the cap keep
             # every entry in the unit disc; no clip step is needed.
@@ -369,6 +429,52 @@ class TestConstrained:
         assert rep.constraint_values["eve_value"] <= eps * (1 + 1e-6)
 
 
+class TestCappedBound:
+    """The capped report's bound min(r lam_max(c_b), eps lam_gen)."""
+
+    def test_bound_is_certified(self):
+        """Above the objective on every oracle instance and cap, slack or
+        binding, and equal to its two terms computed independently."""
+        checked = 0
+        for df in _oracle_cases():
+            gen = generalized_eigh(df.c_b, df.c_e, eigvals_only=True)[-1]
+            top = np.linalg.eigvalsh(df.c_b).max() * df.r
+            warm = solve_diagonal_unconstrained(df)
+            eve0 = _quad(df.c_e, np.diag(warm[0].matrix))
+            for frac in _ORACLE_CAPS + (2.0,):
+                eps = frac * eve0
+                _, rep = solve_diagonal_constrained(df, eps, warm=warm)
+                assert rep.bound == pytest.approx(min(top, eps * gen), rel=1e-10)
+                assert rep.objective <= rep.bound
+                checked += 1
+        assert checked == 7 * (len(_ORACLE_CAPS) + 1)
+
+    def test_bound_is_attained_where_the_eigenvector_fits(self):
+        """Where sqrt(eps) v fits the box (v the top generalized eigenvector,
+        v^H c_e v = 1) it is feasible and meets the bound to 1e-9, so the
+        bound is the optimum; the solver reaches it, and its multiplier is
+        the generalized eigenvalue."""
+        rng = np.random.default_rng(12)
+        checked = 0
+        for r in range(2, 9):
+            df = diag_forms(rand_forms(rng, r))
+            if not np.isfinite(df.lam_gen):
+                continue   # c_e singular: the second term does not apply
+            vals, vecs = generalized_eigh(df.c_b, df.c_e)
+            v = vecs[:, -1]
+            eps = 0.5 / np.abs(v).max() ** 2
+            omega = np.sqrt(eps) * v
+            assert _quad(df.c_e, omega) == pytest.approx(eps, rel=1e-12)
+            _, rep = solve_diagonal_constrained(df, eps)
+            assert rep.constraint_values["constraint_active"] is True
+            assert _quad(df.c_b, omega) == pytest.approx(rep.bound, rel=1e-9)
+            assert rep.objective <= rep.bound
+            assert rep.objective >= rep.bound * (1 - 1e-6)
+            assert rep.constraint_values["multiplier"] == pytest.approx(vals[-1], rel=1e-3)
+            checked += 1
+        assert checked >= 5
+
+
 class TestBatchedRestarts:
     """The batched solvers against the serial reference loops above."""
 
@@ -403,6 +509,22 @@ class TestBatchedRestarts:
                 assert rep.converged is ref.converged
                 checked += 1
         assert checked == 7 * len(_ORACLE_CAPS)
+
+    def test_rounds_and_multiplier_match_serial_reference(self):
+        """The winning restart's round count and multiplier (caller's units)."""
+        for df in _oracle_cases():
+            warm = solve_diagonal_unconstrained(df)
+            omega0 = np.diag(warm[0].matrix)
+            eps = 0.3 * _quad(df.c_e, omega0)
+            _, rep = solve_diagonal_constrained(df, eps, warm=warm)
+            ref = ref_constrained(df, eps, omega0.copy())
+            rounds = rep.constraint_values["outer_rounds"]
+            assert type(rounds) is int
+            assert rounds == ref.rounds
+            assert 1 <= rounds <= diagonal._MAX_ROUNDS
+            assert rep.constraint_values["multiplier"] > 0.0
+            assert rep.constraint_values["multiplier"] == pytest.approx(
+                ref.multiplier, rel=1e-12)
 
     def test_finished_restarts_stay_frozen(self, monkeypatch):
         """With one restart the solvers are the reference run from start 0;
