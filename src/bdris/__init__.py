@@ -36,11 +36,8 @@ from .model import (
     crb_trace,
     fim_matrix,
     generate_channels,
-    load_channels,
     quad_objective,
-    save_channels,
     simulate_mle_mse,
-    trace_fim,
 )
 from .pdd import PddState, qcqp_spectral, solve_pdd
 from .reporting import SolveReport

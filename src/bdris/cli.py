@@ -61,10 +61,10 @@ def _load_config(path: Path | None) -> dict:
         return {}
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
-        raise SystemExit(f"config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
-        raise SystemExit(f"config {path}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
     return data
 
 
@@ -72,7 +72,7 @@ def _parse_grid(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise SystemExit(f"--eps-grid: {exc}") from exc
+        raise ValueError(f"--eps-grid: {exc}") from exc
 
 
 def make_spec(args: argparse.Namespace) -> ExperimentSpec:

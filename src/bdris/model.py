@@ -13,7 +13,6 @@ and a Monte-Carlo maximum-likelihood check.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,12 +39,9 @@ __all__ = [
     "generate_channels",
     "build_forms",
     "quad_objective",
-    "trace_fim",
     "fim_matrix",
     "crb_trace",
     "simulate_mle_mse",
-    "save_channels",
-    "load_channels",
 ]
 
 ARCH_NONRECIPROCAL = "non-reciprocal"
@@ -289,26 +285,6 @@ def quad_objective(omega: np.ndarray, e: np.ndarray, m: np.ndarray) -> float:
     return max(val.real, 0.0)
 
 
-def _target_form(forms: QuadraticForms, target: str) -> np.ndarray:
-    if target == "bob":
-        return forms.e_b
-    if target == "eve":
-        if forms.e_e is None:
-            raise ValueError("eavesdropper forms are absent from this QuadraticForms")
-        return forms.e_e
-    raise ValueError(f"target must be 'bob' or 'eve', got {target!r}")
-
-
-def trace_fim(forms: QuadraticForms, ris: RisMatrix, target: str = "bob") -> float:
-    """Average Fisher information tr(Omega^H E Omega M) at the chosen receiver."""
-    e = _target_form(forms, target)
-    if ris.matrix.shape != e.shape:
-        raise DimensionError(
-            f"response matrix is {ris.matrix.shape}, forms are {e.shape}"
-        )
-    return quad_objective(ris.matrix, e, forms.m)
-
-
 def _effective_matrix(ch: ChannelSet, ris: RisMatrix, target: str):
     if target == "bob":
         h_out, sigma, name = ch.h_rb, ch.sigma_b, "sigma_b"
@@ -359,16 +335,18 @@ def crb_trace(fim: np.ndarray) -> float:
     return float(np.sum(1.0 / (s * s)))
 
 
-def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, theta: np.ndarray | None = None,
-                     trials: int = 10_000, seed: int = 0) -> float:
+def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
+                     seed: int = 0) -> float:
     """Monte-Carlo mean-squared error of the weighted least-squares MLE.
 
-    Each trial draws eta ~ CN(0, Sigma_b), forms y = G theta + eta and
-    solves the weighted least-squares problem for theta-hat.  theta
-    defaults to the all-ones vector (the information matrix does not
-    depend on it).  The noise is drawn from the first child of
-    ``SeedSequence(seed)``, so the result is deterministic for a given seed.
+    Each trial draws eta ~ CN(0, Sigma_b), forms y = G theta + eta with
+    theta the all-ones vector (the information matrix does not depend on
+    it) and solves the weighted least-squares problem for theta-hat.  The
+    noise is drawn from the first child of ``SeedSequence(seed)``, so the
+    result is deterministic for a given seed.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     g, sigma, name = _effective_matrix(ch, ris, "bob")
     n_b, k = g.shape
     sv = np.linalg.svd(g, compute_uv=False)
@@ -376,11 +354,7 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, theta: np.ndarray | None = 
         raise EstimationIllPosedError(
             "effective matrix G = H_rb Omega H_ar P is rank deficient"
         )
-    if theta is None:
-        theta = np.ones(k, dtype=complex)
-    theta = np.asarray(theta, dtype=complex).reshape(k)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    theta = np.ones(k, dtype=complex)
 
     low = _cho(sigma, name)                           # also colours the noise
     weighted = _cho_solve(low, g)                     # Sigma^{-1} G
@@ -396,61 +370,3 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, theta: np.ndarray | None = 
     theta_hat = y @ estimator.T
     return float(np.sum(np.abs(theta_hat - theta[None, :]) ** 2)) / trials
 
-
-# ---------------------------------------------------------------------------
-# Channel-set container (JSON): a dimensions header plus each matrix as a
-# row-major list of [re, im] pairs, for cross-language regression fixtures.
-
-def _pairs(a: np.ndarray) -> list:
-    flat = np.asarray(a, dtype=complex).ravel()
-    return [[float(v.real), float(v.imag)] for v in flat]
-
-
-def _unpairs(data: list, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (rows * cols, 2):
-        raise ValueError(f"{name}: expected {rows * cols} [re, im] pairs, "
-                         f"got shape {arr.shape}")
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
-
-
-def save_channels(ch: ChannelSet, path) -> None:
-    """Serialize a ChannelSet to the documented JSON container."""
-    n_e = 0 if ch.h_re is None else ch.h_re.shape[0]
-    doc = {
-        "format": "bdris-channels",
-        "version": 1,
-        "r": ch.r,
-        "k": ch.k,
-        "n_b": ch.h_rb.shape[0],
-        "n_e": n_e,
-        "h_ar": _pairs(ch.h_ar),
-        "h_rb": _pairs(ch.h_rb),
-        "sigma_b": _pairs(ch.sigma_b),
-        "p": _pairs(ch.p),
-        "h_re": None if ch.h_re is None else _pairs(ch.h_re),
-        "sigma_e": None if ch.sigma_e is None else _pairs(ch.sigma_e),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_channels(path) -> ChannelSet:
-    """Load a ChannelSet from the documented JSON container."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "bdris-channels":
-        raise ValueError("not a channel-set container")
-    r, k, n_b, n_e = doc["r"], doc["k"], doc["n_b"], doc["n_e"]
-    h_re = sigma_e = None
-    if n_e:
-        h_re = _unpairs(doc["h_re"], n_e, r, "h_re")
-        sigma_e = _unpairs(doc["sigma_e"], n_e, n_e, "sigma_e")
-    return ChannelSet(
-        h_ar=_unpairs(doc["h_ar"], r, k, "h_ar"),
-        h_rb=_unpairs(doc["h_rb"], n_b, r, "h_rb"),
-        sigma_b=_unpairs(doc["sigma_b"], n_b, n_b, "sigma_b"),
-        p=_unpairs(doc["p"], k, k, "p").real,
-        h_re=h_re,
-        sigma_e=sigma_e,
-    )

@@ -82,17 +82,6 @@ class PddState:
     rho: float
 
 
-def augmented_lagrangian(state: PddState, forms: QuadraticForms) -> float:
-    """Direct evaluation of the split objective L(Omega, Psi, Lambda)."""
-    diff = state.omega - state.psi
-    value = (
-        -np.vdot(state.omega, forms.e_b @ state.psi @ forms.m).real
-        + np.sum(np.abs(diff) ** 2) / (2.0 * state.rho)
-        + np.vdot(state.lam, diff).real
-    )
-    return float(value)
-
-
 def _secular_iterates(lam: np.ndarray, weights: np.ndarray, epsilon_eve: float):
     """Newton iterates (mu, residual) on the KKT secular equation, from mu = 0.
 
@@ -265,6 +254,7 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
         raise ValueError("solve_pdd needs eavesdropper forms (e_e is None)")
     if not epsilon_eve > 0:
         raise ValueError("epsilon_eve must be positive")
+    epsilon_eve = float(epsilon_eve)
     if warm is not None:
         ris0, rep0 = warm
         if ris0.architecture != ARCH_RECIPROCAL:

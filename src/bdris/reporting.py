@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -45,6 +44,3 @@ class SolveReport:
             "converged": self.converged,
             "constraint_values": dict(self.constraint_values),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)

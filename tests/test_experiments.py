@@ -1,6 +1,6 @@
 """Sweep harness and CLI: deterministic output files, row ordering, report
-context, warm-start passthrough, exit-code contract, and the package names
-the benchmark harness binds.
+context, warm-start passthrough, exit-code contract, the package names
+the benchmark harness binds, and every name a module exports.
 """
 import ast
 import csv
@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bdris
 from bdris.cli import build_parser, main, make_spec
 from bdris.experiments import (
     CSV_COLUMNS,
@@ -284,15 +286,30 @@ class TestCli:
         spec = make_spec(args)
         assert spec.cfg.n_b == 6 and spec.cfg.n_e == 6
 
-    def test_unknown_config_key_exits(self, tmp_path):
+    def test_unknown_config_key_exits(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"radius": 5}), encoding="utf-8")
-        with pytest.raises(SystemExit):
-            make_spec(build_parser().parse_args(["--config", str(conf)]))
+        code = main(["--config", str(conf), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "radius" in err
+        assert not (tmp_path / "o").exists()
 
-    def test_malformed_grid_exits(self):
-        with pytest.raises(SystemExit):
-            make_spec(build_parser().parse_args(["--eps-grid", "1,zz,3"]))
+    def test_non_object_config_exits_one(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text("[1, 2]", encoding="utf-8")
+        code = main(["--config", str(conf), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 1
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_malformed_grid_exits(self, tmp_path, capsys):
+        code = main(["--eps-grid", "1,zz,3", "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --eps-grid:")
+        assert not (tmp_path / "o").exists()
 
     def test_successful_run_exits_zero(self, tmp_path):
         cfg = SystemConfig(**TINY)
@@ -360,6 +377,22 @@ class TestRuntimeDependencies:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+
+class TestPublicNames:
+    def test_every_exported_name_exists(self):
+        """``from bdris.<module> import *`` binds every name its ``__all__``
+        lists: a deleted name must leave the list too."""
+        exporting = 0
+        for info in pkgutil.iter_modules(bdris.__path__):
+            module = importlib.import_module(f"bdris.{info.name}")
+            names = getattr(module, "__all__", None)
+            if names is None:
+                continue
+            exporting += 1
+            missing = [n for n in names if not hasattr(module, n)]
+            assert missing == [], info.name
+        assert exporting >= 6
 
 
 class TestBenchmarkBindings:

@@ -35,11 +35,8 @@ from bdris.model import (
     crb_trace,
     fim_matrix,
     generate_channels,
-    load_channels,
     quad_objective,
-    save_channels,
     simulate_mle_mse,
-    trace_fim,
 )
 from bdris.reporting import SolveReport
 
@@ -188,7 +185,8 @@ class TestForms:
 
     def test_trace_fim_against_scratch_oracle(self):
         # Information matrix of y = A theta + eta, eta ~ CN(0, Sigma):
-        # F = A^H Sigma^-1 A; its trace must match the quadratic form.
+        # F = A^H Sigma^-1 A; its trace must match the quadratic form
+        # tr(Omega^H E Omega M) at either receiver.
         rng = np.random.default_rng(8)
         for target in ("bob", "eve"):
             ch = make_channels(rng, n_e=4)
@@ -199,7 +197,8 @@ class TestForms:
             sig = ch.sigma_b if target == "bob" else ch.sigma_e
             a = h_out @ omega @ ch.h_ar @ ch.p
             f = a.conj().T @ np.linalg.inv(sig) @ a
-            ours = trace_fim(forms, ris, target)
+            e = forms.e_b if target == "bob" else forms.e_e
+            ours = quad_objective(ris.matrix, e, forms.m)
             assert ours == pytest.approx(np.trace(f).real, rel=1e-10)
             np.testing.assert_allclose(fim_matrix(ch, ris, target), f, atol=1e-8)
 
@@ -324,33 +323,13 @@ class TestCrbAndMle:
             simulate_mle_mse(ch, ris, trials=10, seed=0)
 
 
-# --------------------------------------------------------------- serialization
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(36)
-        ch = make_channels(rng, n_e=4)
-        path = tmp_path / "ch.json"
-        save_channels(ch, path)
-        back = load_channels(path)
-        np.testing.assert_array_equal(back.h_ar, ch.h_ar)
-        np.testing.assert_array_equal(back.h_rb, ch.h_rb)
-        np.testing.assert_array_equal(back.h_re, ch.h_re)
-        np.testing.assert_array_equal(back.sigma_b, ch.sigma_b)
-        np.testing.assert_array_equal(back.p, ch.p)
-
-    def test_roundtrip_no_eve_and_format_tag(self, tmp_path):
-        rng = np.random.default_rng(40)
-        ch = make_channels(rng)
-        path = tmp_path / "ch.json"
-        save_channels(ch, path)
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "bdris-channels"
-        back = load_channels(path)
-        assert back.h_re is None
-
-    def test_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError):
-            load_channels(path)
+    def test_trials_checked_before_the_design(self):
+        # A trial count below one is refused first, even on a design that
+        # would also fail the rank check.
+        rng = np.random.default_rng(33)
+        ch = ChannelSet(h_ar=np.zeros((4, 2), dtype=complex),
+                        h_rb=rand_complex(rng, 3, 4),
+                        sigma_b=np.eye(3), p=np.eye(2))
+        ris = RisMatrix(haar_unitary(rng, 4), ARCH_NONRECIPROCAL)
+        with pytest.raises(ValueError, match="trials"):
+            simulate_mle_mse(ch, ris, trials=0, seed=0)

@@ -7,6 +7,8 @@ feasible-unitary search, a frozen small instance, their dual certificate,
 both degenerate regimes (coincident Bob/Eve forms; a cap below the
 feasibility floor) and the seeded degenerate cases of ``capped_cases``.
 """
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -19,6 +21,11 @@ from conftest import (
     rand_complex,
 )
 
+from bdris.diagonal import (
+    diag_forms,
+    solve_diagonal_constrained,
+    solve_diagonal_unconstrained,
+)
 from bdris.errors import ContractViolationError
 from bdris.kernels import HermEig, hermitian_eig, nearest_symmetric_unitary
 from bdris.model import (
@@ -33,7 +40,6 @@ from bdris.model import (
 import bdris.pdd as pdd
 from bdris.pdd import (
     PddState,
-    augmented_lagrangian,
     qcqp_spectral,
     solve_pdd,
     update_omega,
@@ -265,6 +271,16 @@ class TestBlockUpdates:
     def test_lagrangian_never_increases(self):
         """Both block minimizers are exact, so L must be non-increasing from
         a symmetric-unitary start."""
+
+        def lagrangian(state, forms):
+            # L = -Re tr(Omega^H E_b Psi M) + ||Omega - Psi||_F^2 / (2 rho)
+            #     + Re tr(Lambda^H (Omega - Psi))
+            diff = state.omega - state.psi
+            return float(
+                -np.vdot(state.omega, forms.e_b @ state.psi @ forms.m).real
+                + np.sum(np.abs(diff) ** 2) / (2.0 * state.rho)
+                + np.vdot(state.lam, diff).real)
+
         rng = np.random.default_rng(6)
         eps = 1.0
         for _ in range(10):
@@ -276,14 +292,14 @@ class TestBlockUpdates:
                 h=forms.h / np.sqrt(hermitian_eig(forms.m).values[0]),
                 e_e=forms.e_e / hermitian_eig(forms.e_e).values[0])
             state = rand_state(rng, r, symmetric=True)
-            level = augmented_lagrangian(state, forms)
+            level = lagrangian(state, forms)
             for _ in range(30):
                 state = update_omega(state, forms)
-                now = augmented_lagrangian(state, forms)
+                now = lagrangian(state, forms)
                 assert now <= level + 1e-10 * max(1.0, abs(level))
                 level = now
                 state = update_psi(state, forms, eps)
-                now = augmented_lagrangian(state, forms)
+                now = lagrangian(state, forms)
                 assert now <= level + 1e-10 * max(1.0, abs(level))
                 level = now
 
@@ -592,3 +608,31 @@ class TestCappedReciprocalContract:
                 assert rep.objective <= cv["dual_bound"] * (1 + 1e-9), (name, frac)
             else:
                 assert cv["stop_reason"] in ("budget", "infeasible"), (name, frac)
+
+
+# Each capped solver with its uncapped counterpart, both on QuadraticForms.
+CAPPED_SOLVERS = {
+    "non-reciprocal": (solve_nonreciprocal, solve_nonreciprocal),
+    "reciprocal": (solve_pdd, solve_reciprocal_ao),
+    "diagonal": (lambda forms, eps: solve_diagonal_constrained(diag_forms(forms), eps),
+                 lambda forms: solve_diagonal_unconstrained(diag_forms(forms))),
+}
+
+
+class TestCappedReportSerializes:
+    @pytest.mark.parametrize("active", (True, False), ids=("active", "inactive"))
+    @pytest.mark.parametrize("arch", sorted(CAPPED_SOLVERS))
+    def test_numpy_scalar_cap(self, arch, active):
+        """A numpy-scalar cap is stored as a Python float, so the report
+        serializes and ``constraint_active`` is a Python bool."""
+        capped, uncapped = CAPPED_SOLVERS[arch]
+        forms = build_forms(generate_channels(SystemConfig(k=2, r=6, n_b=4, n_e=4, seed=3)))
+        ris0, _ = uncapped(forms)
+        leak0 = quad_objective(ris0.matrix, forms.e_e, forms.m)
+        eps = np.float64(leak0 * (0.5 if active else 2.0))
+        _, rep = capped(forms, eps)
+        cv = rep.constraint_values
+        assert cv["constraint_active"] is active
+        assert type(cv["epsilon_eve"]) is float
+        assert json.loads(json.dumps(rep.to_dict()))["constraint_values"][
+            "constraint_active"] is active
