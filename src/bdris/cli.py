@@ -78,33 +78,31 @@ def _parse_grid(text: str) -> list[float]:
 def make_spec(args: argparse.Namespace) -> ExperimentSpec:
     conf = _load_config(args.config)
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return conf.get(key, default)
+    def pick(flag, key, default, kind):
+        value = conf.get(key, default) if flag is None else flag
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: invalid value {value!r}") from exc
 
-    k = int(pick(args.k, "k", 10))
-    r = int(pick(args.r, "r", 36))
-    n_b = int(conf.get("n_b", 2 * k))
-    n_e = int(conf.get("n_e", 2 * k))
+    k = pick(args.k, "k", 10, int)
     cfg = SystemConfig(
-        k=k, r=r, n_b=n_b, n_e=n_e,
-        total_power=float(pick(args.power, "power", 30.0)),
-        noise_variance=float(pick(args.noise, "noise", 1e-5)),
-        seed=int(pick(args.seed, "seed", 0)),
+        k=k, r=pick(args.r, "r", 36, int),
+        n_b=pick(None, "n_b", 2 * k, int), n_e=pick(None, "n_e", 2 * k, int),
+        total_power=pick(args.power, "power", 30.0, float),
+        noise_variance=pick(args.noise, "noise", 1e-5, float),
+        seed=pick(args.seed, "seed", 0, int),
     )
-    grid = args.eps_grid
-    if grid is not None:
-        grid = _parse_grid(grid)
-    else:
-        grid = conf.get("epsilon_grid")
+    grid = _parse_grid(args.eps_grid) if args.eps_grid is not None else None
+    grid = pick(grid, "epsilon_grid", None,
+                lambda g: None if g is None else np.asarray(g, dtype=float))
     return ExperimentSpec(
         cfg=cfg,
-        epsilon_grid=np.asarray(grid, dtype=float) if grid is not None else None,
-        architectures=tuple(pick(args.arch, "architectures", ARCHITECTURES)),
-        scenarios=tuple(pick(args.scenario, "scenarios", ("no-eve", "eve"))),
-        mc_trials=int(pick(args.trials, "mc_trials", 0)),
-        output_path=Path(pick(args.out, "out", "out")),
+        epsilon_grid=grid,
+        architectures=pick(args.arch, "architectures", ARCHITECTURES, tuple),
+        scenarios=pick(args.scenario, "scenarios", ("no-eve", "eve"), tuple),
+        mc_trials=pick(args.trials, "mc_trials", 0, int),
+        output_path=pick(args.out, "out", "out", Path),
     )
 
 

@@ -1,6 +1,8 @@
 """Dense complex linear-algebra kernels for the response-matrix solvers.
 
-All routines are pure functions of their operands.  Structural
+All routines are pure functions of their operands.  The Takagi factor,
+and with it the symmetric-unitary projection, comes from one real
+symmetric eigendecomposition.  Structural
 preconditions (Hermitian, symmetric, skew-Hermitian) are checked against
 the tolerances in :mod:`bdris.tolerances` and violations raise
 :class:`~bdris.errors.ContractViolationError`; shape problems raise
@@ -85,52 +87,23 @@ def hermitian_eig(a: np.ndarray) -> HermEig:
     return HermEig(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
 
 
-def _runs(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Split a sorted 1-d array into consecutive clusters closer than ``gap``."""
-    if values.size == 0:
-        return []
-    breaks = np.nonzero(np.abs(np.diff(values)) > gap)[0]
-    return np.split(np.arange(values.size), breaks + 1)
-
-
-def _sym_unitary_sqrt(z: np.ndarray) -> np.ndarray:
-    """Symmetric unitary square root of a symmetric unitary matrix.
-
-    Writes Z = X + iY with commuting real symmetric X, Y, diagonalizes
-    them simultaneously with a real orthogonal Q so Z = Q e^{i theta} Q^T,
-    and halves the phases.  Branch-safe at eigenvalue -1 and exactly
-    symmetric by construction.
-    """
-    z = 0.5 * (z + z.T)
-    x = np.ascontiguousarray(z.real)
-    y = np.ascontiguousarray(z.imag)
-    lam, q = np.linalg.eigh(x)
-    # A degenerate eigenvalue of X covers conjugate phase pairs e^{+-i phi};
-    # rotating within each eigenspace to diagonalize Y separates them.
-    for idx in _runs(lam, 1e-7):
-        if idx.size > 1:
-            sub = q[:, idx]
-            _, g = np.linalg.eigh(sub.T @ y @ sub)
-            q[:, idx] = sub @ g
-    cos_t = np.einsum("ij,ij->j", q, x @ q)
-    sin_t = np.einsum("ij,ij->j", q, y @ q)
-    half = 0.5 * np.arctan2(sin_t, cos_t)
-    return (q * np.exp(1j * half)) @ q.T
-
-
 def takagi(a: np.ndarray) -> TakagiFactor:
     """Takagi factorization A = U diag(sigma) U^T of a complex symmetric matrix.
 
-    Computed from the SVD A = V S W^H: the unitary Z = V^H W^* is block
-    diagonal over degenerate singular-value clusters and symmetric on the
-    blocks with nonzero singular value; U = V sqrt(Z) with the square root
-    taken blockwise.  A single-element block is a unit-modulus scalar whose
-    root halves its phase, so all of those are taken in one array
-    operation.  Robust to repeated singular values by construction.
+    With A = P + iQ and u = x + iy, the Takagi equation A conj(u) = sigma u
+    reads [[P, Q], [Q, -P]] [x; y] = sigma [x; y] (Horn & Johnson, Matrix
+    Analysis, Cor. 4.4.4).  That real symmetric matrix has the eigenvalues
+    +-sigma_j in pairs, so one ``eigh`` gives everything: its n largest
+    eigenvalues are sigma (clipped at 0), and their eigenvectors give
+    U = X + iY.  Eigenvectors of distinct nonnegative sigma are orthogonal
+    as complex vectors too; only among numerically zero sigma, where
+    +sigma and -sigma mix, can columns of U be dependent.  An unpivoted QR
+    with the phase of R's diagonal restored orthonormalizes those columns
+    and leaves the others as they are.  Repeated or clustered singular
+    values need no special treatment.
 
     The reciprocal ascent starts from a Takagi factor, and
-    :func:`nearest_symmetric_unitary` falls back to it for a numerically
-    singular target.
+    :func:`nearest_symmetric_unitary` is U U^T.
 
     Parameters
     ----------
@@ -148,24 +121,15 @@ def takagi(a: np.ndarray) -> TakagiFactor:
         raise ContractViolationError(
             f"matrix is not complex symmetric: relative deviation {dev / _scale(a):.3e}"
         )
+    n = a.shape[0]
     sym = 0.5 * (a + a.T)
-    v, sigma, wh = np.linalg.svd(sym)
-    if sigma[0] == 0.0:  # zero matrix: any unitary works
-        return TakagiFactor(sigma=sigma, u=np.eye(a.shape[0], dtype=complex))
-    z = v.conj().T @ wh.T  # V^H W^*
-    # Numerically zero clusters keep the identity block: there Z need not
-    # be symmetric, and the columns do not contribute to the reconstruction.
-    root = np.eye(z.shape[0], dtype=complex)
-    gap = tol.SV_CLUSTER_REL_TOL * sigma[0]
-    live = sigma > tol.SINGULAR_REL_TOL * sigma[0]
-    split = np.abs(np.diff(sigma)) > gap
-    alone = np.flatnonzero(live & np.r_[True, split] & np.r_[split, True])
-    root[alone, alone] = np.exp(1j * (0.5 * np.angle(z[alone, alone])))
-    for idx in _runs(sigma, gap):
-        if idx.size > 1 and live[idx[0]]:
-            blk = np.ix_(idx, idx)
-            root[blk] = _sym_unitary_sqrt(z[blk])
-    return TakagiFactor(sigma=sigma, u=v @ root)
+    p, q = sym.real, sym.imag
+    w, v = np.linalg.eigh(np.block([[p, q], [q, -p]]))
+    w, v = w[::-1][:n], v[:, ::-1][:, :n]  # the n largest, descending
+    u, r = np.linalg.qr(v[:n] + 1j * v[n:])
+    # angle(0) = 0: a zero diagonal entry keeps its column's phase.
+    u = u * np.exp(1j * np.angle(np.diagonal(r)))
+    return TakagiFactor(sigma=np.clip(w, 0.0, None), u=u)
 
 
 def expm_skew(s: np.ndarray, step: float = 1.0) -> np.ndarray:
@@ -221,21 +185,13 @@ def nearest_symmetric_unitary(t: np.ndarray) -> np.ndarray:
     """Closest symmetric unitary matrix to T in Frobenius norm.
 
     The minimizer of ||Omega - T||_F over symmetric unitary Omega maximizes
-    Re tr(Omega^H S) / 2 with S = T + T^T.  Over all unitaries that is the
-    polar factor P Q^H of the SVD S = P Sigma Q^H (Higham, 1986), and for a
-    nonsingular complex-symmetric S the polar factor is itself symmetric,
-    so one SVD solves the problem.  The computed factor is symmetrized to
-    remove rounding; that keeps Re tr(Omega^H S) and moves unitarity only
-    at second order in the symmetry defect.  A numerically singular S
-    (sigma_min <= ``SINGULAR_REL_TOL`` sigma_max) has no unique polar
-    factor; then the Takagi factorization S = U diag(sigma) U^T gives the
-    symmetric unitary U U^T.
+    Re tr(Omega^H S) / 2 with S = T + T^T.  Over all unitaries that maximum
+    is the nuclear norm of S, and with the Takagi factorization
+    S = U diag(sigma) U^T the symmetric unitary U U^T attains it, so one
+    factorization solves the problem, singular S included.  The product
+    is symmetrized to remove rounding.
     """
     t = _require_square(t, "t")
-    s = t + t.T
-    p, sigma, qh = np.linalg.svd(s)
-    if sigma[0] == 0.0 or sigma[-1] <= tol.SINGULAR_REL_TOL * sigma[0]:
-        fac = takagi(s)
-        return fac.u @ fac.u.T
-    omega = p @ qh
+    u = takagi(t + t.T).u
+    omega = u @ u.T
     return 0.5 * (omega + omega.T)

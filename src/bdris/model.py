@@ -70,6 +70,8 @@ class SystemConfig:
             raise ValueError("k, r and n_b must all be at least 1")
         if self.n_e < 0:
             raise ValueError("n_e must be non-negative (0: no unintended receiver)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.total_power > 0:
             raise ValueError("total_power must be positive")
         if not self.noise_variance > 0:

@@ -238,14 +238,16 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
     The uncapped reciprocal optimum (``warm``, or a fresh
     :func:`~bdris.spectral.solve_reciprocal_ao`) is returned when it meets
     the cap.  Otherwise the exact capped non-reciprocal optimum is
-    computed; below its leakage floor the cell ends at once as
-    ``infeasible``.  From its symmetric projection each round maximizes
-    f_b - (rho/2) max(0, f_e - eps + lam/rho)^2 on the unit-scale forms
-    to a shrinking tolerance, then sets lam <- max(0, lam + rho (f_e -
-    eps)).  The cell converges (``stationary``) once the residual
-    |max(f_e - eps, -lam/rho)| is at most _RESIDUAL_TOL eps after a round
-    at the final tolerance; it ends ``budget`` after _MAX_ROUNDS rounds,
-    and ``infeasible`` when growing rho no longer lowers the residual.
+    computed as X; below its leakage floor the cell ends at once as
+    ``infeasible``, with the nearest symmetric unitary U U^T to X.  The
+    Takagi factor U of X + X^T is also the start: from it each round
+    maximizes f_b - (rho/2) max(0, f_e - eps + lam/rho)^2 on the
+    unit-scale forms to a shrinking tolerance, then sets
+    lam <- max(0, lam + rho (f_e - eps)).  The cell converges
+    (``stationary``) once the residual |max(f_e - eps, -lam/rho)| is at
+    most _RESIDUAL_TOL eps after a round at the final tolerance; it ends
+    ``budget`` after _MAX_ROUNDS rounds, and ``infeasible`` when growing
+    rho no longer lowers the residual.
     The report carries the non-reciprocal ``dual_bound`` (it bounds every
     symmetric response too), ``outer_rounds``, ``grad_norm`` and
     ``stop_reason``; ``iterations`` counts ascent steps.
@@ -273,12 +275,14 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
                                  cost_trace=[rep0.objective], constraint_values=cv)
 
     ris_n, rep_n = solve_nonreciprocal(forms, epsilon_eve)
-    omega = nearest_symmetric_unitary(ris_n.matrix)
+    # U U^T is the nearest symmetric unitary to X: one factorization gives
+    # both the ascent's start U and the infeasible cell's response.
+    u = takagi(ris_n.matrix + ris_n.matrix.T).u
+    omega = u @ u.T
     iterations, cost_trace, stop = 0, [], "infeasible"
     if rep_n.converged:
         cv["dual_bound"] = rep_n.constraint_values["dual_bound"]
         e_b_hat, h_hat, e_e_hat, m_hat, eps_hat = _normalized_problem(forms, epsilon_eve)
-        u = takagi(omega).u
         rho, lam, inner_tol = _RHO0, 0.0, _INNER_TOL0
         residual, stuck, grown, stop = np.inf, 0, False, "budget"
         for rounds in range(1, _MAX_ROUNDS + 1):

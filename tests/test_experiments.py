@@ -304,6 +304,19 @@ class TestCli:
         assert code == 1
         assert "must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [{"r": None}, {"k": [3]},
+                                       {"architectures": 5},
+                                       {"epsilon_grid": {"a": 1}}])
+    def test_mistyped_config_value_exits_one(self, tmp_path, capsys, entry):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(entry), encoding="utf-8")
+        code = main(["--config", str(conf), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 1
+        key = next(iter(entry))
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_grid_exits(self, tmp_path, capsys):
         code = main(["--eps-grid", "1,zz,3", "--out", str(tmp_path / "o"),
                      "--quiet"])

@@ -122,6 +122,18 @@ class TestValidation:
             SystemConfig(k=1, r=2, n_b=1, n_e=-3)
         assert not SystemConfig(k=1, r=2, n_b=1, n_e=0).eve_present
 
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SystemConfig(k=1, r=2, n_b=1, seed=-1)
+
+    def test_cli_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["--r", "3", "--k", "1", "--seed", "-1",
+                     "--scenario", "no-eve", "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not out.exists()
+
     def test_cli_rejects_negative_n_e(self, tmp_path):
         # The no-eve scenario alone needs no eavesdropper, so only the
         # config check stands between a typo and a sweep without one.
