@@ -29,7 +29,6 @@ import numpy as np
 from .diagonal import diag_forms, solve_diagonal_constrained, \
     solve_diagonal_unconstrained
 from .model import (
-    ARCH_DIAGONAL,
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
     ARCHITECTURES,

@@ -8,7 +8,10 @@ where Omega is the surface response matrix and P the source amplitude
 matrix.  The average Fisher information about theta reduces to the
 quadratic form tr(Omega^H E Omega M) with E = H_out^H Sigma^{-1} H_out
 and M = H H^H, H = H_ar P.  This module owns those objects plus the CRB
-and a Monte-Carlo maximum-likelihood check.
+and a Monte-Carlo maximum-likelihood check.  Each fixed matrix is
+factored once, by the object that holds it: ``ChannelSet`` keeps the
+Cholesky factors of Sigma_b and Sigma_e, ``QuadraticForms`` the spectra
+of E_b, M and E_e that every solver reads.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalConsistencyError,
 )
+from .kernels import HermEig, hermitian_eig
 
 __all__ = [
     "ARCH_NONRECIPROCAL",
@@ -72,10 +76,10 @@ class SystemConfig:
             raise ValueError("n_e must be non-negative (0: no unintended receiver)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not self.total_power > 0:
-            raise ValueError("total_power must be positive")
-        if not self.noise_variance > 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0 < self.total_power < np.inf:
+            raise ValueError("total_power must be positive and finite")
+        if not 0 < self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be positive and finite")
 
     @property
     def eve_present(self) -> bool:
@@ -83,15 +87,22 @@ class SystemConfig:
         return self.n_e > 0
 
 
-def _check_covariance(sigma: np.ndarray, n: int, name: str) -> np.ndarray:
-    sigma = np.asarray(sigma)
+def _check_covariance(sigma: np.ndarray, h_out: np.ndarray, name: str):
+    """Refuse a misshapen, non-finite, non-Hermitian or indefinite Sigma;
+    return it with the lower Cholesky factor L of its Hermitian part."""
+    sigma, n = np.asarray(sigma), h_out.shape[0]
     if sigma.shape != (n, n):
         raise DimensionError(f"{name} must have shape {(n, n)}, got {sigma.shape}")
+    scale = float(np.max(np.abs(sigma), initial=0.0)) or 1.0
+    if not np.isfinite(scale):
+        raise ContractViolationError(f"{name} must be finite")
+    if np.max(np.abs(sigma - sigma.conj().T), initial=0.0) > tol.HERMITIAN_INPUT_TOL * scale:
+        raise ContractViolationError(f"{name} must be Hermitian")
     try:
-        np.linalg.cholesky(0.5 * (sigma + sigma.conj().T))
+        low = np.linalg.cholesky(0.5 * (sigma + sigma.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
-    return sigma
+    return sigma, low
 
 
 @dataclass
@@ -100,10 +111,12 @@ class ChannelSet:
 
     h_ar: np.ndarray                 # (r, k) source-to-surface
     h_rb: np.ndarray                 # (n_b, r) surface-to-intended-receiver
-    sigma_b: np.ndarray              # (n_b, n_b) positive definite
+    sigma_b: np.ndarray              # (n_b, n_b) Hermitian positive definite
     p: np.ndarray                    # (k, k) diagonal, non-negative
     h_re: np.ndarray | None = None   # (n_e, r) surface-to-eavesdropper
     sigma_e: np.ndarray | None = None
+    low_b: np.ndarray = field(init=False)     # lower Cholesky factor of sigma_b
+    low_e: np.ndarray | None = field(init=False, default=None)   # ... of sigma_e
 
     def __post_init__(self):
         self.h_ar = np.asarray(self.h_ar, dtype=complex)
@@ -115,7 +128,7 @@ class ChannelSet:
             raise DimensionError(
                 f"h_rb has {self.h_rb.shape[1]} columns but the surface has {r} elements"
             )
-        self.sigma_b = _check_covariance(self.sigma_b, self.h_rb.shape[0], "sigma_b")
+        self.sigma_b, self.low_b = _check_covariance(self.sigma_b, self.h_rb, "sigma_b")
         self.p = np.asarray(self.p, dtype=float)
         if self.p.shape != (self.k, self.k):
             raise DimensionError(f"p must have shape {(self.k, self.k)}")
@@ -127,7 +140,7 @@ class ChannelSet:
             self.h_re = np.asarray(self.h_re, dtype=complex)
             if self.h_re.ndim != 2 or self.h_re.shape[1] != r:
                 raise DimensionError("h_re must have r columns")
-            self.sigma_e = _check_covariance(self.sigma_e, self.h_re.shape[0], "sigma_e")
+            self.sigma_e, self.low_e = _check_covariance(self.sigma_e, self.h_re, "sigma_e")
 
     @property
     def r(self) -> int:
@@ -142,13 +155,17 @@ class ChannelSet:
 class QuadraticForms:
     """Quadratic forms entering the trace objective tr(Omega^H E Omega M).
 
-    M = h h^H is derived from the source matrix h, so the two always agree.
+    M = h h^H is derived from the source matrix h, so the two always agree,
+    and the spectra of E_b, M and E_e are taken once, here.
     """
 
     e_b: np.ndarray                  # (r, r) Hermitian PSD
     h: np.ndarray                    # (r, k) effective source matrix H_ar P
     e_e: np.ndarray | None = None    # (r, r) Hermitian PSD, eavesdropper side
     m: np.ndarray = field(init=False)   # (r, r) Hermitian PSD, h h^H
+    eig_b: HermEig = field(init=False)                        # of e_b
+    eig_m: HermEig = field(init=False)                        # of m
+    eig_e: HermEig | None = field(init=False)                 # of e_e
 
     def __post_init__(self):
         r = self.e_b.shape[0]
@@ -160,6 +177,9 @@ class QuadraticForms:
             raise DimensionError(f"e_e must have shape {(r, r)}, got {self.e_e.shape}")
         m = self.h @ self.h.conj().T
         self.m = 0.5 * (m + m.conj().T)
+        self.eig_b = hermitian_eig(self.e_b)
+        self.eig_m = hermitian_eig(self.m)
+        self.eig_e = None if self.e_e is None else hermitian_eig(self.e_e)
 
     @property
     def r(self) -> int:
@@ -233,14 +253,6 @@ def generate_channels(cfg: SystemConfig) -> ChannelSet:
                       h_re=h_re, sigma_e=sigma_e)
 
 
-def _cho(sigma: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor L of Sigma = L L^H (only the lower triangle is read)."""
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
-
-
 def _cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sigma^{-1} B from the factor L: solve with L, then with L^H.
 
@@ -254,18 +266,18 @@ def _cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
 def build_forms(ch: ChannelSet) -> QuadraticForms:
     """Assemble the quadratic forms E = H_out^H Sigma^{-1} H_out and M = H H^H.
 
-    Covariance inverses are applied through Cholesky solves; no explicit
-    inverse is ever formed (the noise floor makes Sigma badly scaled).
+    Covariance inverses are applied through the channel set's Cholesky
+    factors; no explicit inverse is ever formed (the noise floor makes
+    Sigma badly scaled).
     """
-    def receiver_form(h_out, sigma, name):
-        solved = _cho_solve(_cho(sigma, name), h_out)
-        e = h_out.conj().T @ solved
+    def receiver_form(h_out, low):
+        e = h_out.conj().T @ _cho_solve(low, h_out)
         return 0.5 * (e + e.conj().T)
 
-    e_b = receiver_form(ch.h_rb, ch.sigma_b, "sigma_b")
+    e_b = receiver_form(ch.h_rb, ch.low_b)
     e_e = None
     if ch.h_re is not None:
-        e_e = receiver_form(ch.h_re, ch.sigma_e, "sigma_e")
+        e_e = receiver_form(ch.h_re, ch.low_e)
     return QuadraticForms(e_b=e_b, h=ch.h_ar @ ch.p, e_e=e_e)
 
 
@@ -289,22 +301,22 @@ def quad_objective(omega: np.ndarray, e: np.ndarray, m: np.ndarray) -> float:
 
 def _effective_matrix(ch: ChannelSet, ris: RisMatrix, target: str):
     if target == "bob":
-        h_out, sigma, name = ch.h_rb, ch.sigma_b, "sigma_b"
+        h_out, low = ch.h_rb, ch.low_b
     elif target == "eve":
         if ch.h_re is None:
             raise ValueError("this ChannelSet has no eavesdropper channel")
-        h_out, sigma, name = ch.h_re, ch.sigma_e, "sigma_e"
+        h_out, low = ch.h_re, ch.low_e
     else:
         raise ValueError(f"target must be 'bob' or 'eve', got {target!r}")
     if ris.r != ch.r:
         raise DimensionError("response matrix size does not match the channels")
-    return h_out @ ris.matrix @ ch.h_ar @ ch.p, sigma, name
+    return h_out @ ris.matrix @ ch.h_ar @ ch.p, low
 
 
 def fim_matrix(ch: ChannelSet, ris: RisMatrix, target: str = "bob") -> np.ndarray:
     """Hermitian k-by-k Fisher information matrix G^H Sigma^{-1} G."""
-    g, sigma, name = _effective_matrix(ch, ris, target)
-    f = g.conj().T @ _cho_solve(_cho(sigma, name), g)
+    g, low = _effective_matrix(ch, ris, target)
+    f = g.conj().T @ _cho_solve(low, g)
     return 0.5 * (f + f.conj().T)
 
 
@@ -349,7 +361,7 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    g, sigma, name = _effective_matrix(ch, ris, "bob")
+    g, low = _effective_matrix(ch, ris, "bob")
     n_b, k = g.shape
     sv = np.linalg.svd(g, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= max(g.shape) * np.finfo(float).eps * sv[0]:
@@ -358,7 +370,6 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
         )
     theta = np.ones(k, dtype=complex)
 
-    low = _cho(sigma, name)                           # also colours the noise
     weighted = _cho_solve(low, g)                     # Sigma^{-1} G
     f = g.conj().T @ weighted
     # theta-hat = F^{-1} G^H Sigma^{-1} y for every trial: one k-by-n_b solve

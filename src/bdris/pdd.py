@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ContractViolationError
-from .kernels import HermEig, hermitian_eig, nearest_symmetric_unitary, takagi
+from .kernels import HermEig, nearest_symmetric_unitary, takagi
 from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
 from .reporting import SolveReport
 from .spectral import _ascend, solve_nonreciprocal, solve_reciprocal_ao, \
@@ -164,12 +164,6 @@ def qcqp_spectral(b: np.ndarray, eig_a: HermEig, epsilon_eve: float,
     return x
 
 
-def _leak_spectra(forms: QuadraticForms) -> tuple[HermEig, HermEig]:
-    if forms.e_e is None:
-        raise ValueError("solve_pdd needs eavesdropper forms (e_e is None)")
-    return hermitian_eig(forms.e_e), hermitian_eig(forms.m)
-
-
 def _normalized_problem(forms: QuadraticForms, epsilon_eve: float):
     """Rescale the forms to unit spectral norm so the solver knobs are scale-free.
 
@@ -180,9 +174,9 @@ def _normalized_problem(forms: QuadraticForms, epsilon_eve: float):
     Returns the scaled E_b, h, E_e and M and the scaled cap; M is scaled
     as it is, not derived again from the scaled h.
     """
-    s_b = float(hermitian_eig(forms.e_b).values[0]) or 1.0
-    s_m = float(hermitian_eig(forms.m).values[0]) or 1.0
-    s_e = float(hermitian_eig(forms.e_e).values[0]) or 1.0
+    s_b = float(forms.eig_b.values[0]) or 1.0
+    s_m = float(forms.eig_m.values[0]) or 1.0
+    s_e = float(forms.eig_e.values[0]) or 1.0
     return (forms.e_b / s_b, forms.h / np.sqrt(s_m), forms.e_e / s_e,
             forms.m / s_m, epsilon_eve / (s_e * s_m))
 
@@ -222,11 +216,12 @@ def update_psi(state: PddState, forms: QuadraticForms, epsilon_eve: float) -> Pd
     leakage cap is enforced here (on Psi); the solution is the capped
     projection computed in the joint eigenbasis.
     """
-    eig_e, eig_m = _leak_spectra(forms)
+    if forms.e_e is None:
+        raise ValueError("update_psi needs eavesdropper forms (e_e is None)")
     target = state.omega + state.rho * (
         forms.e_b.conj().T @ state.omega @ forms.m.conj().T + state.lam
     )
-    psi = _constrained_shrink(target, eig_e, eig_m, epsilon_eve)
+    psi = _constrained_shrink(target, forms.eig_e, forms.eig_m, epsilon_eve)
     return replace(state, psi=psi)
 
 

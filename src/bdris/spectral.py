@@ -37,7 +37,7 @@ from collections import deque
 
 import numpy as np
 
-from .kernels import HermEig, hermitian_eig, takagi
+from .kernels import hermitian_eig, takagi
 from .model import (
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
@@ -81,19 +81,15 @@ _AO_MAX_ITERS = 5000
 def von_neumann_bound(forms: QuadraticForms, target: str = "bob") -> float:
     """Upper bound sum_i d_E,i d_M,i on tr(Omega^H E Omega M) over unitaries.
 
-    Both spectra are sorted descending; by Von Neumann's trace inequality
-    no unitary response can exceed this value.
+    Both spectra are sorted descending (the forms' stored ones); by Von
+    Neumann's trace inequality no unitary response can exceed this value.
     """
-    e = forms.e_b if target == "bob" else None
-    if target == "eve":
-        if forms.e_e is None:
-            raise ValueError("eavesdropper forms are absent")
-        e = forms.e_e
-    elif target != "bob":
+    if target not in ("bob", "eve"):
         raise ValueError(f"target must be 'bob' or 'eve', got {target!r}")
-    d_e = hermitian_eig(e).values
-    d_m = hermitian_eig(forms.m).values
-    return float(d_e @ d_m)
+    eig = forms.eig_b if target == "bob" else forms.eig_e
+    if eig is None:
+        raise ValueError("eavesdropper forms are absent")
+    return float(eig.values @ forms.eig_m.values)
 
 
 def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
@@ -116,11 +112,9 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
     ``stop_reason`` is ``closed_form`` (uncapped or inactive cap),
     ``stationary`` (cap met by the dual search) or ``infeasible``.
     """
-    eig_e = hermitian_eig(forms.e_b)
-    eig_m = hermitian_eig(forms.m)
-    omega = eig_e.vectors @ eig_m.vectors.conj().T
+    omega = forms.eig_b.vectors @ forms.eig_m.vectors.conj().T
     objective = quad_objective(omega, forms.e_b, forms.m)
-    bound = float(eig_e.values @ eig_m.values)
+    bound = von_neumann_bound(forms)
     report = SolveReport(
         objective=objective,
         bound=bound,
@@ -146,16 +140,18 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
             "stop_reason": "closed_form",
         }
         return RisMatrix(omega, ARCH_NONRECIPROCAL), report
-    omega, report = _capped_nonreciprocal(forms, eig_e, eig_m, epsilon_eve)
+    omega, report = _capped_nonreciprocal(forms, epsilon_eve)
     return RisMatrix(omega, ARCH_NONRECIPROCAL), report
 
 
-def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
+def _capped_nonreciprocal(forms: QuadraticForms,
                           epsilon_eve: float) -> tuple[np.ndarray, SolveReport]:
-    """Dual search for a cap the uncapped optimum V_E V_M^H violates."""
+    """Dual search for a cap the uncapped optimum V_E V_M^H violates; the
+    forms hold the spectra, so it decomposes only E_b - mu E_e."""
     e_b, e_e, m = forms.e_b, forms.e_e, forms.m
+    eig_e, eig_m = forms.eig_e, forms.eig_m
     v_m_h = eig_m.vectors.conj().T
-    bound = float(eig_e.values @ eig_m.values)
+    bound = von_neumann_bound(forms)
     evaluations = 0
 
     def leak(omega: np.ndarray) -> float:
@@ -184,14 +180,13 @@ def _capped_nonreciprocal(forms: QuadraticForms, eig_e: HermEig, eig_m: HermEig,
             },
         )
 
-    eig_ee = hermitian_eig(e_e)
-    floor_omega = eig_ee.vectors[:, ::-1] @ v_m_h
-    if epsilon_eve < float(eig_ee.values[::-1] @ eig_m.values):
+    floor_omega = eig_e.vectors[:, ::-1] @ v_m_h
+    if epsilon_eve < float(eig_e.values[::-1] @ eig_m.values):
         return floor_omega, report(floor_omega, False)
 
     # Bracket: leak(omega_lo) > eps >= leak(omega_hi), mu_lo < mu_hi.
-    mu_lo, omega_lo = 0.0, eig_e.vectors @ v_m_h
-    mu_hi = float(eig_e.values[0]) / float(eig_ee.values[0]) or 1.0
+    mu_lo, omega_lo = 0.0, forms.eig_b.vectors @ v_m_h
+    mu_hi = float(forms.eig_b.values[0]) / float(eig_e.values[0]) or 1.0
     for _ in range(_MAX_DOUBLINGS):
         omega_hi, g_hi = maximizer(mu_hi)
         if leak(omega_hi) <= epsilon_eve:
@@ -406,13 +401,10 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     and ``stop_reason``.
     """
     e_b, m = forms.e_b, forms.m
-    eig_e = hermitian_eig(e_b)
-    eig_m = hermitian_eig(m)
-    aligned = eig_e.vectors @ eig_m.vectors.conj().T
+    aligned = forms.eig_b.vectors @ forms.eig_m.vectors.conj().T
     u = takagi(aligned + aligned.T).u
-    bound = float(eig_e.values @ eig_m.values)
-    s_b = float(eig_e.values[0]) or 1.0
-    s_m = float(eig_m.values[0]) or 1.0
+    s_b = float(forms.eig_b.values[0]) or 1.0
+    s_m = float(forms.eig_m.values[0]) or 1.0
 
     b, grad, iterations, trace, stop = _ascend(
         u, e_b / s_b, forms.h / np.sqrt(s_m), _AO_GRAD_TOL, _AO_MAX_ITERS)
@@ -421,7 +413,7 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     objective = quad_objective(omega, e_b, m)
     report = SolveReport(
         objective=objective,
-        bound=bound,
+        bound=von_neumann_bound(forms),
         iterations=iterations,
         cost_trace=[s_b * s_m * f for f in trace],
         constraint_values={"grad_norm": grad, "stop_reason": stop},

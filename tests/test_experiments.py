@@ -407,6 +407,29 @@ class TestPublicNames:
             assert missing == [], info.name
         assert exporting >= 6
 
+    def test_every_imported_name_is_used(self):
+        """Each module under ``src/bdris`` and ``tests`` uses every name it
+        imports; package ``__init__`` re-exports and ``from __future__``
+        are exempt."""
+        files = [path for folder in (REPO / "src" / "bdris", REPO / "tests")
+                 for path in sorted(folder.glob("*.py"))
+                 if path.name != "__init__.py"]
+        unused = []
+        for path in files:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [a.asname or a.name.partition(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                unused += [f"{path.relative_to(REPO)}:{node.lineno} {name}"
+                           for name in names if name not in used]
+        assert len(files) >= 15
+        assert unused == []
+
 
 class TestBenchmarkBindings:
     """The benchmark harness rebinds package functions by name; a renamed

@@ -9,20 +9,26 @@ Ground truths:
   model y = A theta + noise, A = H_rb Omega H_ar P,
 - the spectral identity tr(F^-1) = sum(1/eig(F)).
 """
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
 from conftest import batch_haar, batch_trace_objective
 
+import bdris
 from bdris.cli import main
+from bdris.diagonal import diag_forms, solve_diagonal_constrained, \
+    solve_diagonal_unconstrained
 from bdris.errors import (
     ContractViolationError,
     DimensionError,
     EstimationIllPosedError,
     NotPositiveDefiniteError,
 )
+from bdris.kernels import hermitian_eig
 from bdris.model import (
     ARCH_DIAGONAL,
     ARCH_NONRECIPROCAL,
@@ -38,7 +44,9 @@ from bdris.model import (
     quad_objective,
     simulate_mle_mse,
 )
+from bdris.pdd import solve_pdd
 from bdris.reporting import SolveReport
+from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao
 
 
 def rand_complex(rng, n, m=None):
@@ -134,6 +142,24 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: seed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["total_power", "noise_variance"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_config_rejects_non_finite_power_and_noise(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SystemConfig(k=1, r=2, n_b=1, **{key: value})
+
+    @pytest.mark.parametrize("flag", ["--power", "--noise"])
+    def test_cli_rejects_infinite_power_and_noise(self, tmp_path, capsys, flag):
+        # Infinite noise makes E = 0 and so the cap grid's scale 0;
+        # infinite power makes the amplitude matrix NaN.  Both are refused
+        # before any solve.
+        out = tmp_path / "o"
+        code = main(["--r", "6", "--k", "2", flag, "inf",
+                     "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_cli_rejects_negative_n_e(self, tmp_path):
         # The no-eve scenario alone needs no eavesdropper, so only the
         # config check stands between a typo and a sweep without one.
@@ -158,6 +184,31 @@ class TestValidation:
             ChannelSet(h_ar=rand_complex(rng, 4, 2),
                        h_rb=rand_complex(rng, 3, 4),
                        sigma_b=np.diag([1.0, -1.0, 1.0]), p=np.eye(2))
+
+    def test_covariance_must_be_finite_and_hermitian(self):
+        # [[2, 1], [0, 2]] has a positive definite Hermitian part, but a
+        # factor of its lower triangle gives E_b = diag(0.5, 0.5): neither
+        # Sigma^-1 (which has a -0.25 entry) nor the inverse of the
+        # Hermitian part.
+        rng = np.random.default_rng(0)
+
+        def channels(sigma_b):
+            return ChannelSet(h_ar=rand_complex(rng, 4, 2), h_rb=np.eye(2, 4),
+                              sigma_b=sigma_b, p=np.eye(2))
+
+        for bad in (np.array([[2.0, 1.0], [0.0, 2.0]]),
+                    np.array([[2.0, 1j], [1j, 2.0]]),
+                    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                    np.array([[np.inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(ContractViolationError, match="sigma_b"):
+                channels(bad)
+        # A deviation within HERMITIAN_INPUT_TOL (relative) is accepted,
+        # and the stored factor is that of the Hermitian part.
+        sigma = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j + 1e-12, 3.0]])
+        ch = channels(sigma)
+        herm = 0.5 * (sigma + sigma.conj().T)
+        np.testing.assert_allclose(ch.low_b @ ch.low_b.conj().T, herm, rtol=1e-14)
+        np.testing.assert_array_equal(ch.low_b, np.linalg.cholesky(herm))
 
     def test_ris_matrix_classes(self):
         rng = np.random.default_rng(2)
@@ -251,6 +302,54 @@ class TestForms:
         np.testing.assert_array_equal(forms.m, 0.5 * (hh + hh.conj().T))
         with pytest.raises(TypeError):
             QuadraticForms(e_b=forms.e_b, h=forms.h, m=forms.m)
+
+    def test_instance_matrices_are_factored_once(self, monkeypatch):
+        """The forms keep the spectra of E_b, M and E_e and the channel set
+        the Cholesky factors of Sigma_b and Sigma_e; once both exist, no
+        solver, information matrix or Monte-Carlo run factors them again."""
+        ch = generate_channels(SystemConfig(k=2, r=6, n_b=4, n_e=4, seed=3))
+        forms = build_forms(ch)
+        fixed = (forms.e_b, forms.m, forms.e_e)
+        for eig, a in zip((forms.eig_b, forms.eig_m, forms.eig_e), fixed):
+            want = hermitian_eig(a)
+            np.testing.assert_array_equal(eig.values, want.values)
+            np.testing.assert_array_equal(eig.vectors, want.vectors)
+        assert QuadraticForms(e_b=forms.e_b, h=forms.h).eig_e is None
+        noise = (ch.sigma_b, ch.sigma_e)
+        for low, sigma in zip((ch.low_b, ch.low_e), noise):
+            np.testing.assert_array_equal(low, np.linalg.cholesky(sigma))
+        dforms = diag_forms(forms)
+
+        def refuse(real, held, what):
+            def wrapped(a, *args, **kwargs):
+                if any(np.shape(a) == x.shape and np.array_equal(a, x) for x in held):
+                    raise AssertionError(f"{what} factored again")
+                return real(a, *args, **kwargs)
+            return wrapped
+
+        eig = refuse(hermitian_eig, fixed, "form")
+        for info in pkgutil.iter_modules(bdris.__path__):
+            module = importlib.import_module(f"bdris.{info.name}")
+            if getattr(module, "hermitian_eig", None) is hermitian_eig:
+                monkeypatch.setattr(module, "hermitian_eig", eig)
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            refuse(np.linalg.cholesky, noise, "covariance"))
+
+        uncapped = (solve_nonreciprocal(forms), solve_reciprocal_ao(forms),
+                    solve_diagonal_unconstrained(dforms))
+        capped = []
+        for (ris, rep), solve in zip(uncapped, (
+                lambda eps, warm: solve_nonreciprocal(forms, eps),
+                lambda eps, warm: solve_pdd(forms, eps, warm=warm),
+                lambda eps, warm: solve_diagonal_constrained(dforms, eps, warm=warm))):
+            eve = quad_objective(ris.matrix, forms.e_e, forms.m)
+            ris_c, rep_c = solve(0.5 * eve, (ris, rep))
+            assert rep_c.constraint_values["constraint_active"]
+            capped.append(ris_c)
+        for ris in capped:
+            assert np.isfinite(crb_trace(fim_matrix(ch, ris)))
+            fim_matrix(ch, ris, "eve")
+        assert simulate_mle_mse(ch, capped[0], trials=100) > 0.0
 
     def test_bad_shape_raises_at_construction(self):
         rng = np.random.default_rng(15)

@@ -14,7 +14,6 @@ from conftest import batch_haar, batch_trace_objective, capped_cases
 
 from bdris.experiments import default_epsilon_grid
 from bdris.model import (
-    ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
     QuadraticForms,
     SystemConfig,
