@@ -33,14 +33,14 @@ same values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
-from .reporting import SolveReport
+from .reporting import SolveReport, capped_report, checked_cap, uncapped_pair
 
 __all__ = [
     "DiagForms",
@@ -398,44 +398,31 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     residual falls to _RESIDUAL_TOL; each final iterate is rescaled onto the
     cap if a residual violation remains, and the first restart with the
     highest objective wins.  The box projection and that downward rescale
-    keep |omega_i| <= 1 throughout.  The report's ``iterations`` sums the
-    gradient steps of all restarts, and ``budget_hits`` counts the rounds,
-    over all restarts, that used all _MAX_ITERS steps; ``outer_rounds`` and
-    ``multiplier`` (the cap's multiplier in the caller's units) are the
-    winning restart's, 0 on an inactive cap.  ``stop_reason`` is ``budget``
-    when the winning restart's last round used all its steps or its rounds
-    ran out before the residual fell, else ``stationary`` (an inactive cap
-    passes on the warm solve's).  The certified ``bound`` is
+    keep |omega_i| <= 1 throughout.  In the report, a
+    :func:`~bdris.reporting.capped_report` (with ``cap_residual``),
+    ``iterations`` sums the gradient steps of all restarts, and
+    ``budget_hits`` counts the rounds, over all restarts, that used all
+    _MAX_ITERS steps; ``outer_rounds`` and ``multiplier`` (the cap's
+    multiplier in the caller's units) are the winning restart's, 0 on an
+    inactive cap.  ``stop_reason`` is ``budget`` when the winning restart's
+    last round used all its steps or its rounds ran out before the residual
+    fell, else ``stationary`` (an inactive cap passes on the uncapped
+    solve's).  The certified ``bound`` is
     min(r lam_max(c_b), eps lam_gen), with lam_gen the largest
     omega^H c_b omega / omega^H c_e omega (see ``DiagForms.lam_gen``).
     """
-    if dforms.c_e is None:
-        raise ValueError("constrained solve needs c_e")
-    if not epsilon_eve > 0:
-        raise ValueError("epsilon_eve must be positive")
-    if warm is not None:
-        ris0, rep0 = warm
-        if ris0.architecture != ARCH_DIAGONAL:
-            raise ValueError(f"warm start architecture {ris0.architecture!r} "
-                             f"does not match {ARCH_DIAGONAL!r}")
-    else:
-        ris0, rep0 = solve_diagonal_unconstrained(dforms)
+    epsilon_eve = checked_cap(dforms.c_e, epsilon_eve)
+    ris0, rep0 = uncapped_pair(warm, ARCH_DIAGONAL,
+                               lambda: solve_diagonal_unconstrained(dforms))
     omega0 = np.diag(ris0.matrix).copy()
     eve0 = _quad(dforms.c_e, omega0)
     bound = min(dforms.lam_b * dforms.r, epsilon_eve * dforms.lam_gen)
     if eve0 <= epsilon_eve:
-        # A new report: the one passed as `warm` belongs to the caller.
-        return ris0, replace(
-            rep0, bound=bound, iterations=0, cost_trace=[rep0.objective],
-            constraint_values={
-                "epsilon_eve": float(epsilon_eve),
-                "eve_value": eve0,
-                "constraint_active": False,
-                "budget_hits": 0,
-                "outer_rounds": 0,
-                "multiplier": 0.0,
-                "stop_reason": _stop_reason(rep0.converged),
-            })
+        return ris0, capped_report(
+            rep0.objective, bound, 0, [rep0.objective], epsilon_eve=epsilon_eve,
+            eve_value=eve0, active=False,
+            stop_reason=rep0.constraint_values["stop_reason"], budget_hits=0,
+            outer_rounds=0, multiplier=0.0)
 
     # Unit-scale the forms so the step/penalty constants are magnitude-free.
     s_b, s_e = dforms.lam_b or 1.0, dforms.lam_e or 1.0
@@ -446,18 +433,8 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     w = _into_cap(ce, eps, w)
     best = int(np.argmax(_quads(w, _apply(cb, w))))
     omega = w[best]
-    report = SolveReport(
-        objective=_quad(dforms.c_b, omega),
-        bound=bound,
-        iterations=steps,
-        constraint_values={
-            "epsilon_eve": float(epsilon_eve),
-            "eve_value": _quad(dforms.c_e, omega),
-            "constraint_active": True,
-            "budget_hits": budget_hits,
-            "outer_rounds": int(rounds[best]),
-            "multiplier": float(lam[best]) * s_b / s_e,
-            "stop_reason": _stop_reason(not unfinished[best]),
-        },
-    )
-    return RisMatrix(np.diag(omega), ARCH_DIAGONAL), report
+    return RisMatrix(np.diag(omega), ARCH_DIAGONAL), capped_report(
+        _quad(dforms.c_b, omega), bound, steps, [], epsilon_eve=epsilon_eve,
+        eve_value=_quad(dforms.c_e, omega), active=True,
+        stop_reason=_stop_reason(not unfinished[best]), budget_hits=budget_hits,
+        outer_rounds=int(rounds[best]), multiplier=float(lam[best]) * s_b / s_e)

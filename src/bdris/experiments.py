@@ -4,7 +4,7 @@ A run optimizes every requested architecture with and without the
 eavesdropper cap over a grid of cap values, then writes
 
     <out>/results.csv      one row per (scenario, architecture, cap) cell
-    <out>/reports/*.json   full solver reports (traces, timings)
+    <out>/reports/*.json   solver reports as returned, plus cell and timing
     <out>/plots/*.dat,.gp  gnuplot-ready curves (objective and CRB vs cap)
 
 CSV content is a pure function of the experiment description: timings are
@@ -133,16 +133,11 @@ def _solve_no_eve(arch: str, forms, dforms):
 
 
 def _solve_eve(arch: str, forms, dforms, eps: float, warm):
-    """Capped solve; the report gains ``cap_residual`` = leakage / cap - 1."""
     if arch == ARCH_NONRECIPROCAL:
-        ris, rep = solve_nonreciprocal(forms, eps)
-    elif arch == ARCH_RECIPROCAL:
-        ris, rep = solve_pdd(forms, eps, warm=warm)
-    else:
-        ris, rep = solve_diagonal_constrained(dforms, eps, warm=warm)
-    cv = rep.constraint_values
-    cv["cap_residual"] = cv["eve_value"] / eps - 1.0
-    return ris, rep
+        return solve_nonreciprocal(forms, eps)
+    if arch == ARCH_RECIPROCAL:
+        return solve_pdd(forms, eps, warm=warm)
+    return solve_diagonal_constrained(dforms, eps, warm=warm)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:

@@ -132,8 +132,6 @@ class ChannelSet:
         self.p = np.asarray(self.p, dtype=float)
         if self.p.shape != (self.k, self.k):
             raise DimensionError(f"p must have shape {(self.k, self.k)}")
-        if np.any(self.p != np.diag(np.diag(self.p))) or np.any(np.diag(self.p) < 0):
-            raise ContractViolationError("p must be diagonal with non-negative entries")
         if (self.h_re is None) != (self.sigma_e is None):
             raise ContractViolationError("h_re and sigma_e must be provided together")
         if self.h_re is not None:
@@ -141,6 +139,12 @@ class ChannelSet:
             if self.h_re.ndim != 2 or self.h_re.shape[1] != r:
                 raise DimensionError("h_re must have r columns")
             self.sigma_e, self.low_e = _check_covariance(self.sigma_e, self.h_re, "sigma_e")
+        for name in ("h_ar", "h_rb", "h_re", "p"):
+            a = getattr(self, name)
+            if a is not None and not np.isfinite(a).all():
+                raise ContractViolationError(f"{name} must be finite")
+        if np.any(self.p != np.diag(np.diag(self.p))) or np.any(np.diag(self.p) < 0):
+            raise ContractViolationError("p must be diagonal with non-negative entries")
 
     @property
     def r(self) -> int:
@@ -156,7 +160,8 @@ class QuadraticForms:
     """Quadratic forms entering the trace objective tr(Omega^H E Omega M).
 
     M = h h^H is derived from the source matrix h, so the two always agree,
-    and the spectra of E_b, M and E_e are taken once, here.
+    and the spectra of E_b, M and E_e are taken once, here; an indefinite
+    E_b or E_e is refused.
     """
 
     e_b: np.ndarray                  # (r, r) Hermitian PSD
@@ -180,6 +185,10 @@ class QuadraticForms:
         self.eig_b = hermitian_eig(self.e_b)
         self.eig_m = hermitian_eig(self.m)
         self.eig_e = None if self.e_e is None else hermitian_eig(self.e_e)
+        for name, eig in (("e_b", self.eig_b), ("e_e", self.eig_e)):
+            if eig is not None and np.min(eig.values, initial=0.0) < (
+                    -tol.HERMITIAN_INPUT_TOL * max(1.0, np.max(eig.values, initial=0.0))):
+                raise ContractViolationError(f"{name} must be positive semidefinite")
 
     @property
     def r(self) -> int:
@@ -321,13 +330,11 @@ def fim_matrix(ch: ChannelSet, ris: RisMatrix, target: str = "bob") -> np.ndarra
 
 
 def crb_trace(fim: np.ndarray) -> float:
-    """Trace of the inverse Fisher information matrix.
+    """Trace of the inverse Fisher information matrix, sum 1/lam_i over its
+    eigenvalues.
 
-    With F = L L^H the Cholesky factorization, the singular values s_i of L
-    are the square roots of the eigenvalues of F, so tr F^-1 = sum 1/s_i^2;
-    the same singular values give the condition number.  Returns +inf
-    (with a warning) when the matrix is numerically singular: Cholesky
-    failure or condition number beyond COND_LIMIT.
+    Returns +inf (with a warning) when the matrix is numerically singular:
+    lam_min <= 0 or condition number lam_max / lam_min beyond COND_LIMIT.
     """
     fim = np.asarray(fim)
     if fim.ndim != 2 or fim.shape[0] != fim.shape[1]:
@@ -335,18 +342,12 @@ def crb_trace(fim: np.ndarray) -> float:
     scale = float(np.max(np.abs(fim))) or 1.0
     if np.max(np.abs(fim - fim.conj().T)) > tol.HERMITIAN_INPUT_TOL * scale:
         raise ContractViolationError("fim must be Hermitian")
-    try:
-        low = np.linalg.cholesky(0.5 * (fim + fim.conj().T))
-    except np.linalg.LinAlgError:
-        warnings.warn("singular information matrix; CRB reported as inf",
-                      RuntimeWarning, stacklevel=2)
-        return float("inf")
-    s = np.linalg.svd(low, compute_uv=False)
-    if (s[0] / s[-1]) ** 2 > tol.COND_LIMIT:
-        warnings.warn("information matrix condition number exceeds limit; "
+    lam = np.linalg.eigvalsh(0.5 * (fim + fim.conj().T))
+    if not (lam[0] > 0.0 and lam[-1] <= tol.COND_LIMIT * lam[0]):
+        warnings.warn("singular or ill-conditioned information matrix; "
                       "CRB reported as inf", RuntimeWarning, stacklevel=2)
         return float("inf")
-    return float(np.sum(1.0 / (s * s)))
+    return float(np.sum(1.0 / lam))
 
 
 def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,

@@ -35,7 +35,7 @@ from . import tolerances as tol
 from .errors import ContractViolationError
 from .kernels import HermEig, nearest_symmetric_unitary, takagi
 from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
-from .reporting import SolveReport
+from .reporting import SolveReport, capped_report, checked_cap, uncapped_pair
 from .spectral import _ascend, solve_nonreciprocal, solve_reciprocal_ao, \
     von_neumann_bound
 
@@ -243,31 +243,21 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
     most _RESIDUAL_TOL eps after a round at the final tolerance; it ends
     ``budget`` after _MAX_ROUNDS rounds, and ``infeasible`` when growing
     rho no longer lowers the residual.
-    The report carries the non-reciprocal ``dual_bound`` (it bounds every
-    symmetric response too), ``outer_rounds``, ``grad_norm`` and
-    ``stop_reason``; ``iterations`` counts ascent steps.
+    The report, a :func:`~bdris.reporting.capped_report` (with
+    ``cap_residual``), adds the non-reciprocal ``dual_bound`` (it bounds
+    every symmetric response too), ``outer_rounds`` and ``grad_norm``;
+    ``iterations`` counts ascent steps.
     """
-    if forms.e_e is None:
-        raise ValueError("solve_pdd needs eavesdropper forms (e_e is None)")
-    if not epsilon_eve > 0:
-        raise ValueError("epsilon_eve must be positive")
-    epsilon_eve = float(epsilon_eve)
-    if warm is not None:
-        ris0, rep0 = warm
-        if ris0.architecture != ARCH_RECIPROCAL:
-            raise ValueError(f"warm start architecture {ris0.architecture!r} "
-                             f"does not match {ARCH_RECIPROCAL!r}")
-    else:
-        ris0, rep0 = solve_reciprocal_ao(forms)
+    epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
+    ris0, rep0 = uncapped_pair(warm, ARCH_RECIPROCAL,
+                               lambda: solve_reciprocal_ao(forms))
     bound = von_neumann_bound(forms, "bob")
     eve0 = quad_objective(ris0.matrix, forms.e_e, forms.m)
-    cv = {"epsilon_eve": epsilon_eve, "constraint_active": eve0 > epsilon_eve,
-          "outer_rounds": 0}
     if eve0 <= epsilon_eve:
-        cv.update(eve_value=eve0, stop_reason=rep0.constraint_values.get(
-            "stop_reason", "stationary"))
-        return ris0, SolveReport(objective=rep0.objective, bound=bound, iterations=0,
-                                 cost_trace=[rep0.objective], constraint_values=cv)
+        return ris0, capped_report(
+            rep0.objective, bound, 0, [rep0.objective], epsilon_eve=epsilon_eve,
+            eve_value=eve0, active=False,
+            stop_reason=rep0.constraint_values["stop_reason"], outer_rounds=0)
 
     ris_n, rep_n = solve_nonreciprocal(forms, epsilon_eve)
     # U U^T is the nearest symmetric unitary to X: one factorization gives
@@ -275,8 +265,9 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
     u = takagi(ris_n.matrix + ris_n.matrix.T).u
     omega = u @ u.T
     iterations, cost_trace, stop = 0, [], "infeasible"
+    extra = {"outer_rounds": 0}
     if rep_n.converged:
-        cv["dual_bound"] = rep_n.constraint_values["dual_bound"]
+        extra["dual_bound"] = rep_n.constraint_values["dual_bound"]
         e_b_hat, h_hat, e_e_hat, m_hat, eps_hat = _normalized_problem(forms, epsilon_eve)
         rho, lam, inner_tol = _RHO0, 0.0, _INNER_TOL0
         residual, stuck, grown, stop = np.inf, 0, False, "budget"
@@ -288,7 +279,7 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
             omega = u @ u.T
             leak = quad_objective(omega, e_e_hat, m_hat)
             cost_trace.append(quad_objective(omega, forms.e_b, forms.m))
-            cv.update(outer_rounds=rounds, grad_norm=grad)
+            extra.update(outer_rounds=rounds, grad_norm=grad)
             last, residual = residual, abs(max(leak - eps_hat, -lam / rho)) / eps_hat
             lam = max(0.0, lam + rho * (leak - eps_hat))
             if (residual <= _RESIDUAL_TOL and inner_tol <= _INNER_TOL_MIN
@@ -311,7 +302,7 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
 
     omega = 0.5 * (omega + omega.T)
     objective = quad_objective(omega, forms.e_b, forms.m)
-    cv.update(eve_value=quad_objective(omega, forms.e_e, forms.m), stop_reason=stop)
-    return RisMatrix(omega, ARCH_RECIPROCAL), SolveReport(
-        objective=objective, bound=bound, iterations=iterations,
-        cost_trace=cost_trace or [objective], constraint_values=cv)
+    return RisMatrix(omega, ARCH_RECIPROCAL), capped_report(
+        objective, bound, iterations, cost_trace or [objective],
+        epsilon_eve=epsilon_eve, eve_value=quad_objective(omega, forms.e_e, forms.m),
+        active=True, stop_reason=stop, **extra)

@@ -1,4 +1,7 @@
-"""Solver diagnostics shared by every optimizer in the package."""
+"""Solver diagnostics shared by every optimizer in the package, and the
+contract of every leakage-capped solve: refuse a bad cap, start from the
+uncapped answer, return it when it meets the cap, report cap and leakage.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +21,9 @@ class SolveReport:
     accepted objective values in order (per round, for round-based
     solvers) and ``constraint_values`` named diagnostics: leakage, cap,
     bounds, step counts and, on every solver's report, ``stop_reason``.
-    ``converged`` is derived from the stop reason.
+    A capped solver's report also carries ``epsilon_eve``, ``eve_value``,
+    ``cap_residual`` = eve_value / epsilon_eve - 1 and
+    ``constraint_active``.  ``converged`` is derived from the stop reason.
     """
 
     objective: float
@@ -44,3 +49,43 @@ class SolveReport:
             "converged": self.converged,
             "constraint_values": dict(self.constraint_values),
         }
+
+
+def checked_cap(leak_form, epsilon_eve) -> float:
+    """The cap as a float, after refusing a solve that cannot honour it.
+
+    Raises ``ValueError`` when the leakage form (``e_e`` or ``c_e``) is
+    None or the cap is not > 0 (NaN fails that comparison too).
+    """
+    if leak_form is None:
+        raise ValueError("a leakage cap needs eavesdropper forms (e_e / c_e is None)")
+    if not epsilon_eve > 0:
+        raise ValueError("epsilon_eve must be positive")
+    return float(epsilon_eve)
+
+
+def uncapped_pair(warm, architecture: str, solve):
+    """The uncapped (RisMatrix, SolveReport) a capped solve starts from:
+    ``warm`` once its architecture is checked, or ``solve()`` when it is
+    None."""
+    if warm is None:
+        return solve()
+    if warm[0].architecture != architecture:
+        raise ValueError(f"warm start architecture {warm[0].architecture!r} "
+                         f"does not match {architecture!r}")
+    return warm
+
+
+def capped_report(objective: float, bound: float, iterations: int,
+                  cost_trace: list, *, epsilon_eve: float, eve_value: float,
+                  active: bool, stop_reason: str, **extra) -> SolveReport:
+    """A capped solver's report; ``extra`` holds the solver's own keys.
+
+    ``cap_residual`` = eve_value / epsilon_eve - 1 is the relative leakage
+    margin: at most 0 when the cap holds.  An inactive cap (``active``
+    False) passes on the uncapped report's ``stop_reason``.
+    """
+    cv = {"epsilon_eve": epsilon_eve, "eve_value": eve_value,
+          "cap_residual": eve_value / epsilon_eve - 1.0,
+          "constraint_active": active, "stop_reason": stop_reason, **extra}
+    return SolveReport(objective, bound, iterations, cost_trace, cv)

@@ -45,7 +45,7 @@ from .model import (
     RisMatrix,
     quad_objective,
 )
-from .reporting import SolveReport
+from .reporting import SolveReport, capped_report, checked_cap
 
 __all__ = [
     "solve_nonreciprocal",
@@ -103,11 +103,11 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
 
     Otherwise the cap is met exactly by the dual search described in the
     module docstring, and the report's ``constraint_values`` carry
-    ``epsilon_eve``, ``eve_value``, ``constraint_active``, the multiplier
-    and ``dual_bound`` = g(mu), an upper bound on every feasible
-    objective.  A cap below the leakage floor sum_i d_E,i(ascending)
-    d_M,i(descending) cannot be met: the floor response V_E(ascending)
-    V_M^H is returned, not converged (and no dual bound).
+    ``epsilon_eve``, ``eve_value``, ``cap_residual``, ``constraint_active``,
+    the multiplier and ``dual_bound`` = g(mu), an upper bound on every
+    feasible objective.  A cap below the leakage floor sum_i
+    d_E,i(ascending) d_M,i(descending) cannot be met: the floor response
+    V_E(ascending) V_M^H is returned, not converged (and no dual bound).
     ``bound`` stays the uncapped Von Neumann bound.  The report's
     ``stop_reason`` is ``closed_form`` (uncapped or inactive cap),
     ``stationary`` (cap met by the dual search) or ``infeasible``.
@@ -115,32 +115,19 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
     omega = forms.eig_b.vectors @ forms.eig_m.vectors.conj().T
     objective = quad_objective(omega, forms.e_b, forms.m)
     bound = von_neumann_bound(forms)
-    report = SolveReport(
-        objective=objective,
-        bound=bound,
-        iterations=0,
-        cost_trace=[objective],
-        constraint_values={"stop_reason": "closed_form"},
-    )
     if epsilon_eve is None:
-        return RisMatrix(omega, ARCH_NONRECIPROCAL), report
-    if forms.e_e is None:
-        raise ValueError("a leakage cap needs eavesdropper forms (e_e is None)")
-    if not epsilon_eve > 0:
-        raise ValueError("epsilon_eve must be positive")
-    epsilon_eve = float(epsilon_eve)
+        return RisMatrix(omega, ARCH_NONRECIPROCAL), SolveReport(
+            objective=objective, bound=bound, iterations=0, cost_trace=[objective],
+            constraint_values={"stop_reason": "closed_form"})
+    epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
     eve = quad_objective(omega, forms.e_e, forms.m)
     if eve <= epsilon_eve:
-        report.constraint_values = {
-            "epsilon_eve": epsilon_eve,
-            "eve_value": eve,
-            "constraint_active": False,
-            "multiplier": 0.0,
-            "dual_bound": bound,
-            "stop_reason": "closed_form",
-        }
-        return RisMatrix(omega, ARCH_NONRECIPROCAL), report
-    omega, report = _capped_nonreciprocal(forms, epsilon_eve)
+        report = capped_report(objective, bound, 0, [objective],
+                               epsilon_eve=epsilon_eve, eve_value=eve, active=False,
+                               stop_reason="closed_form", multiplier=0.0,
+                               dual_bound=bound)
+    else:
+        omega, report = _capped_nonreciprocal(forms, epsilon_eve)
     return RisMatrix(omega, ARCH_NONRECIPROCAL), report
 
 
@@ -166,19 +153,11 @@ def _capped_nonreciprocal(forms: QuadraticForms,
 
     def report(omega: np.ndarray, converged: bool, **extra) -> SolveReport:
         objective = quad_objective(omega, e_b, m)
-        return SolveReport(
-            objective=objective,
-            bound=bound,
-            iterations=evaluations,
-            cost_trace=[objective],
-            constraint_values={
-                "epsilon_eve": epsilon_eve,
-                "eve_value": quad_objective(omega, e_e, m),
-                "constraint_active": True,
-                "stop_reason": "stationary" if converged else "infeasible",
-                **extra,
-            },
-        )
+        return capped_report(objective, bound, evaluations, [objective],
+                             epsilon_eve=epsilon_eve,
+                             eve_value=quad_objective(omega, e_e, m), active=True,
+                             stop_reason="stationary" if converged else "infeasible",
+                             **extra)
 
     floor_omega = eig_e.vectors[:, ::-1] @ v_m_h
     if epsilon_eve < float(eig_e.values[::-1] @ eig_m.values):

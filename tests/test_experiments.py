@@ -67,6 +67,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(cfg=SystemConfig(**TINY), architectures=())
 
+    @pytest.mark.parametrize("kw", [{"scenarios": ()},
+                                    {"epsilon_grid": np.array([])},
+                                    {"epsilon_grid": np.ones((1, 1))}])
+    def test_rejects_empty_scenarios_and_grid(self, kw):
+        with pytest.raises(ValueError):
+            ExperimentSpec(cfg=SystemConfig(**TINY), **kw)
+
     def test_rejects_unknown_scenario(self):
         with pytest.raises(ValueError):
             ExperimentSpec(cfg=SystemConfig(**TINY), scenarios=("maybe-eve",))
@@ -216,6 +223,16 @@ class TestRunExperiment:
             assert cv["cap_residual"] == cv["eve_value"] / cv["epsilon_eve"] - 1.0
             assert cv["epsilon_eve"] == payload["cell"]["epsilon"]
         assert capped == 3 * len(spec.epsilon_grid)
+
+    @pytest.mark.parametrize("archs", [(ARCH_NONRECIPROCAL,), (ARCH_DIAGONAL,)])
+    def test_default_cap_grid(self, tmp_path, archs):
+        """Without a grid the capped cells run on default_epsilon_grid of
+        the non-reciprocal optimum, whether or not that class is swept."""
+        spec = ExperimentSpec(cfg=SystemConfig(**TINY), architectures=archs,
+                              scenarios=(SCENARIO_EVE,), output_path=tmp_path)
+        rows = run_experiment(spec)
+        _, rep = solve_nonreciprocal(build_forms(generate_channels(spec.cfg)))
+        assert [r["epsilon"] for r in rows] == list(default_epsilon_grid(rep.objective))
 
     def test_plot_files(self, result):
         spec, _ = result

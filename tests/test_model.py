@@ -33,6 +33,7 @@ from bdris.model import (
     ARCH_DIAGONAL,
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
+    ARCHITECTURES,
     ChannelSet,
     QuadraticForms,
     RisMatrix,
@@ -46,6 +47,7 @@ from bdris.model import (
 )
 from bdris.pdd import solve_pdd
 from bdris.reporting import SolveReport
+from bdris.tolerances import COND_LIMIT
 from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao
 
 
@@ -178,6 +180,30 @@ class TestValidation:
                        h_rb=rand_complex(rng, 3, 5),   # r mismatch
                        sigma_b=np.eye(3), p=np.eye(2))
 
+    @pytest.mark.parametrize("name, value, error", [
+        ("h_ar", np.array([[np.nan, 1.0], [1.0, 1.0], [1.0, 1.0]]), ContractViolationError),
+        ("h_rb", np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]]), ContractViolationError),
+        ("h_re", np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]]), ContractViolationError),
+        ("p", np.diag([1.0, np.inf]), ContractViolationError),
+        ("p", np.eye(3), DimensionError),
+        ("p", np.array([[1.0, 0.5], [0.0, 1.0]]), ContractViolationError),
+        ("p", np.diag([1.0, -1.0]), ContractViolationError),
+        ("sigma_e", None, ContractViolationError),
+        ("h_re", np.eye(2, 4), DimensionError),
+        ("h_ar", np.ones(3), DimensionError),
+        ("sigma_b", np.eye(3), DimensionError),
+    ])
+    def test_channelset_refuses_bad_arrays(self, name, value, error):
+        """Non-finite channels or amplitudes, a misshapen or non-diagonal p,
+        an eavesdropper channel without its covariance (or of the wrong
+        width) and misshapen channels or covariances are refused at
+        construction, naming the array."""
+        good = dict(h_ar=np.ones((3, 2)), h_rb=np.eye(2, 3), sigma_b=np.eye(2),
+                    p=np.eye(2), h_re=np.eye(2, 3), sigma_e=np.eye(2))
+        ChannelSet(**good)
+        with pytest.raises(error, match=rf"\b{name}\b"):
+            ChannelSet(**{**good, name: value})
+
     def test_covariance_must_be_pd(self):
         rng = np.random.default_rng(0)
         with pytest.raises(NotPositiveDefiniteError):
@@ -230,6 +256,10 @@ class TestValidation:
             RisMatrix(np.diag([1.5, 1.0, 1.0, 1.0]).astype(complex), ARCH_DIAGONAL)
         # magnitudes below one are allowed for the relaxed diagonal outputs
         RisMatrix(np.diag([0.5 * p for p in phases]), ARCH_DIAGONAL)
+        with pytest.raises(ValueError, match="architecture"):
+            RisMatrix(u, "active")
+        with pytest.raises(DimensionError):
+            RisMatrix(u[:, :3], ARCH_NONRECIPROCAL)
 
 
 # ---------------------------------------------------------------- forms / trace
@@ -363,6 +393,30 @@ class TestForms:
                 QuadraticForms(e_b=e_b, h=h_bad, e_e=e_e)
 
 
+    @pytest.mark.parametrize("name", ["e_b", "e_e"])
+    def test_indefinite_forms_refused(self, name):
+        """An E_b or E_e with an eigenvalue below
+        -HERMITIAN_INPUT_TOL max(1, lam_max) is refused; rounding-level
+        negative eigenvalues of a PSD form are not."""
+        forms = dict(e_b=np.eye(3), h=np.eye(3, 2), e_e=np.eye(3))
+        with pytest.raises(ContractViolationError, match=name):
+            QuadraticForms(**{**forms, name: -np.eye(3)})
+        with pytest.raises(ContractViolationError, match=name):
+            QuadraticForms(**{**forms, name: np.diag([1e3, 1.0, -1e-4])})
+        QuadraticForms(**{**forms, name: np.diag([1e3, 1.0, -1e-6])})
+
+    def test_fim_matrix_refuses_bad_calls(self):
+        rng = np.random.default_rng(17)
+        ch = make_channels(rng)
+        ris = RisMatrix(haar_unitary(rng, 5), ARCH_NONRECIPROCAL)
+        with pytest.raises(ValueError, match="eavesdropper"):
+            fim_matrix(ch, ris, "eve")
+        with pytest.raises(ValueError, match="target"):
+            fim_matrix(ch, ris, "carol")
+        with pytest.raises(DimensionError):
+            fim_matrix(ch, RisMatrix(haar_unitary(rng, 4), ARCH_NONRECIPROCAL))
+
+
 class TestSolveReport:
     @pytest.mark.parametrize("reason, converged", [
         ("closed_form", True), ("stationary", True), ("budget", False),
@@ -375,6 +429,40 @@ class TestSolveReport:
         assert rep.to_dict()["converged"] is converged
         with pytest.raises(AttributeError):
             rep.converged = not converged
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("scale, active", [(0.5, True), (2.0, False)])
+    def test_capped_solvers_report_cap_residual(self, arch, scale, active):
+        """A capped solver called directly, not through the sweep, reports
+        the cap, the leakage and cap_residual = eve_value / epsilon_eve - 1;
+        an inactive cap returns the uncapped response with its stop reason."""
+        ch = generate_channels(SystemConfig(k=2, r=6, n_b=4, n_e=4, seed=3))
+        forms = build_forms(ch)
+        dforms = diag_forms(forms)
+        uncapped, capped = {
+            ARCH_NONRECIPROCAL: (lambda: solve_nonreciprocal(forms),
+                                 lambda eps: solve_nonreciprocal(forms, eps)),
+            ARCH_RECIPROCAL: (lambda: solve_reciprocal_ao(forms),
+                              lambda eps: solve_pdd(forms, eps)),
+            ARCH_DIAGONAL: (lambda: solve_diagonal_unconstrained(dforms),
+                            lambda eps: solve_diagonal_constrained(dforms, eps)),
+        }[arch]
+        ris0, rep0 = uncapped()
+        eps = scale * quad_objective(ris0.matrix, forms.e_e, forms.m)
+        ris, rep = capped(eps)
+        cv = rep.constraint_values
+        assert type(cv["epsilon_eve"]) is float and cv["epsilon_eve"] == eps
+        assert cv["cap_residual"] == cv["eve_value"] / cv["epsilon_eve"] - 1.0
+        assert cv["eve_value"] == pytest.approx(
+            quad_objective(ris.matrix, forms.e_e, forms.m), rel=1e-12)
+        assert cv["constraint_active"] is active
+        assert rep.converged
+        if active:
+            assert abs(cv["cap_residual"]) <= 1e-6
+        else:
+            assert cv["cap_residual"] == pytest.approx(1.0 / scale - 1.0)
+            assert cv["stop_reason"] == rep0.constraint_values["stop_reason"]
+            np.testing.assert_array_equal(ris.matrix, ris0.matrix)
 
 
 # ------------------------------------------------------------------- crb / mle
@@ -390,6 +478,23 @@ class TestCrbAndMle:
     def test_singular_fim_is_inf(self):
         with pytest.warns(RuntimeWarning):
             assert crb_trace(np.zeros((2, 2))) == np.inf
+
+    def test_ill_conditioned_fim_is_inf(self):
+        """Beyond COND_LIMIT the CRB is reported as inf; just inside it,
+        tr F^-1 is still the sum of inverse eigenvalues."""
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            assert crb_trace(np.diag([1.0, 0.5 / COND_LIMIT])) == np.inf
+        assert crb_trace(np.diag([1.0, 2.0 / COND_LIMIT])) == pytest.approx(
+            1.0 + 0.5 * COND_LIMIT, rel=1e-12)
+
+    @pytest.mark.parametrize("fim, error", [
+        (np.eye(2, 3), DimensionError),
+        (np.ones(3), DimensionError),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), ContractViolationError),
+    ])
+    def test_crb_refuses_malformed_input(self, fim, error):
+        with pytest.raises(error):
+            crb_trace(fim)
 
     def test_scalar_closed_form(self):
         # k=1: CRB = sigma^2-weighted 1/||a||^2; MC-MSE of the exact MLE

@@ -323,6 +323,13 @@ class TestBlockUpdates:
             gram = out.omega.conj().T @ out.omega
             assert np.linalg.norm(gram - np.eye(5)) <= 1e-9
 
+    def test_psi_update_needs_eavesdropper_forms(self):
+        rng = np.random.default_rng(8)
+        forms = rand_forms(rng, 3)
+        forms = QuadraticForms(e_b=forms.e_b, h=forms.h)
+        with pytest.raises(ValueError, match="e_e"):
+            update_psi(rand_state(rng, 3), forms, 1.0)
+
     def test_psi_update_enforces_cap(self):
         rng = np.random.default_rng(9)
         for _ in range(10):

@@ -421,3 +421,10 @@ class TestBound:
             u = haar_unitary(rng, 4)
             val = float(np.vdot(u, forms.e_e @ u @ forms.m).real)
             assert val <= b_eve + 1e-9
+
+    def test_refuses_bad_target_and_missing_eve_form(self):
+        forms = rand_forms(np.random.default_rng(12), 3)
+        with pytest.raises(ValueError, match="target"):
+            von_neumann_bound(forms, "carol")
+        with pytest.raises(ValueError, match="absent"):
+            von_neumann_bound(forms, "eve")
