@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, DimensionError
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
 from .reporting import SolveReport, capped_report, checked_cap, uncapped_pair
 
@@ -136,17 +136,19 @@ class DiagForms:
 
 
 def _check_psd(c: np.ndarray, name: str) -> float:
-    """Refuse a non-square, non-Hermitian or indefinite c; return its
-    largest eigenvalue."""
+    """Refuse an empty, non-square, non-Hermitian or indefinite c; return
+    its largest eigenvalue."""
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ContractViolationError(f"{name} must be square")
+    if c.shape[0] < 1:
+        raise DimensionError(f"{name} needs at least one element (r >= 1)")
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c - c.conj().T).max() > _HADAMARD_TOL * scale:
         raise ContractViolationError(f"{name} not Hermitian within {_HADAMARD_TOL}")
     w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    if w.size and w.min() < -_HADAMARD_TOL * max(1.0, float(w.max())):
-        raise ContractViolationError(f"{name} not PSD (min eigenvalue {w.min():.3e})")
-    return float(w[-1]) if w.size else 0.0
+    if w[0] < -_HADAMARD_TOL * max(1.0, float(w[-1])):
+        raise ContractViolationError(f"{name} not PSD (min eigenvalue {w[0]:.3e})")
+    return float(w[-1])
 
 
 def diag_forms(forms: QuadraticForms) -> DiagForms:
@@ -397,8 +399,9 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     box-projected gradient ascent with Barzilai-Borwein steps until the cap
     residual falls to _RESIDUAL_TOL; each final iterate is rescaled onto the
     cap if a residual violation remains, and the first restart with the
-    highest objective wins.  The box projection and that downward rescale
-    keep |omega_i| <= 1 throughout.  In the report, a
+    highest objective wins; its objective is the report's whole trace.  The
+    box projection and that downward rescale keep |omega_i| <= 1
+    throughout.  In the report, a
     :func:`~bdris.reporting.capped_report` (with ``cap_residual``),
     ``iterations`` sums the gradient steps of all restarts, and
     ``budget_hits`` counts the rounds, over all restarts, that used all
@@ -433,8 +436,9 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     w = _into_cap(ce, eps, w)
     best = int(np.argmax(_quads(w, _apply(cb, w))))
     omega = w[best]
+    objective = _quad(dforms.c_b, omega)
     return RisMatrix(np.diag(omega), ARCH_DIAGONAL), capped_report(
-        _quad(dforms.c_b, omega), bound, steps, [], epsilon_eve=epsilon_eve,
+        objective, bound, steps, [objective], epsilon_eve=epsilon_eve,
         eve_value=_quad(dforms.c_e, omega), active=True,
         stop_reason=_stop_reason(not unfinished[best]), budget_hits=budget_hits,
         outer_rounds=int(rounds[best]), multiplier=float(lam[best]) * s_b / s_e)

@@ -161,7 +161,7 @@ class QuadraticForms:
 
     M = h h^H is derived from the source matrix h, so the two always agree,
     and the spectra of E_b, M and E_e are taken once, here; an indefinite
-    E_b or E_e is refused.
+    E_b or E_e is refused, and so is a surface with no element (r = 0).
     """
 
     e_b: np.ndarray                  # (r, r) Hermitian PSD
@@ -176,6 +176,8 @@ class QuadraticForms:
         r = self.e_b.shape[0]
         if self.e_b.shape != (r, r):
             raise DimensionError(f"e_b must be square, got shape {self.e_b.shape}")
+        if r < 1:
+            raise DimensionError("the surface needs at least one element (r >= 1)")
         if self.h.ndim != 2 or self.h.shape[0] != r:
             raise DimensionError(f"h must have {r} rows, got shape {self.h.shape}")
         if self.e_e is not None and self.e_e.shape != (r, r):
@@ -186,8 +188,8 @@ class QuadraticForms:
         self.eig_m = hermitian_eig(self.m)
         self.eig_e = None if self.e_e is None else hermitian_eig(self.e_e)
         for name, eig in (("e_b", self.eig_b), ("e_e", self.eig_e)):
-            if eig is not None and np.min(eig.values, initial=0.0) < (
-                    -tol.HERMITIAN_INPUT_TOL * max(1.0, np.max(eig.values, initial=0.0))):
+            if eig is not None and eig.values[-1] < (
+                    -tol.HERMITIAN_INPUT_TOL * max(1.0, eig.values[0])):
                 raise ContractViolationError(f"{name} must be positive semidefinite")
 
     @property

@@ -17,9 +17,9 @@ solver's blocks stay as tested building blocks: with a copy Psi = Omega,
 
 is minimized over Omega by the nearest symmetric unitary
 (:func:`update_omega`) and over Psi by a QCQP solved in the eigenbasis of
-E_e and M (:func:`update_psi`, :func:`qcqp_spectral`) with a Newton
-iteration on the scalar secular equation; the r^2-by-r^2 constraint
-matrix M^T (x) E_e is never formed.
+E_e and M (:func:`update_psi`, :func:`qcqp_spectral`) by bisection on
+the scalar secular equation, from a closed-form bracket; the r^2-by-r^2
+constraint matrix M^T (x) E_e is never formed.
 
 The same problem over all unitaries (the non-reciprocal class) has an
 exact dual and is solved by :func:`bdris.spectral.solve_nonreciprocal`.
@@ -36,8 +36,8 @@ from .errors import ContractViolationError
 from .kernels import HermEig, nearest_symmetric_unitary, takagi
 from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
 from .reporting import SolveReport, capped_report, checked_cap, uncapped_pair
-from .spectral import _ascend, solve_nonreciprocal, solve_reciprocal_ao, \
-    von_neumann_bound
+from .spectral import _ascend, _bisect, solve_nonreciprocal, \
+    solve_reciprocal_ao, von_neumann_bound
 
 __all__ = [
     "PddState",
@@ -46,9 +46,6 @@ __all__ = [
     "update_psi",
     "qcqp_spectral",
 ]
-
-_SECULAR_TOL = 1e-10     # relative KKT constraint residual of the multiplier solve
-_MAX_NEWTON_STEPS = 100
 
 # Augmented Lagrangian of the capped reciprocal design (unit-scale forms):
 # penalty rho starts at _RHO0 and grows by _RHO_GROWTH in every round whose
@@ -82,62 +79,37 @@ class PddState:
     rho: float
 
 
-def _secular_iterates(lam: np.ndarray, weights: np.ndarray, epsilon_eve: float):
-    """Newton iterates (mu, residual) on the KKT secular equation, from mu = 0.
-
-    The residual is f(mu) = sum lam_i w_i / (1 + mu lam_i)^2 - eps, convex
-    and decreasing.  Over the terms with lam_i > 0, f + eps =
-    sum (w_i / lam_i) / (1 / lam_i + mu)^2 has the form of the trust-region
-    secular function of Moré & Sorensen (1983), so (f + eps)^(-1/2) is
-    concave, increasing and nearly linear (exactly linear with one active
-    term).  Newton on (f + eps)^(-1/2) = eps^(-1/2) shares the root of f,
-    steps at least as far as Newton on f itself, and from mu = 0 rises
-    monotonically to the root without overshooting: a handful of steps
-    where Newton on f needs dozens for a tight cap.  Stops at
-    |f| <= eps _SECULAR_TOL / max(1, mu), when a step no longer moves mu
-    (float resolution), or after ``_MAX_NEWTON_STEPS`` steps; the last pair
-    yielded is the answer.
-    """
-    lw = lam * weights
-    mu = 0.0
-    for _ in range(_MAX_NEWTON_STEPS):
-        d = 1.0 / (1.0 + mu * lam)
-        terms = lw * d * d
-        value = float(terms.sum())
-        res = value - epsilon_eve
-        yield mu, res
-        if abs(res) <= epsilon_eve * _SECULAR_TOL / max(1.0, mu) or res < 0.0:
-            return
-        slope = 2.0 * float((terms * lam) @ d)   # -f'(mu)
-        nxt = mu + 2.0 * value * (np.sqrt(value / epsilon_eve) - 1.0) / slope
-        if not nxt > mu:
-            return
-        mu = nxt
-
-
 def _kkt_shrink(lam: np.ndarray, coeff: np.ndarray,
                 epsilon_eve: float) -> tuple[np.ndarray, float]:
     """Solve min ||x - c||^2 s.t. sum lam_i |x_i|^2 <= eps in eigencoordinates.
 
     Returns the shrunk coefficients c_i/(1 + mu lam_i) and the KKT
-    multiplier mu.  mu = 0 when c itself is feasible; otherwise mu solves
-    sum lam_i (|c_i|/(1 + mu lam_i))^2 = eps by the Newton iteration of
-    :func:`_secular_iterates`.  Should it stop short of the tolerance, mu
-    is moved right of the root, to t mu + (t - 1)/lam_min with t^2 the
-    ratio of the constraint value at mu to eps and lam_min the smallest
-    lam_i that carries weight: every such 1 + mu lam_i then grows by at
-    least t, so the returned point is feasible.
+    multiplier mu.  mu = 0 when c itself is feasible; otherwise mu is the
+    root of the decreasing secular function
+    sum lam_i w_i / (1 + mu lam_i)^2 - eps, w_i = |c_i|^2.  Each term with
+    lam_i > 0 is below both w_i / (mu^2 lam_i) and w_i / (4 mu), so the
+    smaller of mu = sqrt(sum_{lam_i > 0} w_i / lam_i / eps) and
+    mu = sum_{lam_i > 0} w_i / (4 eps) is feasible in closed form (the
+    second stays finite when some 1/lam_i overflows);
+    :func:`~bdris.spectral._bisect` narrows [0, that mu] to adjacent floats
+    and its feasible end is returned.
     """
     if not epsilon_eve > 0:
         raise ValueError("epsilon_eve must be positive")
     weights = np.abs(coeff) ** 2
     if float(lam @ weights) <= epsilon_eve:
         return coeff, 0.0
-    for mu, res in _secular_iterates(lam, weights, epsilon_eve):
-        pass
-    if res > epsilon_eve * _SECULAR_TOL / max(1.0, mu):
-        t = np.sqrt(1.0 + res / epsilon_eve)
-        mu = t * mu + (t - 1.0) / float(lam[lam * weights > 0.0].min())
+    lw = lam * weights
+    pos = lam > 0.0
+    with np.errstate(over="ignore"):
+        top = min(np.sqrt(float(weights[pos] @ (1.0 / lam[pos])) / epsilon_eve),
+                  float(weights[pos].sum()) / (4.0 * epsilon_eve))
+
+    def feasible(mu: float):
+        d = 1.0 / (1.0 + mu * lam)
+        return float(lw @ (d * d)) <= epsilon_eve, None
+
+    _, (mu, _) = _bisect(feasible, (0.0, None), (top, None))
     return coeff / (1.0 + mu * lam), mu
 
 
@@ -148,9 +120,9 @@ def qcqp_spectral(b: np.ndarray, eig_a: HermEig, epsilon_eve: float,
     In the eigenbasis of the PSD matrix A the optimum keeps the phase of
     every projection u_i^H b and shrinks its magnitude to
     |u_i^H b| / (1 + mu lam_i); when b is already feasible it is returned
-    unchanged (mu = 0).  The multiplier is found by a Newton iteration on
-    the secular equation and the returned point satisfies
-    x^H A x <= eps (1 + _SECULAR_TOL).
+    unchanged (mu = 0).  The multiplier is bisected on the secular
+    equation from a closed-form feasible bracket (:func:`_kkt_shrink`), so
+    the returned point satisfies x^H A x <= eps up to rounding.
     """
     values = np.asarray(eig_a.values, dtype=float)
     if values.size and values.min() < -tol.HERMITIAN_INPUT_TOL * max(1.0, float(values.max())):

@@ -55,11 +55,8 @@ __all__ = [
 
 # Capped closed form: the multiplier bracket starts at lambda_max(E_b) /
 # lambda_max(E_e) and doubles at most this often before the cap counts as
-# unreachable; each bisection (on the multiplier, then along the geodesic)
-# stops once its midpoint no longer moves, or after this many steps.  The
-# geodesic one also stops once its interval in t (within [0, 1]) is no wider
-# than the float spacing at 1: when the feasible end already sits on the cap
-# its lower end stays at 0, and the midpoint would halve on towards 0.
+# unreachable.  Every bisection (:func:`_bisect`) stops after at most
+# _MAX_BISECT steps.
 _MAX_DOUBLINGS = 64
 _MAX_BISECT = 200
 
@@ -141,10 +138,10 @@ def _capped_nonreciprocal(forms: QuadraticForms,
     bound = von_neumann_bound(forms)
     evaluations = 0
 
-    def leak(omega: np.ndarray) -> float:
+    def feasible(omega: np.ndarray) -> bool:
         nonlocal evaluations
         evaluations += 1
-        return quad_objective(omega, e_e, m)
+        return quad_objective(omega, e_e, m) <= epsilon_eve
 
     def maximizer(mu: float) -> tuple[np.ndarray, float]:
         """Argmax of the Lagrangian at mu and the dual value g(mu)."""
@@ -163,27 +160,22 @@ def _capped_nonreciprocal(forms: QuadraticForms,
     if epsilon_eve < float(eig_e.values[::-1] @ eig_m.values):
         return floor_omega, report(floor_omega, False)
 
-    # Bracket: leak(omega_lo) > eps >= leak(omega_hi), mu_lo < mu_hi.
-    mu_lo, omega_lo = 0.0, forms.eig_b.vectors @ v_m_h
-    mu_hi = float(forms.eig_b.values[0]) / float(eig_e.values[0]) or 1.0
+    def by_multiplier(mu: float):
+        omega, g = maximizer(mu)
+        return feasible(omega), (omega, g)
+
+    # Bracket (mu, (Omega, g(mu))) ends: leak > eps at lo, leak <= eps at hi.
+    lo = (0.0, (forms.eig_b.vectors @ v_m_h, None))
+    mu = float(forms.eig_b.values[0]) / float(eig_e.values[0]) or 1.0
     for _ in range(_MAX_DOUBLINGS):
-        omega_hi, g_hi = maximizer(mu_hi)
-        if leak(omega_hi) <= epsilon_eve:
+        met, payload = by_multiplier(mu)
+        if met:
             break
-        mu_lo, omega_lo = mu_hi, omega_hi
-        mu_hi *= 2.0
+        lo = (mu, payload)
+        mu *= 2.0
     else:
         return floor_omega, report(floor_omega, False)
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (mu_lo + mu_hi)
-        if not mu_lo < mid < mu_hi:
-            break
-        omega_mid, g_mid = maximizer(mid)
-        if leak(omega_mid) <= epsilon_eve:
-            mu_hi, omega_hi, g_hi = mid, omega_mid, g_mid
-        else:
-            mu_lo, omega_lo = mid, omega_mid
+    (_, (omega_lo, _)), (mu, (omega_hi, g)) = _bisect(by_multiplier, lo, (mu, payload))
 
     # Geodesic Omega(t) = Omega_hi W^t from Omega_hi (t = 0, feasible) to
     # Omega_lo (t = 1), with W = Omega_hi^H Omega_lo = Z diag(e^{i theta}) Z^H.
@@ -195,21 +187,38 @@ def _capped_nonreciprocal(forms: QuadraticForms,
     theta = np.angle(lam)
     left = omega_hi @ z
 
-    def along(t: float) -> np.ndarray:
-        return (left * np.exp(1j * t * theta)) @ z.conj().T
+    def along(t: float):
+        omega = (left * np.exp(1j * t * theta)) @ z.conj().T
+        return not feasible(omega), omega
 
-    t_lo, t_hi = 0.0, 1.0
-    omega = omega_hi
+    # The interval in t stops at the float spacing at 1: when Omega_hi
+    # already sits on the cap its lower end stays at 0, and the midpoint
+    # would halve on towards 0.
+    (_, omega), _ = _bisect(along, (0.0, omega_hi), (1.0, None),
+                            width=np.finfo(float).eps)
+    return omega, report(omega, True, multiplier=mu, dual_bound=g)
+
+
+def _bisect(probe, lo, hi, width: float = 0.0):
+    """Bisect the bracket between the ends ``lo`` and ``hi``, each an
+    (x, payload) pair with lo[0] < hi[0].
+
+    ``probe(x)`` returns (goes_to_hi, payload): the midpoint and its
+    payload replace the ``hi`` end when goes_to_hi holds, else the ``lo``
+    end.  Stops once the midpoint no longer moves (float resolution), once
+    hi[0] - lo[0] <= ``width``, or after _MAX_BISECT steps; returns the
+    final (lo, hi) ends.
+    """
     for _ in range(_MAX_BISECT):
-        mid = 0.5 * (t_lo + t_hi)
-        if t_hi - t_lo <= np.finfo(float).eps or not t_lo < mid < t_hi:
+        mid = 0.5 * (lo[0] + hi[0])
+        if hi[0] - lo[0] <= width or not lo[0] < mid < hi[0]:
             break
-        candidate = along(mid)
-        if leak(candidate) <= epsilon_eve:
-            t_lo, omega = mid, candidate
+        goes_to_hi, payload = probe(mid)
+        if goes_to_hi:
+            hi = (mid, payload)
         else:
-            t_hi = mid
-    return omega, report(omega, True, multiplier=mu_hi, dual_bound=g_hi)
+            lo = (mid, payload)
+    return lo, hi
 
 
 def _floats(z: np.ndarray) -> np.ndarray:

@@ -1,7 +1,20 @@
 """Shared helpers for the test suite (no fixtures, plain functions)."""
+import json
+from time import perf_counter
+
 import numpy as np
 
-from bdris.model import QuadraticForms
+from bdris.experiments import ExperimentSpec, default_epsilon_grid, run_experiment
+from bdris.model import QuadraticForms, SystemConfig, build_forms, generate_channels
+from bdris.spectral import solve_nonreciprocal
+
+# The r = 36 reference setup: 36 elements and 10 streams, twice as many
+# receive antennas as streams, the default power budget and noise floor.
+SETUP_36 = dict(k=10, r=36, n_b=20, n_e=20, seed=7)
+
+# The columns of a reference-sweep cell kept in ``tests/golden``.
+GOLDEN_COLUMNS = ("architecture", "objective", "bound", "dual_bound", "eve_value",
+                  "stop_reason", "converged", "iterations", "crb")
 
 
 def rand_complex(rng, n, m=None):
@@ -93,3 +106,38 @@ def solve_based_qcqp_oracle(b, a, eps, steps=40):
     for _ in range(steps):
         x = project(0.5 * x + 0.5 * b)
     return x
+
+
+def reference_sweep(output_path):
+    """Run the r = 36 reference sweep into ``output_path``: all three
+    architectures, the no-eve cells and the 10-point default cap grid
+    scaled to the uncapped non-reciprocal optimum.  Returns the spec, the
+    rows, the reports keyed by file stem and the wall time."""
+    cfg = SystemConfig(**SETUP_36)
+    forms = build_forms(generate_channels(cfg))
+    scale = solve_nonreciprocal(forms)[1].objective
+    spec = ExperimentSpec(
+        cfg=cfg,
+        epsilon_grid=default_epsilon_grid(scale, points=10),
+        output_path=output_path,
+    )
+    t0 = perf_counter()
+    rows = run_experiment(spec)
+    wall = perf_counter() - t0
+    reports = {path.stem: json.loads(path.read_text(encoding="utf-8"))
+               for path in (output_path / "reports").glob("*.json")}
+    return {"spec": spec, "rows": rows, "reports": reports, "wall": wall}
+
+
+def golden_row(payload):
+    """The ``GOLDEN_COLUMNS`` of one cell's report; a key the report does
+    not carry (no dual bound, no leakage on a no-eve cell) is None."""
+    cv = payload["constraint_values"]
+    row = {"architecture": payload["cell"]["architecture"],
+           "crb": payload["cell"]["crb"],
+           "dual_bound": cv.get("dual_bound"),
+           "eve_value": cv.get("eve_value"),
+           "stop_reason": cv.get("stop_reason")}
+    row.update((key, payload[key]) for key in
+               ("objective", "bound", "converged", "iterations"))
+    return {key: row[key] for key in GOLDEN_COLUMNS}

@@ -4,20 +4,25 @@ Each test asserts the gated property at its stated tolerance and prints a
 single line with the measured values, so a verbose run doubles as a report.
 The heavy shared piece — a ten-cap sweep of the r=36 reference setup across
 all three architectures — is computed once in a module fixture and reused
-by the ordering, saturation, feasibility and determinism checks, and by a
-regression gate on the capped diagonal cells.
+by the ordering, saturation, feasibility and determinism checks, by a
+regression gate on the capped diagonal cells, and by a column-by-column
+comparison with the committed golden cells of ``tests/golden``.
 """
 import json
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 import pytest
 
 from conftest import (
+    SETUP_36,
     batch_haar,
     batch_trace_objective,
+    golden_row,
     haar_unitary,
     rand_complex,
+    reference_sweep,
     solve_based_qcqp_oracle,
 )
 
@@ -25,7 +30,6 @@ from bdris.experiments import (
     SCENARIO_EVE,
     SCENARIO_NO_EVE,
     ExperimentSpec,
-    default_epsilon_grid,
     run_experiment,
 )
 from bdris.kernels import (
@@ -51,35 +55,21 @@ from bdris.model import (
 from bdris.pdd import PddState, qcqp_spectral, update_psi
 from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao, von_neumann_bound
 
-# Reference setups: 36 elements / 10 streams and 64 elements / 15 streams,
-# both with twice as many receive antennas as streams and the default
-# power budget and noise floor.
-SETUP_36 = dict(k=10, r=36, n_b=20, n_e=20, seed=7)
+# Reference setups: SETUP_36 (conftest) and 64 elements / 15 streams, both
+# with twice as many receive antennas as streams and the default power
+# budget and noise floor.
 SETUP_64 = dict(k=15, r=64, n_b=30, n_e=30, seed=7)
 
 ARCHS = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
 def sweep36(tmp_path_factory):
     """One full r=36 sweep (3 architectures, no-eve + 10-cap grid)."""
     tmp = tmp_path_factory.mktemp("accept36")
-    cfg = SystemConfig(**SETUP_36)
-    forms = build_forms(generate_channels(cfg))
-    scale = solve_nonreciprocal(forms)[1].objective
-    spec = ExperimentSpec(
-        cfg=cfg,
-        epsilon_grid=default_epsilon_grid(scale, points=10),
-        output_path=tmp / "run1",
-    )
-    t0 = perf_counter()
-    rows = run_experiment(spec)
-    wall = perf_counter() - t0
-    reports = {}
-    for path in (spec.output_path / "reports").glob("*.json"):
-        reports[path.stem] = json.loads(path.read_text(encoding="utf-8"))
-    return {"tmp": tmp, "spec": spec, "rows": rows,
-            "reports": reports, "wall": wall}
+    return {"tmp": tmp, **reference_sweep(tmp / "run1")}
 
 
 def _row_map(rows):
@@ -414,3 +404,30 @@ def test_criterion_10_repeated_run_is_byte_identical(sweep36):
             assert a == b
     print(f"[criterion 10] PASS: results.csv ({len(first)} bytes) and plot "
           f"files identical across runs")
+
+
+def test_reference_sweep_matches_golden_cells(sweep36):
+    """Every cell of the r=36 sweep matches ``golden/sweep36.json`` column
+    by column: strings and flags exactly, numbers within the relative
+    tolerances of ``golden/tolerances.json``, and iteration counts within
+    its factor either way."""
+    golden = json.loads((GOLDEN / "sweep36.json").read_text(encoding="utf-8"))
+    tols = json.loads((GOLDEN / "tolerances.json").read_text(encoding="utf-8"))
+    factor = tols["iterations_factor"]
+    cells = {stem: golden_row(p) for stem, p in sweep36["reports"].items()}
+    assert sorted(cells) == sorted(golden)
+    worst = {}
+    for stem, want in golden.items():
+        got = cells[stem]
+        arch = want["architecture"]
+        for key, value in want.items():
+            if key == "iterations":
+                assert value / factor <= got[key] <= value * factor, (stem, key)
+            elif isinstance(value, float):
+                rel = abs(got[key] - value) / max(abs(value), np.finfo(float).tiny)
+                assert rel <= tols["relative"][arch][key], (stem, key, rel)
+                worst[arch] = max(worst.get(arch, 0.0), rel)
+            else:
+                assert got[key] == value, (stem, key)
+    print(f"[golden] PASS: {len(golden)} cells, max relative deviation "
+          + ", ".join(f"{arch} {worst[arch]:.1e}" for arch in ARCHS))

@@ -20,7 +20,7 @@ from bdris.diagonal import (
     solve_diagonal_constrained,
     solve_diagonal_unconstrained,
 )
-from bdris.errors import ContractViolationError
+from bdris.errors import ContractViolationError, DimensionError
 from bdris.model import ARCH_DIAGONAL, QuadraticForms, quad_objective
 from bdris.pdd import solve_pdd
 from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao
@@ -219,6 +219,8 @@ class TestReduction:
             DiagForms(c_b=np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
         with pytest.raises(ContractViolationError):
             DiagForms(c_b=np.eye(3), c_e=np.eye(2))
+        with pytest.raises(DimensionError):
+            DiagForms(c_b=np.eye(0))                           # no element (r = 0)
 
     def test_forms_keep_their_largest_eigenvalues(self, monkeypatch):
         """lam_b and lam_e are kept from the PSD check, and lam_gen is the
@@ -250,6 +252,12 @@ class TestReduction:
         assert df.lam_gen == np.inf
         _, rep = solve_diagonal_constrained(df, 0.1)
         assert rep.bound == pytest.approx(3.0, rel=1e-12)
+        # No c_e, or one with cond(c_e) > _BOUND_COND, gives no second
+        # bound either; cond(c_e) below it does.
+        assert DiagForms(c_b=np.eye(2)).lam_gen == np.inf
+        for ratio, gen in ((10.0, np.inf), (0.1, 0.1 * diagonal._BOUND_COND)):
+            c_e = np.diag([1.0, 1.0 / (ratio * diagonal._BOUND_COND)])
+            assert DiagForms(c_b=np.eye(2), c_e=c_e).lam_gen == pytest.approx(gen, rel=1e-12)
 
 
 class TestUnconstrained:

@@ -447,6 +447,34 @@ class TestPublicNames:
         assert len(files) >= 15
         assert unused == []
 
+    def test_every_private_name_is_used(self):
+        """Every module-level ``_name`` defined in ``src/bdris`` (a function,
+        class or assignment) is referenced somewhere in ``src/bdris`` besides
+        its definition: a constant or helper left behind by a deleted caller
+        fails here."""
+        trees = [ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted((REPO / "src" / "bdris").glob("*.py"))]
+        defined = set()
+        for tree in trees:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+        used = set()
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(a.name for a in node.names)
+        assert len(private) >= 40
+        assert sorted(private - used) == []
+
 
 class TestBenchmarkBindings:
     """The benchmark harness rebinds package functions by name; a renamed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bdris.errors import ContractViolationError
+from bdris.errors import ContractViolationError, DimensionError
 from bdris.kernels import (
     expm_skew,
     hermitian_eig,
@@ -55,6 +55,11 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_square(self):
+        for a in (np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(DimensionError, match="square"):
+                hermitian_eig(a)
 
 
 # ----------------------------------------------------------------------- takagi

@@ -27,6 +27,7 @@ from bdris.errors import (
     DimensionError,
     EstimationIllPosedError,
     NotPositiveDefiniteError,
+    NumericalConsistencyError,
 )
 from bdris.kernels import hermitian_eig
 from bdris.model import (
@@ -318,10 +319,14 @@ class TestForms:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_quad_objective_rejects_complex_residue(self):
-        from bdris.errors import NumericalConsistencyError
         with pytest.raises(NumericalConsistencyError):
             # Anti-Hermitian "form" makes the value purely imaginary.
             quad_objective(np.eye(2), 1j * np.eye(2), np.eye(2))
+
+    def test_quad_objective_rejects_negative_trace(self):
+        # A negative definite "form" gives a real trace far below zero.
+        with pytest.raises(NumericalConsistencyError, match="negative"):
+            quad_objective(np.eye(2), -np.eye(2), np.eye(2))
 
     def test_m_is_derived_from_h(self):
         # Bit for bit the Hermitian part of h h^H; there is no m argument.
@@ -388,7 +393,8 @@ class TestForms:
         for e_b, h_bad, e_e in ((e[:3], h, None),            # e_b not square
                                 (e, h[:-1], None),           # h short of rows
                                 (e, h[:, 0], None),          # h not 2-D
-                                (e, h, np.eye(3))):          # e_e of wrong size
+                                (e, h, np.eye(3)),           # e_e of wrong size
+                                (e[:0, :0], h[:0], None)):   # no element (r = 0)
             with pytest.raises(DimensionError):
                 QuadraticForms(e_b=e_b, h=h_bad, e_e=e_e)
 
@@ -417,6 +423,21 @@ class TestForms:
             fim_matrix(ch, RisMatrix(haar_unitary(rng, 4), ARCH_NONRECIPROCAL))
 
 
+def report_solvers(arch):
+    """A seeded r = 6 instance with eavesdropper, and the uncapped and the
+    capped solver of ``arch`` on it (the capped one takes the cap)."""
+    forms = build_forms(generate_channels(SystemConfig(k=2, r=6, n_b=4, n_e=4, seed=3)))
+    dforms = diag_forms(forms)
+    return (forms,) + {
+        ARCH_NONRECIPROCAL: (lambda: solve_nonreciprocal(forms),
+                             lambda eps: solve_nonreciprocal(forms, eps)),
+        ARCH_RECIPROCAL: (lambda: solve_reciprocal_ao(forms),
+                          lambda eps: solve_pdd(forms, eps)),
+        ARCH_DIAGONAL: (lambda: solve_diagonal_unconstrained(dforms),
+                        lambda eps: solve_diagonal_constrained(dforms, eps)),
+    }[arch]
+
+
 class TestSolveReport:
     @pytest.mark.parametrize("reason, converged", [
         ("closed_form", True), ("stationary", True), ("budget", False),
@@ -436,17 +457,7 @@ class TestSolveReport:
         """A capped solver called directly, not through the sweep, reports
         the cap, the leakage and cap_residual = eve_value / epsilon_eve - 1;
         an inactive cap returns the uncapped response with its stop reason."""
-        ch = generate_channels(SystemConfig(k=2, r=6, n_b=4, n_e=4, seed=3))
-        forms = build_forms(ch)
-        dforms = diag_forms(forms)
-        uncapped, capped = {
-            ARCH_NONRECIPROCAL: (lambda: solve_nonreciprocal(forms),
-                                 lambda eps: solve_nonreciprocal(forms, eps)),
-            ARCH_RECIPROCAL: (lambda: solve_reciprocal_ao(forms),
-                              lambda eps: solve_pdd(forms, eps)),
-            ARCH_DIAGONAL: (lambda: solve_diagonal_unconstrained(dforms),
-                            lambda eps: solve_diagonal_constrained(dforms, eps)),
-        }[arch]
+        forms, uncapped, capped = report_solvers(arch)
         ris0, rep0 = uncapped()
         eps = scale * quad_objective(ris0.matrix, forms.e_e, forms.m)
         ris, rep = capped(eps)
@@ -463,6 +474,20 @@ class TestSolveReport:
             assert cv["cap_residual"] == pytest.approx(1.0 / scale - 1.0)
             assert cv["stop_reason"] == rep0.constraint_values["stop_reason"]
             np.testing.assert_array_equal(ris.matrix, ris0.matrix)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_every_report_has_a_trace(self, arch):
+        """Every solver's report carries a non-empty cost_trace that ends
+        at its objective: uncapped, and at 2, 0.5 and 1e-6 times the
+        uncapped leakage (inactive; active; so tight that the reciprocal
+        solve ends on its budget)."""
+        forms, uncapped, capped = report_solvers(arch)
+        ris0, rep0 = uncapped()
+        eve0 = quad_objective(ris0.matrix, forms.e_e, forms.m)
+        reports = [rep0] + [capped(scale * eve0)[1] for scale in (2.0, 0.5, 1e-6)]
+        for rep in reports:
+            assert len(rep.cost_trace) >= 1
+            assert rep.cost_trace[-1] == pytest.approx(rep.objective, rel=1e-9)
 
 
 # ------------------------------------------------------------------- crb / mle

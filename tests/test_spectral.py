@@ -168,6 +168,19 @@ class TestCappedNonReciprocal:
             flagged += 1
         assert flagged >= 5
 
+    def test_unclosed_bracket_is_flagged(self, monkeypatch):
+        """With no doubling allowed (_MAX_DOUBLINGS = 0) the multiplier
+        bracket never closes for a cap above the floor: the floor response
+        comes back ``infeasible``, unconverged, without raising."""
+        monkeypatch.setattr(spectral, "_MAX_DOUBLINGS", 0)
+        forms = rand_forms(np.random.default_rng(35), 5, with_eve=True)
+        eve0 = quad_objective(solve_nonreciprocal(forms)[0].matrix, forms.e_e, forms.m)
+        ris, rep = solve_nonreciprocal(forms, 0.5 * (leakage_floor(forms) + eve0))
+        assert not rep.converged
+        assert rep.constraint_values["stop_reason"] == "infeasible"
+        assert rep.constraint_values["eve_value"] == pytest.approx(
+            leakage_floor(forms), rel=1e-9)
+
     def test_uncapped_call_is_unchanged(self):
         rng = np.random.default_rng(33)
         forms = rand_forms(rng, 6, with_eve=True)
