@@ -117,6 +117,8 @@ class ChannelSet:
     sigma_e: np.ndarray | None = None
     low_b: np.ndarray = field(init=False)     # lower Cholesky factor of sigma_b
     low_e: np.ndarray | None = field(init=False, default=None)   # ... of sigma_e
+    _noise_b: dict = field(init=False, default_factory=dict, repr=False,
+                           compare=False)     # (trials, seed) -> noise_b draw
 
     def __post_init__(self):
         self.h_ar = np.asarray(self.h_ar, dtype=complex)
@@ -153,6 +155,20 @@ class ChannelSet:
     @property
     def k(self) -> int:
         return self.h_ar.shape[1]
+
+    def noise_b(self, trials: int, seed: int) -> np.ndarray:
+        """``trials`` rows of eta ~ CN(0, Sigma_b), read-only.
+
+        The draw comes from the first child of ``SeedSequence(seed)`` and is
+        kept per (trials, seed), so every design simulated on these channels
+        sees the same noise without drawing it again.
+        """
+        key = (trials, seed)
+        if key not in self._noise_b:
+            eta = _draw_noise(self.low_b, trials, seed)
+            eta.flags.writeable = False
+            self._noise_b[key] = eta
+        return self._noise_b[key]
 
 
 @dataclass
@@ -264,6 +280,15 @@ def generate_channels(cfg: SystemConfig) -> ChannelSet:
                       h_re=h_re, sigma_e=sigma_e)
 
 
+def _draw_noise(low: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """``trials`` rows of CN(0, L L^H) noise from the first child of
+    ``SeedSequence(seed)``: real parts of the whole block first."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    n = low.shape[0]
+    z = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
+    return (np.sqrt(0.5) * z) @ low.T
+
+
 def _cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sigma^{-1} B from the factor L: solve with L, then with L^H.
 
@@ -356,16 +381,16 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
                      seed: int = 0) -> float:
     """Monte-Carlo mean-squared error of the weighted least-squares MLE.
 
-    Each trial draws eta ~ CN(0, Sigma_b), forms y = G theta + eta with
+    Each trial takes eta ~ CN(0, Sigma_b), forms y = G theta + eta with
     theta the all-ones vector (the information matrix does not depend on
     it) and solves the weighted least-squares problem for theta-hat.  The
-    noise is drawn from the first child of ``SeedSequence(seed)``, so the
-    result is deterministic for a given seed.
+    noise is ``ch.noise_b(trials, seed)``: deterministic for a given seed,
+    and drawn once for all the designs simulated on the same channels.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     g, low = _effective_matrix(ch, ris, "bob")
-    n_b, k = g.shape
+    k = g.shape[1]
     sv = np.linalg.svd(g, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= max(g.shape) * np.finfo(float).eps * sv[0]:
         raise EstimationIllPosedError(
@@ -379,10 +404,7 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
     # gives the estimator, so the trials need a single product with it.
     estimator = np.linalg.solve(0.5 * (f + f.conj().T), weighted.conj().T)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    z = rng.standard_normal((trials, n_b)) + 1j * rng.standard_normal((trials, n_b))
-    eta = (np.sqrt(0.5) * z) @ low.T
-    y = (g @ theta)[None, :] + eta
+    y = (g @ theta)[None, :] + ch.noise_b(trials, seed)
     theta_hat = y @ estimator.T
     return float(np.sum(np.abs(theta_hat - theta[None, :]) ** 2)) / trials
 

@@ -24,15 +24,18 @@ symmetric-unitary matrix closest to the unconstrained optimum, and is
 also the inner solver of the capped reciprocal design in
 :mod:`bdris.pdd`.  The ascent works on the r-by-k source matrix h rather
 than on M = h h^H, which has rank k <= r.  Its state is a frame B with
-Omega = B B^T plus r-by-k products of h; a step costs one real r-by-r
-eigh, the two-loop recursion over _MEMORY pairs, two complex-by-real
-r-by-r products that move the frame, and r-by-r-by-k products, and a
-line-search trial only the latter.  The knobs of both searches are the
-module constants below; every caller uses the same values.
+Omega = B B^T plus r-by-k products of h; a step costs the half step
+exp(i t P / 2) - I from a short real Taylor series (:func:`_expm1i`),
+the two-loop recursion over _MEMORY pairs, one complex r-by-r product
+that moves the frame, and r-by-r-by-k products, and a line-search trial
+only the latter.  The knobs of both searches are the module constants
+below; every caller uses the same values.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from collections import deque
 
 import numpy as np
@@ -67,12 +70,33 @@ _MAX_BISECT = 200
 # steps over the five r = 64 acceptance draws (seeds 7-11), and
 # 9 021/6 583/7 372/6 459 over the seven active capped cells of the r = 36
 # reference sweep: 3 is clearly worse, the others differ by about what
-# last-bit rounding moves, and 5 keeps the two-loop short.
+# last-bit rounding moves, and 5 keeps the two-loop short.  Those counts
+# were taken when a step exponentiated P through its eigendecomposition.
+# With the Taylor step of :func:`_expm1i`, memory 5 takes 1 684 and 6 823
+# steps on the same cells, against 1 661 and 6 618 for the eigendecomposition
+# step just before it: a spread that last-bit rounding alone also gives.
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-10
 _MEMORY = 5
 _AO_GRAD_TOL = 1e-6
 _AO_MAX_ITERS = 5000
+
+
+# exp(i X) - I for real symmetric X (:func:`_expm1i`), with Y = X^2:
+# cos X - I = Y q_c(Y) and sin X = X q_s(Y), where q_c and q_s have the
+# coefficients (-1)^(j+1) / (2j+2)! and (-1)^j / (2j+1)! of Y^j.  Degree m
+# of both in Y serves ||X||_2 <= _TAYLOR_THETA[m - 1]: the first omitted
+# sine term X^(2m+3) / (2m+3)! is then at most half the unit roundoff
+# relative to ||X||_2, and the first omitted cosine term is smaller still.
+# Two more Horner steps cost as much as one squaring F <- F (2I + F); past
+# m = _TAYLOR_MAX they no longer double theta, so larger X are halved.
+_TAYLOR_MAX = 8
+_TAYLOR_COEFS = [((-1) ** (j + 1) / math.factorial(2 * j + 2),
+                  (-1) ** j / math.factorial(2 * j + 1))
+                 for j in range(_TAYLOR_MAX + 1)]
+_TAYLOR_THETA = tuple(
+    (np.finfo(float).eps / 4.0 * math.factorial(2 * m + 3)) ** (1.0 / (2 * m + 2))
+    for m in range(1, _TAYLOR_MAX + 1))
 
 
 def von_neumann_bound(forms: QuadraticForms, target: str = "bob") -> float:
@@ -260,17 +284,41 @@ def _two_loop(a: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _times_real(b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """B V for complex B and real V: one real product (V^T B^T)^T.
+def _expm1i(p: np.ndarray, tau: float) -> list[np.ndarray]:
+    """F(tau) = exp(i tau P) - I for real symmetric P, with its halvings.
 
-    The result is Fortran-ordered, so B^T needs no copy on the next call.
+    X = tau P / 2^s, with the least s >= 0 that brings the bound
+    ||Y||_1^(1/2) >= ||X||_2 within _TAYLOR_THETA[-1], and the least degree
+    m whose theta covers it (table above).  Horner's rule in Y = X^2 runs
+    on Q = X q_c(Y) + i q_s(Y), so each step is one real product of Y with
+    Q's side-by-side real and imaginary parts, and F = X Q =
+    (cos X - I) + i sin X is one more.  The scaling is undone by
+    F <- F (2I + F), which keeps the accuracy relative to ||F|| that
+    forming exp(i X) first would lose (Al-Mohy and Higham, SIAM J. Matrix
+    Anal. Appl., 2009).  Returns the chain
+    F(tau / 2^s), ..., F(tau / 2), F(tau), shortest step first.
     """
-    return (v.T @ _floats(b.T)).view(complex).T
-
-
-def _real_times(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """V C for real V and complex C, as one real product."""
-    return (v @ _floats(c)).view(complex)
+    x = tau * p
+    y = x @ x
+    norm = math.sqrt(float(np.abs(y).sum(axis=0).max()))     # >= ||X||_2
+    s = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA[-1]))) if norm else 0
+    if s:
+        x, y = np.ldexp(x, -s), np.ldexp(y, -2 * s)
+    m = 1 + bisect.bisect_left(_TAYLOR_THETA, math.ldexp(norm, -s), hi=_TAYLOR_MAX - 1)
+    diag = np.diag_indices(len(p))
+    q = np.zeros(p.shape, dtype=complex)
+    for j in range(m, -1, -1):
+        if j < m:
+            q = (y @ _floats(q)).view(complex)
+        cos_j, sin_j = _TAYLOR_COEFS[j]
+        q.real += cos_j * x
+        q[diag] += 1j * sin_j
+    f = (x @ _floats(q)).view(complex)
+    chain = [f]
+    for _ in range(s):
+        f = f @ f + 2.0 * f
+        chain.append(f)
+    return chain
 
 
 def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
@@ -282,32 +330,34 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
     term (rho/2) max(0, f_e - eps + lam/rho)^2 of the leakage f_e.  The
     gradient A = Im(G + G^T), G = U^H X Omega M U^* (X = E_b, or
     E_b - w E_e with w = max(0, lam + rho (f_e - eps))), is taken along
-    the moves U V diag(e^{i t mu / 2}) V^T, P = V diag(mu) V^T real
-    symmetric, which take Omega to U e^{i t P} U^T and keep it symmetric
-    unitary; the moves U O, O real orthogonal, that leave Omega alone are
-    left out, so ||A||_F vanishes at a stationary point.  The direction
-    P = H A is the limited-memory BFGS product (:func:`_two_loop`) over
-    the last _MEMORY pairs s = t P, y = A_old - A_new, a pair kept only
-    when s^T y > 0, so H stays positive definite and <A, P> > 0.  Steps
-    start at t = 1 and are halved until the cost beats the Zhang-Hager
-    (2004) reference by _ARMIJO t <A, P>, or end the run ``stalled`` below
-    _STEP_FLOOR; eta = 0 makes the reference the current cost, so costs
-    rise monotonically.  The test adds up cost changes computed from
-    Omega(t) - Omega = U V diag(e^{i t mu} - 1) V^T U^T, which resolves
-    gains far below the rounding of the cost itself.
+    the moves U e^{i t P / 2}, P real symmetric, which take Omega to
+    U e^{i t P} U^T and keep it symmetric unitary; the moves U O, O real
+    orthogonal, that leave Omega alone are left out, so ||A||_F vanishes
+    at a stationary point.  The direction P = H A is the limited-memory
+    BFGS product (:func:`_two_loop`) over the last _MEMORY pairs s = t P,
+    y = A_old - A_new, a pair kept only when s^T y > 0, so H stays
+    positive definite and <A, P> > 0.  Steps start at t = 1 and are
+    halved until the cost beats the Zhang-Hager (2004) reference by
+    _ARMIJO t <A, P>, or end the run ``stalled`` below _STEP_FLOOR;
+    eta = 0 makes the reference the current cost, so costs rise
+    monotonically.  The test adds up cost changes computed from
+    Omega(t) - Omega = U (e^{i t P} - I) U^T, which resolves gains far
+    below the rounding of the cost itself.
 
     The state is thin: the frame B (Omega = B B^T; B = U up to a real
     orthogonal factor, which leaves Omega alone), and the r-by-k c = B^T h
-    and E Omega h = E B c for each form.  A step takes one real eigh of P
-    (given in the frame B); a line-search trial then costs only the
-    r-by-r-by-k products Delta h = B V (expm1(i t mu) o V^T c) and
-    E Delta h.  An accepted step adds E Delta h and sets
-    B <- (B V diag(e^{i t mu / 2})) V^T and c <- V (e^{i t mu / 2} o V^T c).
-    Rotating back by V^T keeps the stored pairs valid as they are: in the
-    new frame, identity coordinates carry a tangent vector along the step,
-    so no pair needs transporting.  Returns B, ||A||_F, the accepted
-    steps, the trace of f_b and the stop reason: ``stationary``
-    (||A||_F <= tol), ``budget`` or ``stalled``.
+    and E Omega h = E B c for each form.  A trial at step t needs only the
+    half step H = F(t/2), F(t) = e^{i t P} - I in the frame B
+    (:func:`_expm1i`): F(t) = H (2I + H), so the increment is
+    Delta h = B H (2c + H c), and then E Delta h, r-by-r-by-k products.
+    The chain of half steps that :func:`_expm1i` builds while undoing its
+    scaling serves the line search's halvings, until they fall below it.
+    An accepted step adds E Delta h and sets B <- B + B H and c <- c + H c.
+    The frame moves by the symmetric e^{i t P / 2}, so in the new frame
+    identity coordinates still carry a tangent vector along the step, and
+    the stored pairs are used as they are, without a transport.  Returns
+    B, ||A||_F, the accepted steps, the trace of f_b and the stop reason:
+    ``stationary`` (||A||_F <= tol), ``budget`` or ``stalled``.
     """
     e_e, eps, lam, rho = penalty or (None, 0.0, 0.0, 0.0)
     mats = (e_b,) if penalty is None else (e_b, e_e)
@@ -341,12 +391,14 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
             stop = "budget"
             break
         p = _two_loop(a, pairs)
-        mu, v = np.linalg.eigh(p)
-        bv, vc = _times_real(b, v), _real_times(v.T, c)
         need = _ARMIJO * float(np.vdot(a, p))
-        step = 1.0
+        step, halves = 1.0, []
         while True:
-            dh = bv @ (np.expm1(1j * step * mu)[:, None] * vc)
+            if not halves:
+                halves = _expm1i(p, 0.5 * step)
+            half = halves.pop()                      # F(step / 2)
+            hc = half @ c
+            dh = b @ (half @ (2.0 * c + hc))         # B F(step) c
             dprods = [e @ dh for e in mats]
             dvals = [2.0 * np.vdot(dh, x).real + np.vdot(dh, dx).real
                      for x, dx in zip(prods, dprods)]
@@ -361,8 +413,7 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
             stop = "stalled"
             break
         iterations += 1
-        half = np.exp(0.5j * step * mu)
-        b, c = _times_real(bv * half, v.T), _real_times(v, half[:, None] * vc)
+        b, c = b + b @ half, c + hc
         prods = [x + dx for x, dx in zip(prods, dprods)]
         vals = [f + df for f, df in zip(vals, dvals)]
         a_new = _direction(b, c, weighted(prods, vals))

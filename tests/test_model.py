@@ -574,3 +574,46 @@ class TestCrbAndMle:
         ris = RisMatrix(haar_unitary(rng, 4), ARCH_NONRECIPROCAL)
         with pytest.raises(ValueError, match="trials"):
             simulate_mle_mse(ch, ris, trials=0, seed=0)
+
+    def test_one_noise_draw_serves_every_row_of_a_job(self, tmp_path, monkeypatch):
+        """A three-architecture Monte-Carlo job draws its noise once, and each
+        row's mse_mc equals, bit for bit, the estimate from a fresh draw made
+        the way every call drew it before the noise was kept."""
+        from bdris import experiments, model
+
+        draws, calls = [], []
+        draw = model._draw_noise
+        simulate = experiments.simulate_mle_mse
+
+        def counted_draw(*args):
+            draws.append(args)
+            return draw(*args)
+
+        def recorded(ch, ris, trials, seed):
+            mse = simulate(ch, ris, trials=trials, seed=seed)
+            calls.append((ch, ris, trials, seed, mse))
+            return mse
+
+        monkeypatch.setattr(model, "_draw_noise", counted_draw)
+        monkeypatch.setattr(experiments, "simulate_mle_mse", recorded)
+        spec = experiments.ExperimentSpec(
+            cfg=SystemConfig(k=2, r=6, n_b=4, seed=5), scenarios=("no-eve",),
+            mc_trials=300, output_path=tmp_path)
+        with pytest.warns(UserWarning):   # no capped rows, so no plots
+            rows = experiments.run_experiment(spec)
+        assert len(draws) == 1 and len(calls) == len(rows) == 3
+
+        for (ch, ris, trials, seed, mse), row in zip(calls, rows):
+            g = ch.h_rb @ ris.matrix @ ch.h_ar @ ch.p
+            weighted = np.linalg.solve(ch.low_b.conj().T, np.linalg.solve(ch.low_b, g))
+            f = g.conj().T @ weighted
+            estimator = np.linalg.solve(0.5 * (f + f.conj().T), weighted.conj().T)
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            z = rng.standard_normal((trials, 4)) + 1j * rng.standard_normal((trials, 4))
+            theta = np.ones(2, dtype=complex)
+            y = (g @ theta)[None, :] + (np.sqrt(0.5) * z) @ ch.low_b.T
+            err = y @ estimator.T - theta[None, :]
+            fresh = float(np.sum(np.abs(err) ** 2)) / trials
+            assert mse == fresh == row["mse_mc"]
+        with pytest.raises(ValueError, match="read-only"):
+            calls[0][0].noise_b(300, 5)[0, 0] = 0.0

@@ -352,6 +352,86 @@ class TestThinAscent:
         assert abs(trace[-1] - final) <= 1e-10 * final
         assert np.abs(b.conj().T @ b - np.eye(24)).max() <= 1e-12
 
+    @pytest.mark.parametrize("with_penalty", [False, True])
+    def test_steps_take_no_eigendecomposition(self, monkeypatch, with_penalty):
+        """The step exp(i t P) comes from :func:`spectral._expm1i`: the ascent
+        reaches a stationary point with numpy's eigh refused."""
+        rng = np.random.default_rng(43)
+        forms = rand_forms(rng, 12, k=4, with_eve=True)
+        e_b = forms.e_b / np.linalg.eigvalsh(forms.e_b)[-1]
+        e_e = forms.e_e / np.linalg.eigvalsh(forms.e_e)[-1]
+        h = forms.h / np.sqrt(np.linalg.eigvalsh(forms.m)[-1])
+        penalty = None
+        if with_penalty:
+            penalty = (e_e, 0.5 * quad_objective(np.eye(12), e_e, h @ h.conj().T),
+                       0.1, 10.0)
+        u0 = takagi(nearest_symmetric_unitary(haar_unitary(rng, 12))).u
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the ascent called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        *_, steps, _, stop = spectral._ascend(
+            u0, e_b, h, 1e-9, spectral._AO_MAX_ITERS, penalty=penalty)
+        assert stop == "stationary" and steps > 0
+
+
+class TestTaylorStep:
+    """exp(i tau P) - I from :func:`spectral._expm1i` against the real
+    symmetric eigendecomposition it replaced, v expm1(i tau mu) v^T.  The
+    tolerance 8u(sqrt(r) + ||tau P||_2) allows the reference's own
+    eigenvector error and the phase tau mu, which is known only to
+    ||tau P||_2 ulps."""
+
+    SIZES = np.logspace(-8, 5, 27)        # ||tau P||_2
+
+    @staticmethod
+    def sym(r, seed):
+        a = np.random.default_rng(seed).normal(size=(r, r))
+        return a + a.T
+
+    @staticmethod
+    def allowed(r, size):
+        return 8.0 * np.finfo(float).eps * (np.sqrt(r) + size)
+
+    @pytest.mark.parametrize("r", [1, 2, 12, 64])
+    def test_matches_eigh_reference(self, r):
+        """Relative error within the tolerance of ||F||_2, I + F unitary and
+        F symmetric, on both the unscaled branch (one link) and the scaled
+        one."""
+        p = self.sym(r, 60 + r)
+        mu, v = np.linalg.eigh(p)
+        links = []
+        for size in self.SIZES:
+            tau = size / np.abs(mu).max()
+            chain = spectral._expm1i(p, tau)
+            f, ref = chain[-1], (v * np.expm1(1j * tau * mu)) @ v.T
+            tol = self.allowed(r, size)
+            assert np.linalg.norm(f - ref, 2) <= tol * np.linalg.norm(ref, 2), size
+            w = np.eye(r) + f
+            assert np.abs(w.conj().T @ w - np.eye(r)).max() <= tol, size
+            assert np.abs(f - f.T).max() <= tol * np.abs(f).max(), size
+            links.append(len(chain))
+        assert links[0] == 1 and links[-1] > 10
+
+    @pytest.mark.parametrize("r", [2, 12, 64])
+    def test_each_link_of_the_chain_is_a_direct_evaluation(self, r):
+        """The chain F(tau / 2^s), ..., F(tau) the line search halves along:
+        link j from the end equals F(tau / 2^j) evaluated on its own."""
+        p = self.sym(r, 70 + r)
+        size = 40.0
+        tau = size / np.linalg.norm(p, 2)
+        chain = spectral._expm1i(p, tau)
+        assert len(chain) >= 5
+        for j, link in enumerate(reversed(chain)):
+            direct = spectral._expm1i(p, tau / 2 ** j)[-1]
+            tol = self.allowed(r, size / 2 ** j)
+            assert np.linalg.norm(link - direct, 2) <= tol * np.linalg.norm(direct, 2), j
+
+    def test_zero_direction_is_no_move(self):
+        np.testing.assert_array_equal(spectral._expm1i(np.zeros((3, 3)), 1.0)[-1],
+                                      np.zeros((3, 3)))
+
 
 class TestLbfgsDirection:
     """The ascent's direction is the limited-memory BFGS product H A."""
