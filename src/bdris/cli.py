@@ -75,33 +75,53 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--eps-grid: {exc}") from exc
 
 
+def _count(value) -> int:
+    """An integer value, refused rather than truncated when it is not a
+    whole number."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError
+    return int(value)
+
+
+def _listed(value) -> tuple:
+    """A list as a tuple; a bare string is refused rather than split into
+    its characters."""
+    if isinstance(value, str):
+        raise ValueError
+    return tuple(value)
+
+
 def make_spec(args: argparse.Namespace) -> ExperimentSpec:
     conf = _load_config(args.config)
 
     def pick(flag, key, default, kind):
+        """The flag, else the config key, else the default, read by ``kind``;
+        no setting is a boolean, so none is read as 0 or 1."""
         value = conf.get(key, default) if flag is None else flag
         try:
+            if isinstance(value, bool):
+                raise ValueError
             return kind(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{key}: invalid value {value!r}") from exc
 
-    k = pick(args.k, "k", 10, int)
+    k = pick(args.k, "k", 10, _count)
     cfg = SystemConfig(
-        k=k, r=pick(args.r, "r", 36, int),
-        n_b=pick(None, "n_b", 2 * k, int), n_e=pick(None, "n_e", 2 * k, int),
+        k=k, r=pick(args.r, "r", 36, _count),
+        n_b=pick(None, "n_b", 2 * k, _count), n_e=pick(None, "n_e", 2 * k, _count),
         total_power=pick(args.power, "power", 30.0, float),
         noise_variance=pick(args.noise, "noise", 1e-5, float),
-        seed=pick(args.seed, "seed", 0, int),
+        seed=pick(args.seed, "seed", 0, _count),
     )
     grid = _parse_grid(args.eps_grid) if args.eps_grid is not None else None
     grid = pick(grid, "epsilon_grid", None,
-                lambda g: None if g is None else np.asarray(g, dtype=float))
+                lambda g: None if g is None else np.asarray(_listed(g), dtype=float))
     return ExperimentSpec(
         cfg=cfg,
         epsilon_grid=grid,
-        architectures=pick(args.arch, "architectures", ARCHITECTURES, tuple),
-        scenarios=pick(args.scenario, "scenarios", ("no-eve", "eve"), tuple),
-        mc_trials=pick(args.trials, "mc_trials", 0, int),
+        architectures=pick(args.arch, "architectures", ARCHITECTURES, _listed),
+        scenarios=pick(args.scenario, "scenarios", ("no-eve", "eve"), _listed),
+        mc_trials=pick(args.trials, "mc_trials", 0, _count),
         output_path=pick(args.out, "out", "out", Path),
     )
 

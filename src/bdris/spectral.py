@@ -25,10 +25,11 @@ also the inner solver of the capped reciprocal design in
 :mod:`bdris.pdd`.  The ascent works on the r-by-k source matrix h rather
 than on M = h h^H, which has rank k <= r.  Its state is a frame B with
 Omega = B B^T plus r-by-k products of h; a step costs the half step
-exp(i t P / 2) - I from a short real Taylor series (:func:`_expm1i`),
-the two-loop recursion over _MEMORY pairs, one complex r-by-r product
-that moves the frame, and r-by-r-by-k products, and a line-search trial
-only the latter.  The knobs of both searches are the module constants
+exp(i t P / 2) - I, a short real Taylor series whose cosine and sine
+parts share one stack of powers (:func:`_expm1i`, m + 2 real r-by-r
+products at degree m), the two-loop recursion over _MEMORY pairs, one
+complex r-by-r product that moves the frame, and r-by-r-by-k products,
+and a line-search trial only the latter.  The knobs of both searches are the module constants
 below; every caller uses the same values.
 """
 
@@ -83,17 +84,23 @@ _AO_MAX_ITERS = 5000
 
 
 # exp(i X) - I for real symmetric X (:func:`_expm1i`), with Y = X^2:
-# cos X - I = Y q_c(Y) and sin X = X q_s(Y), where q_c and q_s have the
-# coefficients (-1)^(j+1) / (2j+2)! and (-1)^j / (2j+1)! of Y^j.  Degree m
-# of both in Y serves ||X||_2 <= _TAYLOR_THETA[m - 1]: the first omitted
-# sine term X^(2m+3) / (2m+3)! is then at most half the unit roundoff
-# relative to ||X||_2, and the first omitted cosine term is smaller still.
-# Two more Horner steps cost as much as one squaring F <- F (2I + F); past
-# m = _TAYLOR_MAX they no longer double theta, so larger X are halved.
+# cos X - I = sum_j c_j Y^(j+1) and sin X = X q_s(Y), q_s(Y) = sum_j s_j Y^j,
+# with c_j = (-1)^(j+1) / (2j+2)! and s_j = (-1)^j / (2j+1)!.  Degree m
+# (j = 0..m) serves ||X||_2 <= _TAYLOR_THETA[m - 1]: the first omitted sine
+# term X^(2m+3) / (2m+3)! is then at most half the unit roundoff relative
+# to ||X||_2, and the first omitted cosine term is smaller still.  Row 0 of
+# _TAYLOR_TABLES[m - 1] holds the c_j on the powers I, Y, ..., Y^(m+1), row
+# 1 the s_j.  One more degree costs one real r-by-r product and a squaring
+# F <- F (2I + F) a complex one, four real.  Three more degrees would
+# double theta past m = _TAYLOR_MAX and save one product on the squaring
+# they replace, but such X are rare (a squaring ran in 5 of 1 675 calls
+# over the r = 64 acceptance draws and in 1 of 8 911 over the r = 36
+# reference sweep), so the table stops here and larger X are halved.
 _TAYLOR_MAX = 8
-_TAYLOR_COEFS = [((-1) ** (j + 1) / math.factorial(2 * j + 2),
-                  (-1) ** j / math.factorial(2 * j + 1))
-                 for j in range(_TAYLOR_MAX + 1)]
+_TAYLOR_TABLES = tuple(
+    np.array([[0.0] + [(-1) ** (j + 1) / math.factorial(2 * j + 2) for j in range(m + 1)],
+              [(-1) ** j / math.factorial(2 * j + 1) for j in range(m + 1)] + [0.0]])
+    for m in range(1, _TAYLOR_MAX + 1))
 _TAYLOR_THETA = tuple(
     (np.finfo(float).eps / 4.0 * math.factorial(2 * m + 3)) ** (1.0 / (2 * m + 2))
     for m in range(1, _TAYLOR_MAX + 1))
@@ -289,31 +296,35 @@ def _expm1i(p: np.ndarray, tau: float) -> list[np.ndarray]:
 
     X = tau P / 2^s, with the least s >= 0 that brings the bound
     ||Y||_1^(1/2) >= ||X||_2 within _TAYLOR_THETA[-1], and the least degree
-    m whose theta covers it (table above).  Horner's rule in Y = X^2 runs
-    on Q = X q_c(Y) + i q_s(Y), so each step is one real product of Y with
-    Q's side-by-side real and imaginary parts, and F = X Q =
-    (cos X - I) + i sin X is one more.  The scaling is undone by
-    F <- F (2I + F), which keeps the accuracy relative to ||F|| that
+    m whose theta covers it (table above).  The powers I, Y, ..., Y^(m+1)
+    of Y = X^2 fill one real stack, m products after Y itself; one product
+    of the degree's 2-by-(m+2) coefficient table with that stack gives
+    cos X - I and q_s(Y) together, and sin X = X q_s(Y) is one more
+    product: m + 2 real r-by-r products in all (Paterson and Stockmeyer,
+    SIAM J. Comput., 1973, with every power kept).  The scaling is undone
+    by F <- F (2I + F), which keeps the accuracy relative to ||F|| that
     forming exp(i X) first would lose (Al-Mohy and Higham, SIAM J. Matrix
     Anal. Appl., 2009).  Returns the chain
     F(tau / 2^s), ..., F(tau / 2), F(tau), shortest step first.
     """
+    r = len(p)
     x = tau * p
-    y = x @ x
+    powers = np.empty((_TAYLOR_MAX + 2, r, r))
+    y = np.matmul(x, x, out=powers[1])
     norm = math.sqrt(float(np.abs(y).sum(axis=0).max()))     # >= ||X||_2
     s = max(0, math.ceil(math.log2(norm / _TAYLOR_THETA[-1]))) if norm else 0
     if s:
-        x, y = np.ldexp(x, -s), np.ldexp(y, -2 * s)
+        np.ldexp(x, -s, out=x)
+        np.ldexp(y, -2 * s, out=y)
     m = 1 + bisect.bisect_left(_TAYLOR_THETA, math.ldexp(norm, -s), hi=_TAYLOR_MAX - 1)
-    diag = np.diag_indices(len(p))
-    q = np.zeros(p.shape, dtype=complex)
-    for j in range(m, -1, -1):
-        if j < m:
-            q = (y @ _floats(q)).view(complex)
-        cos_j, sin_j = _TAYLOR_COEFS[j]
-        q.real += cos_j * x
-        q[diag] += 1j * sin_j
-    f = (x @ _floats(q)).view(complex)
+    powers = powers[:m + 2]
+    powers[0] = np.eye(r)
+    for j in range(2, m + 2):
+        np.matmul(y, powers[j - 1], out=powers[j])
+    cos1, sin_q = (_TAYLOR_TABLES[m - 1] @ powers.reshape(m + 2, r * r)).reshape(2, r, r)
+    f = np.empty(p.shape, dtype=complex)
+    f.real = cos1
+    f.imag = x @ sin_q
     chain = [f]
     for _ in range(s):
         f = f @ f + 2.0 * f
@@ -348,7 +359,8 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
     orthogonal factor, which leaves Omega alone), and the r-by-k c = B^T h
     and E Omega h = E B c for each form.  A trial at step t needs only the
     half step H = F(t/2), F(t) = e^{i t P} - I in the frame B
-    (:func:`_expm1i`): F(t) = H (2I + H), so the increment is
+    (:func:`_expm1i`, m + 2 real r-by-r products for the Taylor degree m
+    that ||t P / 2|| calls for): F(t) = H (2I + H), so the increment is
     Delta h = B H (2c + H c), and then E Delta h, r-by-r-by-k products.
     The chain of half steps that :func:`_expm1i` builds while undoing its
     scaling serves the line search's halvings, until they fall below it.

@@ -141,3 +141,27 @@ def golden_row(payload):
     row.update((key, payload[key]) for key in
                ("objective", "bound", "converged", "iterations"))
     return {key: row[key] for key in GOLDEN_COLUMNS}
+
+
+def golden_moves(cells, golden, tolerances):
+    """Each golden column of each cell against the golden cells, as
+    (stem, column, golden value, value, relative move, admitted) tuples.
+    Numbers move by their relative change and are admitted within the
+    relative tolerance of ``tolerances`` for their architecture and column;
+    iteration counts are admitted within its ``iterations_factor`` either
+    way, and strings and flags only when equal (both with no relative
+    move, None)."""
+    factor = tolerances["iterations_factor"]
+    for stem, want in sorted(golden.items()):
+        got = cells[stem]
+        allowed = tolerances["relative"][want["architecture"]]
+        for key, value in want.items():
+            rel = None
+            if key == "iterations":
+                admitted = value / factor <= got[key] <= value * factor
+            elif isinstance(value, float):
+                rel = abs(got[key] - value) / max(abs(value), np.finfo(float).tiny)
+                admitted = rel <= allowed[key]
+            else:
+                admitted = got[key] == value
+            yield stem, key, value, got[key], rel, admitted

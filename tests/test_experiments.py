@@ -323,8 +323,18 @@ class TestCli:
 
     @pytest.mark.parametrize("entry", [{"r": None}, {"k": [3]},
                                        {"architectures": 5},
-                                       {"epsilon_grid": {"a": 1}}])
+                                       {"epsilon_grid": {"a": 1}},
+                                       {"r": 4.7}, {"k": True}, {"n_b": 20.5},
+                                       {"n_e": False}, {"seed": 3.9},
+                                       {"mc_trials": True}, {"r": float("inf")},
+                                       {"power": True}, {"noise": False},
+                                       {"architectures": "diagonal"},
+                                       {"scenarios": "eve"},
+                                       {"epsilon_grid": "1e3"}])
     def test_mistyped_config_value_exits_one(self, tmp_path, capsys, entry):
+        """A value of the wrong type is refused with ``error: <key>:``, not
+        coerced: no truncated count, no boolean read as 0 or 1 and no bare
+        string split into characters."""
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps(entry), encoding="utf-8")
         code = main(["--config", str(conf), "--out", str(tmp_path / "o"),

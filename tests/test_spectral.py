@@ -415,6 +415,25 @@ class TestTaylorStep:
         assert links[0] == 1 and links[-1] > 10
 
     @pytest.mark.parametrize("r", [2, 12, 64])
+    def test_every_degree_matches_eigh_reference(self, r):
+        """Sizes 0.999 and 1.001 times each theta_m of the degree table, for
+        the bound ||Y||_1^(1/2) the kernel reads its degree from: each degree
+        m = 1.._TAYLOR_MAX and its coefficient row is used on both sides of
+        its boundary, and 1.001 theta_max takes the first squaring."""
+        p = self.sym(r, 80 + r)
+        mu, v = np.linalg.eigh(p)
+        bound = np.sqrt(np.abs(p @ p).sum(axis=0).max())
+        for theta in spectral._TAYLOR_THETA:
+            for factor in (0.999, 1.001):
+                tau = factor * theta / bound
+                chain = spectral._expm1i(p, tau)
+                f, ref = chain[-1], (v * np.expm1(1j * tau * mu)) @ v.T
+                size = tau * np.abs(mu).max()
+                tol = self.allowed(r, size)
+                assert np.linalg.norm(f - ref, 2) <= tol * np.linalg.norm(ref, 2), tau
+        assert len(chain) == 2
+
+    @pytest.mark.parametrize("r", [2, 12, 64])
     def test_each_link_of_the_chain_is_a_direct_evaluation(self, r):
         """The chain F(tau / 2^s), ..., F(tau) the line search halves along:
         link j from the end equals F(tau / 2^j) evaluated on its own."""
