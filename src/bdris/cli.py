@@ -91,6 +91,15 @@ def _listed(value) -> tuple:
     return tuple(value)
 
 
+def _numbers(value) -> np.ndarray:
+    """A list of numbers as a float array; a boolean or a string among its
+    entries is refused rather than read as 0, 1 or a parsed number."""
+    entries = _listed(value)
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entries):
+        raise ValueError
+    return np.asarray(entries, dtype=float)
+
+
 def make_spec(args: argparse.Namespace) -> ExperimentSpec:
     conf = _load_config(args.config)
 
@@ -114,8 +123,7 @@ def make_spec(args: argparse.Namespace) -> ExperimentSpec:
         seed=pick(args.seed, "seed", 0, _count),
     )
     grid = _parse_grid(args.eps_grid) if args.eps_grid is not None else None
-    grid = pick(grid, "epsilon_grid", None,
-                lambda g: None if g is None else np.asarray(_listed(g), dtype=float))
+    grid = pick(grid, "epsilon_grid", None, lambda g: None if g is None else _numbers(g))
     return ExperimentSpec(
         cfg=cfg,
         epsilon_grid=grid,

@@ -51,9 +51,9 @@ __all__ = [
 # penalty rho starts at _RHO0 and grows by _RHO_GROWTH in every round whose
 # constraint residual falls by less than _RESIDUAL_FALL; the inner ascent
 # tolerance starts at _INNER_TOL0 and shrinks by _INNER_SHRINK to
-# _INNER_TOL_MIN; each round runs at most _MAX_INNER ascent steps with
-# Zhang-Hager weight _ETA, at most _MAX_ROUNDS rounds run, and a relative
-# residual at most _RESIDUAL_TOL at the final inner tolerance ends the run.
+# _INNER_TOL_MIN; each round runs at most _MAX_INNER ascent steps, at most
+# _MAX_ROUNDS rounds run, and a relative residual at most _RESIDUAL_TOL at
+# the final inner tolerance ends the run.
 # Two rounds in a row that keep more than _STUCK of the residual although
 # rho grew end it as infeasible.
 _RHO0 = 10.0
@@ -64,7 +64,6 @@ _INNER_SHRINK = 0.3
 _INNER_TOL_MIN = 1e-8
 _MAX_INNER = 500
 _MAX_ROUNDS = 30
-_ETA = 0.85
 _RESIDUAL_TOL = 1e-10
 _STUCK = 0.99
 
@@ -209,9 +208,9 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
     ``infeasible``, with the nearest symmetric unitary U U^T to X.  The
     Takagi factor U of X + X^T is also the start: from it each round
     maximizes f_b - (rho/2) max(0, f_e - eps + lam/rho)^2 on the
-    unit-scale forms to a shrinking tolerance, then sets
-    lam <- max(0, lam + rho (f_e - eps)).  The cell converges
-    (``stationary``) once the residual |max(f_e - eps, -lam/rho)| is at
+    unit-scale forms to a shrinking tolerance (no ascent step lowers
+    this cost), then sets lam <- max(0, lam + rho (f_e - eps)).  The cell
+    converges (``stationary``) once the residual |max(f_e - eps, -lam/rho)| is at
     most _RESIDUAL_TOL eps after a round at the final tolerance; it ends
     ``budget`` after _MAX_ROUNDS rounds, and ``infeasible`` when growing
     rho no longer lowers the residual.
@@ -245,7 +244,7 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
         residual, stuck, grown, stop = np.inf, 0, False, "budget"
         for rounds in range(1, _MAX_ROUNDS + 1):
             u, grad, steps, _, inner = _ascend(
-                u, e_b_hat, h_hat, inner_tol, _MAX_INNER, _ETA,
+                u, e_b_hat, h_hat, inner_tol, _MAX_INNER,
                 penalty=(e_e_hat, eps_hat, lam, rho))
             iterations += steps
             omega = u @ u.T

@@ -333,7 +333,7 @@ def _expm1i(p: np.ndarray, tau: float) -> list[np.ndarray]:
 
 
 def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
-            max_iters: int, eta: float = 0.0, penalty=None):
+            max_iters: int, penalty=None):
     """L-BFGS ascent on U for f_b = tr(Omega^H E_b Omega M), Omega = U U^T.
 
     ``h`` is the r-by-k source matrix, M = h h^H.
@@ -348,12 +348,12 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
     BFGS product (:func:`_two_loop`) over the last _MEMORY pairs s = t P,
     y = A_old - A_new, a pair kept only when s^T y > 0, so H stays
     positive definite and <A, P> > 0.  Steps start at t = 1 and are
-    halved until the cost beats the Zhang-Hager (2004) reference by
-    _ARMIJO t <A, P>, or end the run ``stalled`` below _STEP_FLOOR;
-    eta = 0 makes the reference the current cost, so costs rise
-    monotonically.  The test adds up cost changes computed from
-    Omega(t) - Omega = U (e^{i t P} - I) U^T, which resolves gains far
-    below the rounding of the cost itself.
+    halved until the cost rises by at least _ARMIJO t <A, P> (the Armijo
+    test), or end the run ``stalled`` below _STEP_FLOOR, so the cost never
+    falls.
+    The rise is computed from Omega(t) - Omega = U (e^{i t P} - I) U^T,
+    not as a difference of costs, which resolves gains far below the
+    rounding of the cost itself.
 
     The state is thin: the frame B (Omega = B B^T; B = U up to a real
     orthogonal factor, which leaves Omega alone), and the r-by-k c = B^T h
@@ -395,7 +395,6 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
     grad = float(np.linalg.norm(a))
     pairs = deque(maxlen=_MEMORY)
     trace = [vals[0]]
-    value, ref, q = 0.0, 0.0, 1.0   # cost and reference, less the start cost
     iterations = 0
     stop = "stationary"
     while grad > tol:
@@ -417,7 +416,7 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
             gain = dvals[0]
             if penalty is not None:
                 gain -= penalty_rise(vals[1], dvals[1])
-            passed = value + gain >= ref + step * need
+            passed = gain >= step * need
             if passed or step < _STEP_FLOOR:
                 break
             step *= 0.5
@@ -435,10 +434,7 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
             pairs.append((s, y, 1.0 / sy))
         a = a_new
         grad = float(np.linalg.norm(a))
-        value += gain
         trace.append(vals[0])
-        ref = (eta * q * ref + value) / (eta * q + 1.0)
-        q = eta * q + 1.0
     return b, grad, iterations, trace, stop
 
 
@@ -446,10 +442,10 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     """Symmetric-unitary design Omega = U U^T by limited-memory BFGS ascent.
 
     Starts from U0, the Takagi factor of V_E V_M^H + V_M^* V_E^T, and runs
-    :func:`_ascend` monotonically on the forms scaled to unit spectral
-    norm until ||A||_F <= _AO_GRAD_TOL; _AO_MAX_ITERS steps (or a stalled
-    line search) end the run unconverged.  The report carries ``grad_norm``
-    and ``stop_reason``.
+    :func:`_ascend`, whose line search never lowers the cost, on the forms
+    scaled to unit spectral norm until ||A||_F <= _AO_GRAD_TOL;
+    _AO_MAX_ITERS steps (or a stalled line search) end the run unconverged.
+    The report carries ``grad_norm`` and ``stop_reason``.
     """
     e_b, m = forms.e_b, forms.m
     aligned = forms.eig_b.vectors @ forms.eig_m.vectors.conj().T

@@ -1,20 +1,34 @@
 """Shared helpers for the test suite (no fixtures, plain functions)."""
 import json
+import warnings
 from time import perf_counter
 
 import numpy as np
 
-from bdris.experiments import ExperimentSpec, default_epsilon_grid, run_experiment
+from bdris.experiments import (
+    SCENARIO_NO_EVE,
+    ExperimentSpec,
+    default_epsilon_grid,
+    run_experiment,
+)
 from bdris.model import QuadraticForms, SystemConfig, build_forms, generate_channels
 from bdris.spectral import solve_nonreciprocal
 
 # The r = 36 reference setup: 36 elements and 10 streams, twice as many
 # receive antennas as streams, the default power budget and noise floor.
 SETUP_36 = dict(k=10, r=36, n_b=20, n_e=20, seed=7)
+# The r = 64 reference setup: 64 elements and 15 streams, likewise, and its
+# channel draws 7-11 (seeds), solved uncapped with 10 000 Monte-Carlo trials.
+SETUP_64 = dict(k=15, r=64, n_b=30, n_e=30, seed=7)
+DRAWS_64 = range(7, 12)
+MC_TRIALS_64 = 10_000
 
-# The columns of a reference-sweep cell kept in ``tests/golden``.
+# The columns of a reference cell kept in ``tests/golden``: those of a
+# reference-sweep cell, and of an r = 64 draw also its leakage and
+# Monte-Carlo error.
 GOLDEN_COLUMNS = ("architecture", "objective", "bound", "dual_bound", "eve_value",
                   "stop_reason", "converged", "iterations", "crb")
+GOLDEN_COLUMNS_64 = GOLDEN_COLUMNS + ("fim_eve", "mse_mc")
 
 
 def rand_complex(rng, n, m=None):
@@ -129,18 +143,40 @@ def reference_sweep(output_path):
     return {"spec": spec, "rows": rows, "reports": reports, "wall": wall}
 
 
-def golden_row(payload):
-    """The ``GOLDEN_COLUMNS`` of one cell's report; a key the report does
-    not carry (no dual bound, no leakage on a no-eve cell) is None."""
+def reference_draws(output_path):
+    """Run the r = 64 reference draws into ``output_path``, one directory
+    per draw: ``SETUP_64`` at each seed of ``DRAWS_64``, all three
+    architectures, the no-eve cells only, ``MC_TRIALS_64`` Monte-Carlo
+    trials.  Returns the reports keyed by ``draw<seed>-<file stem>``."""
+    reports = {}
+    for seed in DRAWS_64:
+        out = output_path / f"draw{seed:02d}"
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "no capped rows to plot")
+            run_experiment(ExperimentSpec(
+                cfg=SystemConfig(**{**SETUP_64, "seed": seed}),
+                scenarios=(SCENARIO_NO_EVE,), mc_trials=MC_TRIALS_64, output_path=out))
+        reports.update((f"draw{seed:02d}-{path.stem}",
+                        json.loads(path.read_text(encoding="utf-8")))
+                       for path in (out / "reports").glob("*.json"))
+    return reports
+
+
+def golden_row(payload, columns=GOLDEN_COLUMNS):
+    """The ``columns`` of one cell's report; a key the report does not
+    carry (no dual bound, no leakage on a no-eve cell) is None."""
     cv = payload["constraint_values"]
-    row = {"architecture": payload["cell"]["architecture"],
-           "crb": payload["cell"]["crb"],
+    cell = payload["cell"]
+    row = {"architecture": cell["architecture"],
+           "crb": cell["crb"],
+           "fim_eve": cell["fim_eve"],
+           "mse_mc": cell["mse_mc"],
            "dual_bound": cv.get("dual_bound"),
            "eve_value": cv.get("eve_value"),
            "stop_reason": cv.get("stop_reason")}
     row.update((key, payload[key]) for key in
                ("objective", "bound", "converged", "iterations"))
-    return {key: row[key] for key in GOLDEN_COLUMNS}
+    return {key: row[key] for key in columns}
 
 
 def golden_moves(cells, golden, tolerances):

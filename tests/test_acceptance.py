@@ -6,7 +6,8 @@ The heavy shared piece — a ten-cap sweep of the r=36 reference setup across
 all three architectures — is computed once in a module fixture and reused
 by the ordering, saturation, feasibility and determinism checks, by a
 regression gate on the capped diagonal cells, and by a column-by-column
-comparison with the committed golden cells of ``tests/golden``.
+comparison with the committed golden cells of ``tests/golden``; the
+uncapped r=64 reference draws are compared with their own golden table.
 """
 import json
 from pathlib import Path
@@ -16,13 +17,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    GOLDEN_COLUMNS,
+    GOLDEN_COLUMNS_64,
     SETUP_36,
+    SETUP_64,
     batch_haar,
     batch_trace_objective,
     golden_moves,
     golden_row,
     haar_unitary,
     rand_complex,
+    reference_draws,
     reference_sweep,
     solve_based_qcqp_oracle,
 )
@@ -55,11 +60,6 @@ from bdris.model import (
 )
 from bdris.pdd import PddState, qcqp_spectral, update_psi
 from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao, von_neumann_bound
-
-# Reference setups: SETUP_36 (conftest) and 64 elements / 15 streams, both
-# with twice as many receive antennas as streams and the default power
-# budget and noise floor.
-SETUP_64 = dict(k=15, r=64, n_b=30, n_e=30, seed=7)
 
 ARCHS = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL)
 
@@ -407,14 +407,14 @@ def test_criterion_10_repeated_run_is_byte_identical(sweep36):
           f"files identical across runs")
 
 
-def test_reference_sweep_matches_golden_cells(sweep36):
-    """Every cell of the r=36 sweep matches ``golden/sweep36.json`` column
-    by column: strings and flags exactly, numbers within the relative
-    tolerances of ``golden/tolerances.json``, and iteration counts within
-    its factor either way."""
-    golden = json.loads((GOLDEN / "sweep36.json").read_text(encoding="utf-8"))
-    tols = json.loads((GOLDEN / "tolerances.json").read_text(encoding="utf-8"))
-    cells = {stem: golden_row(p) for stem, p in sweep36["reports"].items()}
+def _assert_golden(reports, table, tolerance_file, columns=GOLDEN_COLUMNS):
+    """Every cell of ``reports`` matches the golden ``table`` column by
+    column: strings and flags exactly, numbers within the relative
+    tolerances of ``tolerance_file``, and iteration counts within its
+    factor either way.  Prints the largest relative move per architecture."""
+    golden = json.loads((GOLDEN / table).read_text(encoding="utf-8"))
+    tols = json.loads((GOLDEN / tolerance_file).read_text(encoding="utf-8"))
+    cells = {stem: golden_row(p, columns) for stem, p in reports.items()}
     assert sorted(cells) == sorted(golden)
     worst = {}
     for stem, key, _, _, rel, admitted in golden_moves(cells, golden, tols):
@@ -422,5 +422,18 @@ def test_reference_sweep_matches_golden_cells(sweep36):
         if rel is not None:
             arch = golden[stem]["architecture"]
             worst[arch] = max(worst.get(arch, 0.0), rel)
-    print(f"[golden] PASS: {len(golden)} cells, max relative deviation "
+    print(f"[golden] PASS: {table}, {len(golden)} cells, max relative deviation "
           + ", ".join(f"{arch} {worst[arch]:.1e}" for arch in ARCHS))
+
+
+def test_reference_sweep_matches_golden_cells(sweep36):
+    """The r=36 sweep matches ``golden/sweep36.json`` within
+    ``golden/tolerances.json``."""
+    _assert_golden(sweep36["reports"], "sweep36.json", "tolerances.json")
+
+
+def test_reference_draws_match_golden_cells(tmp_path):
+    """The uncapped r=64 draws 7-11 match ``golden/draws64.json`` within
+    ``golden/tolerances64.json``, Monte-Carlo error included."""
+    _assert_golden(reference_draws(tmp_path), "draws64.json", "tolerances64.json",
+                   GOLDEN_COLUMNS_64)

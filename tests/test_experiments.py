@@ -330,7 +330,9 @@ class TestCli:
                                        {"power": True}, {"noise": False},
                                        {"architectures": "diagonal"},
                                        {"scenarios": "eve"},
-                                       {"epsilon_grid": "1e3"}])
+                                       {"epsilon_grid": "1e3"},
+                                       {"epsilon_grid": [True, 2]},
+                                       {"epsilon_grid": ["1e3"]}])
     def test_mistyped_config_value_exits_one(self, tmp_path, capsys, entry):
         """A value of the wrong type is refused with ``error: <key>:``, not
         coerced: no truncated count, no boolean read as 0 or 1 and no bare

@@ -556,6 +556,46 @@ UNMET = {("random r=5", 0.1), ("random r=8", 0.1)}
 class TestCappedReciprocalContract:
     @pytest.mark.parametrize("name,forms", capped_cases(),
                              ids=[c[0] for c in capped_cases()])
+    def test_rounds_never_lower_their_cost(self, monkeypatch, name, forms):
+        """At 0.3 of the uncapped reciprocal leakage, each augmented-
+        Lagrangian round, replayed with max_iters = 0..n and otherwise the
+        arguments ``solve_pdd`` passed it, never lowers its cost
+        f_b - (rho/2) max(0, f_e - eps + lam/rho)^2 from one accepted step to
+        the next, beyond the rounding of costs evaluated directly.  A cap
+        below the leakage floor of all unitaries (random r=2) runs no round."""
+        ascend = pdd._ascend
+        rounds = []
+
+        def spy(*args, **kwargs):
+            out = ascend(*args, **kwargs)
+            rounds.append((args, kwargs, out[2]))
+            return out
+
+        monkeypatch.setattr(pdd, "_ascend", spy)
+        base = solve_reciprocal_ao(forms)
+        _, rep = solve_pdd(
+            forms, 0.3 * quad_objective(base[0].matrix, forms.e_e, forms.m), warm=base)
+        assert rounds or rep.constraint_values["stop_reason"] == "infeasible"
+        worst = 0.0
+        for args, kwargs, steps in rounds:
+            _, e_b, h = args[:3]
+            e_e, eps, lam, rho = kwargs["penalty"]
+            m = h @ h.conj().T
+            costs, scales = [], []
+            for n in range(steps + 1):
+                b = ascend(*args[:4], n, *args[5:], **kwargs)[0]
+                omega = b @ b.T
+                f_b = quad_objective(omega, e_b, m)
+                term = 0.5 * rho * max(0.0, quad_objective(omega, e_e, m) - eps + lam / rho) ** 2
+                costs.append(f_b - term)
+                scales.append(f_b + term)
+            falls = (np.array(costs[:-1]) - costs[1:]) / scales[:-1]
+            worst = max(worst, falls.max(initial=0.0))
+        # Rounding of the direct evaluations: at most 4.2e-16 measured.
+        assert worst <= 1e-14, (name, worst)
+
+    @pytest.mark.parametrize("name,forms", capped_cases(),
+                             ids=[c[0] for c in capped_cases()])
     def test_converged_or_flagged(self, name, forms):
         """Caps 0.1, 0.3, 0.6 and 0.9 of the uncapped reciprocal leakage on
         random, commuting and coincident forms, r = 2..8: a converged answer
