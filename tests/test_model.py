@@ -12,6 +12,7 @@ Ground truths:
 import importlib
 import json
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -490,7 +491,65 @@ class TestSolveReport:
             assert rep.cost_trace[-1] == pytest.approx(rep.objective, rel=1e-9)
 
 
+class TestSingleElement:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_solver_takes_one_element(self, k, seed):
+        """r = 1: the unitary classes are a phase, so their leakage is fixed
+        and a cap below it is infeasible; the diagonal class relaxes the
+        phase to |w| <= 1 and meets a cap at half the leakage with half the
+        objective. Nothing raises, uncapped or capped at 0.5 and 1.5 of the
+        non-reciprocal leakage."""
+        forms = build_forms(generate_channels(
+            SystemConfig(k=k, r=1, n_b=2 * k, n_e=2 * k, seed=seed)))
+        dforms = diag_forms(forms)
+        ris0, rep0 = solve_nonreciprocal(forms)
+        uncapped = {ARCH_NONRECIPROCAL: rep0,
+                    ARCH_RECIPROCAL: solve_reciprocal_ao(forms)[1],
+                    ARCH_DIAGONAL: solve_diagonal_unconstrained(dforms)[1]}
+        assert all(rep.converged for rep in uncapped.values())
+        leakage = quad_objective(ris0.matrix, forms.e_e, forms.m)
+        for scale in (0.5, 1.5):
+            eps = scale * leakage
+            capped = {ARCH_NONRECIPROCAL: solve_nonreciprocal(forms, eps)[1],
+                      ARCH_RECIPROCAL: solve_pdd(forms, eps)[1],
+                      ARCH_DIAGONAL: solve_diagonal_constrained(dforms, eps)[1]}
+            for arch, rep in capped.items():
+                ratio = rep.objective / uncapped[arch].objective
+                if scale > 1.0 or arch == ARCH_DIAGONAL:
+                    assert rep.converged
+                    assert rep.constraint_values["eve_value"] <= eps * (1.0 + 1e-8)
+                    assert ratio == pytest.approx(min(scale, 1.0), rel=1e-8)
+                else:
+                    assert not rep.converged
+                    assert rep.constraint_values["stop_reason"] == "infeasible"
+                    assert ratio == pytest.approx(1.0, rel=1e-12)
+
+
 # ------------------------------------------------------------------- crb / mle
+
+def whole_block_mse(ch, ris, trials, seed):
+    """The Monte-Carlo noise and MSE as one whole-block formula: every
+    trial's draw, sum and estimate in a single array operation each."""
+    g = ch.h_rb @ ris.matrix @ ch.h_ar @ ch.p
+    weighted = np.linalg.solve(ch.low_b.conj().T, np.linalg.solve(ch.low_b, g))
+    f = g.conj().T @ weighted
+    estimator = np.linalg.solve(0.5 * (f + f.conj().T), weighted.conj().T)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    n_b = ch.h_rb.shape[0]
+    z = rng.standard_normal((trials, n_b)) + 1j * rng.standard_normal((trials, n_b))
+    theta = np.ones(ch.k, dtype=complex)
+    eta = (np.sqrt(0.5) * z) @ ch.low_b.T
+    y = (g @ theta)[None, :] + eta
+    err = y @ estimator.T - theta[None, :]
+    return eta, float(np.sum(np.abs(err) ** 2)) / trials
+
+
+def mle_instance():
+    """A seeded r = 8, k = 3, n_b = 6 channel set with a Haar design."""
+    ch = generate_channels(SystemConfig(k=3, r=8, n_b=6, seed=1))
+    return ch, RisMatrix(haar_unitary(np.random.default_rng(0), 8), ARCH_NONRECIPROCAL)
+
 
 class TestCrbAndMle:
     def test_crb_spectral_oracle(self):
@@ -604,16 +663,50 @@ class TestCrbAndMle:
         assert len(draws) == 1 and len(calls) == len(rows) == 3
 
         for (ch, ris, trials, seed, mse), row in zip(calls, rows):
-            g = ch.h_rb @ ris.matrix @ ch.h_ar @ ch.p
-            weighted = np.linalg.solve(ch.low_b.conj().T, np.linalg.solve(ch.low_b, g))
-            f = g.conj().T @ weighted
-            estimator = np.linalg.solve(0.5 * (f + f.conj().T), weighted.conj().T)
-            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-            z = rng.standard_normal((trials, 4)) + 1j * rng.standard_normal((trials, 4))
-            theta = np.ones(2, dtype=complex)
-            y = (g @ theta)[None, :] + (np.sqrt(0.5) * z) @ ch.low_b.T
-            err = y @ estimator.T - theta[None, :]
-            fresh = float(np.sum(np.abs(err) ** 2)) / trials
+            _, fresh = whole_block_mse(ch, ris, trials, seed)
             assert mse == fresh == row["mse_mc"]
         with pytest.raises(ValueError, match="read-only"):
             calls[0][0].noise_b(300, 5)[0, 0] = 0.0
+
+    @pytest.mark.parametrize("chunks, rows", [(0, 1), (1, 0), (2, 7)])
+    def test_chunked_path_matches_the_whole_block(self, chunks, rows):
+        """One trial, one full chunk of rows, and two chunks plus seven rows:
+        the kept noise and the MSE equal the whole-block formula bit for
+        bit."""
+        from bdris import model
+
+        trials = chunks * model._MC_CHUNK + rows
+        ch, ris = mle_instance()
+        eta, fresh = whole_block_mse(ch, ris, trials, seed=4)
+        kept = ch.noise_b(trials, 4)
+        assert kept.shape == eta.shape and kept.tobytes() == eta.tobytes()
+        assert simulate_mle_mse(ch, ris, trials=trials, seed=4) == fresh
+
+    def test_memory_does_not_grow_with_trials(self):
+        """Beyond the kept noise block and the trials-by-k squared errors,
+        the draw and the estimate hold a fixed number of chunk-sized
+        temporaries, whatever the trial count. The allowance is three
+        complex chunks of n_b columns, which cover a chunk's sum with
+        G theta, numpy's buffer for that broadcast sum, and a chunk's
+        product with the estimator or with L^T."""
+        from bdris import model
+
+        ch, ris = mle_instance()
+        n_b, k = ch.h_rb.shape[0], ch.k
+        allowance = 3 * model._MC_CHUNK * n_b * 16
+        extra = {}
+        for trials in (20_000, 40_000):
+            tracemalloc.start()
+            try:
+                block = ch.noise_b(trials, 2)
+                draw = tracemalloc.get_traced_memory()[1] - block.nbytes
+                tracemalloc.reset_peak()
+                simulate_mle_mse(ch, ris, trials=trials, seed=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra[trials] = (draw, peak - block.nbytes - trials * k * 8)
+        for draw, simulate in extra.values():
+            assert 0 < draw < allowance and 0 < simulate < allowance
+        for small, large in zip(extra[20_000], extra[40_000]):
+            assert abs(large - small) <= 4096
