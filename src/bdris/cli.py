@@ -75,10 +75,18 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--eps-grid: {exc}") from exc
 
 
+def _real(value) -> float:
+    """A number as a float; a boolean or a string is refused rather than
+    read as 0, 1 or a parsed number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError
+    return float(value)
+
+
 def _count(value) -> int:
     """An integer value, refused rather than truncated when it is not a
     whole number."""
-    if not (isinstance(value, int) or float(value).is_integer()):
+    if not (isinstance(value, int) or _real(value).is_integer()):
         raise ValueError
     return int(value)
 
@@ -92,12 +100,8 @@ def _listed(value) -> tuple:
 
 
 def _numbers(value) -> np.ndarray:
-    """A list of numbers as a float array; a boolean or a string among its
-    entries is refused rather than read as 0, 1 or a parsed number."""
-    entries = _listed(value)
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entries):
-        raise ValueError
-    return np.asarray(entries, dtype=float)
+    """A list of numbers as a float array, each entry read by :func:`_real`."""
+    return np.asarray([_real(v) for v in _listed(value)])
 
 
 def make_spec(args: argparse.Namespace) -> ExperimentSpec:
@@ -118,8 +122,8 @@ def make_spec(args: argparse.Namespace) -> ExperimentSpec:
     cfg = SystemConfig(
         k=k, r=pick(args.r, "r", 36, _count),
         n_b=pick(None, "n_b", 2 * k, _count), n_e=pick(None, "n_e", 2 * k, _count),
-        total_power=pick(args.power, "power", 30.0, float),
-        noise_variance=pick(args.noise, "noise", 1e-5, float),
+        total_power=pick(args.power, "power", 30.0, _real),
+        noise_variance=pick(args.noise, "noise", 1e-5, _real),
         seed=pick(args.seed, "seed", 0, _count),
     )
     grid = _parse_grid(args.eps_grid) if args.eps_grid is not None else None

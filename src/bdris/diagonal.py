@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import ContractViolationError, DimensionError
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
-from .reporting import SolveReport, capped_report, checked_cap, uncapped_pair
+from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
+    uncapped_pair
 
 __all__ = [
     "DiagForms",
@@ -70,12 +71,10 @@ _CA_REL_TOL = 1e-12
 # _STEP_UP on non-positive curvature), a rejected one shrinks it by
 # _STEP_DOWN.  A round ends when a move gains at most the round's tolerance
 # (relative), which starts at _STAT_TOL0 and shrinks by _STAT_SHRINK a
-# round down to _STAT_TOL, or after _MAX_ITERS steps.  The penalty starts
-# at _RHO0 / eps and grows by _RHO_GROWTH after a finished round that cut
-# the cap residual by less than _RESIDUAL_FALL (the rule of the capped
-# reciprocal solve); a restart stops once a round at _STAT_TOL leaves a
-# residual of at most _RESIDUAL_TOL (relative to the cap), or after
-# _MAX_ROUNDS rounds.
+# round down to _STAT_TOL, or after _MAX_ITERS steps.  Between rounds the
+# shared rule of :class:`~bdris.reporting.CapPenalty` runs, with the
+# penalty starting at _RHO0 / eps, at most _MAX_ROUNDS rounds and a
+# residual tolerance of _RESIDUAL_TOL (relative to the cap).
 #
 # The schedule was measured over 91 active capped cells (r = 36 and r = 64
 # channel draws, seeded r <= 8 instances) and 36 seeded cells whose optimum
@@ -91,9 +90,6 @@ _STAT_TOL = 1e-12
 _STAT_TOL0 = 1e-6
 _STAT_SHRINK = 0.03
 _MAX_ITERS = 2000
-_RHO0 = 10.0
-_RHO_GROWTH = 5.0
-_RESIDUAL_FALL = 4.0
 _MAX_ROUNDS = 50
 _RESIDUAL_TOL = 1e-8
 
@@ -277,65 +273,52 @@ def _into_cap(ce: np.ndarray, eps: float, w: np.ndarray) -> np.ndarray:
     return w * np.sqrt(eps / np.where(g > eps, g, eps))[:, None]
 
 
-def _weight(e: np.ndarray, eps: float, lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Leakage weight max(0, lam + rho (f_e - eps)) of the augmented term."""
-    return np.maximum(lam + rho * (e - eps), 0.0)
-
-
-def _augmented(b: np.ndarray, e: np.ndarray, eps: float, lam: np.ndarray,
-               rho: np.ndarray) -> np.ndarray:
+def _augmented(b: np.ndarray, e: np.ndarray, pen: CapPenalty) -> np.ndarray:
     """f_b - (rho/2) max(0, f_e - eps + lam/rho)^2."""
-    gap = np.maximum(e - eps + lam / rho, 0.0)
-    return b - 0.5 * rho * gap * gap
+    gap = np.maximum(e - pen.eps + pen.lam / pen.rho, 0.0)
+    return b - 0.5 * pen.rho * gap * gap
 
 
 def _projected_ascent(cb: np.ndarray, ce: np.ndarray, eps: float, w: np.ndarray):
     """Augmented-Lagrangian rounds of box-projected gradient ascent with
     Barzilai-Borwein steps, run on every row of `w` at once.
 
-    Each row keeps its own multiplier lam, penalty rho, step, previous
-    gradient, round and in-round step count.  A round maximizes
+    Each row is a member of one :class:`~bdris.reporting.CapPenalty`, with
+    its own multiplier, penalty, round and tolerance, and keeps its own
+    step, previous gradient and in-round step count.  A round maximizes
     f_b - (rho/2) max(0, f_e - eps + lam/rho)^2 over |w_i| <= 1, from step
     _STEP0, until a move gains at most the round's tolerance (relative;
-    _STAT_TOL0, shrinking by _STAT_SHRINK a round to _STAT_TOL), the step
-    falls below _STEP_FLOOR, or _MAX_ITERS steps are spent.  An accepted
-    move s with gradient change y = g_old - g_new sets the next trial step
-    to the BB1 step s^H s / Re s^H y, clipped to [_STEP_FLOOR, _STEP_MAX]
-    (times _STEP_UP instead where Re s^H y <= 0); a rejected one halves
-    it.  After a round lam <- max(0, lam + rho (f_e - eps)), and the row
-    stops once a round at _STAT_TOL leaves a residual |max(f_e - eps, -lam/rho)| of at
-    most _RESIDUAL_TOL eps, or after _MAX_ROUNDS rounds; otherwise rho
-    grows by _RHO_GROWTH if the round finished but cut the residual by less
-    than _RESIDUAL_FALL.  A stopped row neither moves nor counts further
-    steps.  The products cb w and ce w of the accepted iterate are kept, so
-    a step costs one product with each form.
+    _STAT_TOL0, shrinking by _STAT_SHRINK a round to _STAT_TOL) or the step
+    falls below _STEP_FLOOR (a finished round), or _MAX_ITERS steps are
+    spent.  An accepted move s with gradient change y = g_old - g_new sets
+    the next trial step to the BB1 step s^H s / Re s^H y, clipped to
+    [_STEP_FLOOR, _STEP_MAX] (times _STEP_UP instead where Re s^H y <= 0);
+    a rejected one halves it.  The rows whose round ended go through the
+    penalty's rule.  A stopped row neither moves nor counts further steps.
+    The products cb w and ce w of the accepted iterate are kept, so a step
+    costs one product with each form.
 
-    Returns the iterate, the total step count over all rows, each row's
-    unfinished flag (its last round ran out of steps, or its rounds ran out
-    before the residual fell), the number of rounds that ran out of steps,
-    and each row's round count and multiplier.
+    Returns the iterate, the total step count over all rows, the number of
+    rounds that ran out of steps, and the penalty state (each row's rounds,
+    multiplier and converged flag).
     """
     rows = w.shape[0]
+    pen = CapPenalty(rows, eps, eps, _STAT_TOL0, _STAT_TOL, _STAT_SHRINK,
+                     _MAX_ROUNDS, _RESIDUAL_TOL)
     bw, ew = _apply(cb, w), _apply(ce, w)
     b, e = _quads(w, bw), _quads(w, ew)
-    lam = np.zeros(rows)
-    rho = np.full(rows, _RHO0 / eps)
-    value = _augmented(b, e, eps, lam, rho)
-    grad = bw - _weight(e, eps, lam, rho)[:, None] * ew
+    value = _augmented(b, e, pen)
+    grad = bw - pen.weight(e)[:, None] * ew
     step = np.full(rows, _STEP0)
-    residual = np.full(rows, np.inf)
-    rounds = np.zeros(rows, dtype=int)
-    stat_tol = np.full(rows, _STAT_TOL0)
     count = np.zeros(rows, dtype=int)
-    unfinished = np.zeros(rows, dtype=bool)
-    live = np.ones(rows, dtype=bool)
     total = budget_hits = 0
-    while live.any():
+    while pen.live.any():
+        live = pen.live
         cand = _box(w + step[:, None] * grad)
         bc, ec = _apply(cb, cand), _apply(ce, cand)
         b_c, e_c = _quads(cand, bc), _quads(cand, ec)
-        cand_value = _augmented(b_c, e_c, eps, lam, rho)
-        cand_grad = bc - _weight(e_c, eps, lam, rho)[:, None] * ec
+        cand_value = _augmented(b_c, e_c, pen)
+        cand_grad = bc - pen.weight(e_c)[:, None] * ec
         up = live & (cand_value > value)
         down = live & ~up
         improved = cand_value - value
@@ -354,33 +337,18 @@ def _projected_ascent(cb: np.ndarray, ce: np.ndarray, eps: float, w: np.ndarray)
         step = np.where(up, bb, np.where(down, step * _STEP_DOWN, step))
         count += live
         total += int(live.sum())
-        finished = ((up & (improved <= stat_tol * np.maximum(1.0, np.abs(value))))
+        finished = ((up & (improved <= pen.tol * np.maximum(1.0, np.abs(value))))
                     | (down & (step < _STEP_FLOOR)))
         ended = finished | (live & (count >= _MAX_ITERS))
         if not ended.any():
             continue
         budget_hits += int((ended & ~finished).sum())
-        rounds += ended
-        last = residual
-        residual = np.where(ended, np.abs(np.maximum(e - eps, -lam / rho)) / eps,
-                            residual)
-        lam = np.where(ended, _weight(e, eps, lam, rho), lam)
-        done = (residual <= _RESIDUAL_TOL) & (stat_tol <= _STAT_TOL)
-        unfinished = np.where(ended, ~finished | ~done, unfinished)
-        stop = ended & (done | (rounds >= _MAX_ROUNDS))
-        live &= ~stop
-        again = ended & ~stop
-        grow = again & finished & (residual > np.maximum(_RESIDUAL_TOL,
-                                                         last / _RESIDUAL_FALL))
-        rho = np.where(grow, rho * _RHO_GROWTH, rho)
-        stat_tol = np.where(again, np.maximum(_STAT_TOL, stat_tol * _STAT_SHRINK),
-                            stat_tol)
+        again = pen.end_round(ended, e, finished)
         step = np.where(again, _STEP0, step)
         count = np.where(again, 0, count)
-        value = np.where(again, _augmented(b, e, eps, lam, rho), value)
-        grad = np.where(again[:, None],
-                        bw - _weight(e, eps, lam, rho)[:, None] * ew, grad)
-    return w, total, unfinished, budget_hits, rounds, lam
+        value = np.where(again, _augmented(b, e, pen), value)
+        grad = np.where(again[:, None], bw - pen.weight(e)[:, None] * ew, grad)
+    return w, total, budget_hits, pen
 
 
 def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
@@ -407,11 +375,10 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     ``budget_hits`` counts the rounds, over all restarts, that used all
     _MAX_ITERS steps; ``outer_rounds`` and ``multiplier`` (the cap's
     multiplier in the caller's units) are the winning restart's, 0 on an
-    inactive cap.  ``stop_reason`` is ``budget`` when the winning restart's
-    last round used all its steps or its rounds ran out before the residual
-    fell, else ``stationary`` (an inactive cap passes on the uncapped
-    solve's).  The certified ``bound`` is
-    min(r lam_max(c_b), eps lam_gen), with lam_gen the largest
+    inactive cap.  ``stop_reason`` is ``stationary`` when the winning
+    restart converged by the penalty's rule and ``budget`` when its rounds
+    ran out (an inactive cap passes on the uncapped solve's).  The certified
+    ``bound`` is min(r lam_max(c_b), eps lam_gen), with lam_gen the largest
     omega^H c_b omega / omega^H c_e omega (see ``DiagForms.lam_gen``).
     """
     epsilon_eve = checked_cap(dforms.c_e, epsilon_eve)
@@ -431,7 +398,7 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     s_b, s_e = dforms.lam_b or 1.0, dforms.lam_e or 1.0
     cb, ce, eps = dforms.c_b / s_b, dforms.c_e / s_e, epsilon_eve / s_e
 
-    w, steps, unfinished, budget_hits, rounds, lam = _projected_ascent(
+    w, steps, budget_hits, pen = _projected_ascent(
         cb, ce, eps, _into_cap(ce, eps, _starts(omega0)))
     w = _into_cap(ce, eps, w)
     best = int(np.argmax(_quads(w, _apply(cb, w))))
@@ -440,5 +407,5 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     return RisMatrix(np.diag(omega), ARCH_DIAGONAL), capped_report(
         objective, bound, steps, [objective], epsilon_eve=epsilon_eve,
         eve_value=_quad(dforms.c_e, omega), active=True,
-        stop_reason=_stop_reason(not unfinished[best]), budget_hits=budget_hits,
-        outer_rounds=int(rounds[best]), multiplier=float(lam[best]) * s_b / s_e)
+        stop_reason=_stop_reason(pen.converged[best]), budget_hits=budget_hits,
+        outer_rounds=int(pen.rounds[best]), multiplier=float(pen.lam[best]) * s_b / s_e)

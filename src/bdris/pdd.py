@@ -35,8 +35,9 @@ from . import tolerances as tol
 from .errors import ContractViolationError
 from .kernels import HermEig, nearest_symmetric_unitary, takagi
 from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
-from .reporting import SolveReport, capped_report, checked_cap, uncapped_pair
-from .spectral import _ascend, _bisect, solve_nonreciprocal, \
+from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
+    uncapped_pair
+from .spectral import _ascend, _bisect, _unit_scaled, solve_nonreciprocal, \
     solve_reciprocal_ao, von_neumann_bound
 
 __all__ = [
@@ -47,25 +48,17 @@ __all__ = [
     "qcqp_spectral",
 ]
 
-# Augmented Lagrangian of the capped reciprocal design (unit-scale forms):
-# penalty rho starts at _RHO0 and grows by _RHO_GROWTH in every round whose
-# constraint residual falls by less than _RESIDUAL_FALL; the inner ascent
+# Schedule of the capped reciprocal design (unit-scale forms) under the
+# shared rule of :class:`~bdris.reporting.CapPenalty`: the inner ascent
 # tolerance starts at _INNER_TOL0 and shrinks by _INNER_SHRINK to
 # _INNER_TOL_MIN; each round runs at most _MAX_INNER ascent steps, at most
-# _MAX_ROUNDS rounds run, and a relative residual at most _RESIDUAL_TOL at
-# the final inner tolerance ends the run.
-# Two rounds in a row that keep more than _STUCK of the residual although
-# rho grew end it as infeasible.
-_RHO0 = 10.0
-_RHO_GROWTH = 5.0
-_RESIDUAL_FALL = 4.0
+# _MAX_ROUNDS rounds run, and the residual tolerance is _RESIDUAL_TOL.
 _INNER_TOL0 = 1e-2
 _INNER_SHRINK = 0.3
 _INNER_TOL_MIN = 1e-8
 _MAX_INNER = 500
 _MAX_ROUNDS = 30
 _RESIDUAL_TOL = 1e-10
-_STUCK = 0.99
 
 
 @dataclass
@@ -141,15 +134,14 @@ def _normalized_problem(forms: QuadraticForms, epsilon_eve: float):
     The low noise floor makes E_b and E_e orders of magnitude larger than
     the unitary iterates; dividing each form by its top eigenvalue (and
     the cap by the matching product) leaves the argmax unchanged while
-    making the penalty weight _RHO0 and the ascent tolerances balanced.
+    making the initial penalty and the ascent tolerances balanced.  E_b and
+    h are those of the uncapped ascent (:func:`~bdris.spectral._unit_scaled`).
     Returns the scaled E_b, h, E_e and M and the scaled cap; M is scaled
     as it is, not derived again from the scaled h.
     """
-    s_b = float(forms.eig_b.values[0]) or 1.0
-    s_m = float(forms.eig_m.values[0]) or 1.0
+    _, s_m, e_b, h = _unit_scaled(forms)
     s_e = float(forms.eig_e.values[0]) or 1.0
-    return (forms.e_b / s_b, forms.h / np.sqrt(s_m), forms.e_e / s_e,
-            forms.m / s_m, epsilon_eve / (s_e * s_m))
+    return e_b, h, forms.e_e / s_e, forms.m / s_m, epsilon_eve / (s_e * s_m)
 
 
 def _constrained_shrink(target: np.ndarray, eig_e: HermEig, eig_m: HermEig,
@@ -206,14 +198,14 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
     the cap.  Otherwise the exact capped non-reciprocal optimum is
     computed as X; below its leakage floor the cell ends at once as
     ``infeasible``, with the nearest symmetric unitary U U^T to X.  The
-    Takagi factor U of X + X^T is also the start: from it each round
-    maximizes f_b - (rho/2) max(0, f_e - eps + lam/rho)^2 on the
-    unit-scale forms to a shrinking tolerance (no ascent step lowers
-    this cost), then sets lam <- max(0, lam + rho (f_e - eps)).  The cell
-    converges (``stationary``) once the residual |max(f_e - eps, -lam/rho)| is at
-    most _RESIDUAL_TOL eps after a round at the final tolerance; it ends
-    ``budget`` after _MAX_ROUNDS rounds, and ``infeasible`` when growing
-    rho no longer lowers the residual.
+    Takagi factor U of X + X^T is also the start: from it each round runs
+    :func:`~bdris.spectral._ascend` on the augmented cost of the
+    unit-scale forms to the round's tolerance (no ascent step lowers this
+    cost), and the round ends in the shared rule of
+    :class:`~bdris.reporting.CapPenalty`, for which a round is finished
+    when the ascent ends ``stationary``.  The cell converges
+    (``stationary``) by that rule and ends ``budget`` after _MAX_ROUNDS
+    rounds; ``infeasible`` is reported only below the floor.
     The report, a :func:`~bdris.reporting.capped_report` (with
     ``cap_residual``), adds the non-reciprocal ``dual_bound`` (it bounds
     every symmetric response too), ``outer_rounds`` and ``grad_norm``;
@@ -240,36 +232,18 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
     if rep_n.converged:
         extra["dual_bound"] = rep_n.constraint_values["dual_bound"]
         e_b_hat, h_hat, e_e_hat, m_hat, eps_hat = _normalized_problem(forms, epsilon_eve)
-        rho, lam, inner_tol = _RHO0, 0.0, _INNER_TOL0
-        residual, stuck, grown, stop = np.inf, 0, False, "budget"
-        for rounds in range(1, _MAX_ROUNDS + 1):
+        pen = CapPenalty(1, eps_hat, 1.0, _INNER_TOL0, _INNER_TOL_MIN, _INNER_SHRINK,
+                         _MAX_ROUNDS, _RESIDUAL_TOL)
+        while pen.live[0]:
             u, grad, steps, _, inner = _ascend(
-                u, e_b_hat, h_hat, inner_tol, _MAX_INNER,
-                penalty=(e_e_hat, eps_hat, lam, rho))
+                u, e_b_hat, h_hat, float(pen.tol[0]), _MAX_INNER,
+                penalty=(e_e_hat, eps_hat, float(pen.lam[0]), float(pen.rho[0])))
             iterations += steps
             omega = u @ u.T
-            leak = quad_objective(omega, e_e_hat, m_hat)
             cost_trace.append(quad_objective(omega, forms.e_b, forms.m))
-            extra.update(outer_rounds=rounds, grad_norm=grad)
-            last, residual = residual, abs(max(leak - eps_hat, -lam / rho)) / eps_hat
-            lam = max(0.0, lam + rho * (leak - eps_hat))
-            if (residual <= _RESIDUAL_TOL and inner_tol <= _INNER_TOL_MIN
-                    and inner == "stationary"):
-                stop = "stationary"
-                break
-            # Two rounds in a row that move, after rho grew, but barely
-            # lower the residual: the penalty no longer buys feasibility.
-            stuck = stuck + 1 if grown and steps and residual > _STUCK * last else 0
-            if stuck == 2:
-                stop = "infeasible"
-                break
-            # rho grows only after a finished inner solve: a round cut off by
-            # its budget says little about what the penalty achieves.
-            grown = (inner == "stationary"
-                     and residual > max(_RESIDUAL_TOL, last / _RESIDUAL_FALL))
-            if grown:
-                rho *= _RHO_GROWTH
-            inner_tol = max(_INNER_TOL_MIN, _INNER_SHRINK * inner_tol)
+            pen.end_round(True, quad_objective(omega, e_e_hat, m_hat), inner == "stationary")
+        extra.update(outer_rounds=int(pen.rounds[0]), grad_norm=grad)
+        stop = "stationary" if pen.converged[0] else "budget"
 
     omega = 0.5 * (omega + omega.T)
     objective = quad_objective(omega, forms.e_b, forms.m)

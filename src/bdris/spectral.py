@@ -438,6 +438,14 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
     return b, grad, iterations, trace, stop
 
 
+def _unit_scaled(forms: QuadraticForms):
+    """The reciprocal class's unit scaling: s_b = lam_max(E_b) and
+    s_m = lam_max(M) (1 where zero), with E_b / s_b and h / sqrt(s_m)."""
+    s_b = float(forms.eig_b.values[0]) or 1.0
+    s_m = float(forms.eig_m.values[0]) or 1.0
+    return s_b, s_m, forms.e_b / s_b, forms.h / np.sqrt(s_m)
+
+
 def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     """Symmetric-unitary design Omega = U U^T by limited-memory BFGS ascent.
 
@@ -447,17 +455,14 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     _AO_MAX_ITERS steps (or a stalled line search) end the run unconverged.
     The report carries ``grad_norm`` and ``stop_reason``.
     """
-    e_b, m = forms.e_b, forms.m
     aligned = forms.eig_b.vectors @ forms.eig_m.vectors.conj().T
     u = takagi(aligned + aligned.T).u
-    s_b = float(forms.eig_b.values[0]) or 1.0
-    s_m = float(forms.eig_m.values[0]) or 1.0
+    s_b, s_m, e_b, h = _unit_scaled(forms)
 
-    b, grad, iterations, trace, stop = _ascend(
-        u, e_b / s_b, forms.h / np.sqrt(s_m), _AO_GRAD_TOL, _AO_MAX_ITERS)
+    b, grad, iterations, trace, stop = _ascend(u, e_b, h, _AO_GRAD_TOL, _AO_MAX_ITERS)
     omega = b @ b.T
     omega = 0.5 * (omega + omega.T)
-    objective = quad_objective(omega, e_b, m)
+    objective = quad_objective(omega, forms.e_b, forms.m)
     report = SolveReport(
         objective=objective,
         bound=von_neumann_bound(forms),

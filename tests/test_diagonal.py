@@ -13,7 +13,7 @@ from scipy.optimize import minimize
 
 from conftest import rand_complex
 
-from bdris import diagonal
+from bdris import diagonal, reporting
 from bdris.diagonal import (
     DiagForms,
     diag_forms,
@@ -41,8 +41,8 @@ def _quad(c, w):
 # ------------------------------------------------------ serial reference
 # The solvers run their restarts as the rows of one iterate.  These are the
 # same methods as plain loops, one restart at a time, reading the same
-# module constants: the same starts, stopping rules, step counts and tie
-# rule.
+# module constants (the penalty's from ``bdris.reporting``): the same
+# starts, stopping rules, step counts and tie rule.
 
 def _ref_starts(first):
     yield first
@@ -147,7 +147,7 @@ def ref_constrained(dforms, eps, omega0):
         g = _quad(ce, omega)
         if g > eps_s:
             omega = omega * np.sqrt(eps_s / g)
-        lam, rho, stat_tol = 0.0, diagonal._RHO0 / eps_s, diagonal._STAT_TOL0
+        lam, rho, stat_tol = 0.0, reporting._RHO0 / eps_s, diagonal._STAT_TOL0
         residual = np.inf
         steps.append(0)
         for rounds in range(1, diagonal._MAX_ROUNDS + 1):
@@ -159,11 +159,11 @@ def ref_constrained(dforms, eps, omega0):
             lam = _ref_weight(e, eps_s, lam, rho)
             done = residual <= diagonal._RESIDUAL_TOL and stat_tol <= diagonal._STAT_TOL
             stalled = not (finished and done)
-            if done:
+            if finished and done:
                 break
             if finished and residual > max(diagonal._RESIDUAL_TOL,
-                                           last / diagonal._RESIDUAL_FALL):
-                rho *= diagonal._RHO_GROWTH
+                                           last / reporting._RESIDUAL_FALL):
+                rho *= reporting._RHO_GROWTH
             stat_tol = max(diagonal._STAT_TOL, stat_tol * diagonal._STAT_SHRINK)
         g = _quad(ce, omega)
         if g > eps_s:

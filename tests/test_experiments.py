@@ -332,11 +332,13 @@ class TestCli:
                                        {"scenarios": "eve"},
                                        {"epsilon_grid": "1e3"},
                                        {"epsilon_grid": [True, 2]},
-                                       {"epsilon_grid": ["1e3"]}])
+                                       {"epsilon_grid": ["1e3"]},
+                                       {"r": "36"}, {"seed": "7"},
+                                       {"power": "30"}])
     def test_mistyped_config_value_exits_one(self, tmp_path, capsys, entry):
         """A value of the wrong type is refused with ``error: <key>:``, not
-        coerced: no truncated count, no boolean read as 0 or 1 and no bare
-        string split into characters."""
+        coerced: no truncated count, no boolean read as 0 or 1, no string
+        parsed as a number and no bare string split into characters."""
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps(entry), encoding="utf-8")
         code = main(["--config", str(conf), "--out", str(tmp_path / "o"),
