@@ -2,8 +2,9 @@
 
 Configuration comes from an optional JSON file (--config) whose keys mirror
 the experiment description, overridden by individual flags.  Exit status is
-0 when every cell converged, 1 on an invalid description or an output
-directory that cannot be written, and 2 when any cell was flagged.
+0 when every cell converged (and for ``--help``), 1 on an invalid
+description (a bad flag or flag value included) or an output directory that
+cannot be written, and 2 when any cell was flagged.
 """
 
 from __future__ import annotations
@@ -25,8 +26,17 @@ _CONFIG_KEYS = frozenset({
 })
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError``, so that
+    they exit 1 like every other invalid description instead of argparse's
+    2, which the exit status reserves for flagged cells."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bdris",
         description="Optimize reflecting-surface responses for channel "
                     "estimation and sweep the eavesdropper information cap.",
@@ -139,16 +149,16 @@ def make_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
     try:
+        args = build_parser().parse_args(argv)
         spec = make_spec(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    logging.basicConfig(
+        level=logging.WARNING if args.quiet else logging.INFO,
+        format="%(levelname)s %(message)s",
+    )
     try:
         rows = run_experiment(spec)
     except OSError as exc:

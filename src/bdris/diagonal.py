@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ContractViolationError, DimensionError
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
-    uncapped_pair
+    inactive_answer, uncapped_pair
 
 __all__ = [
     "DiagForms",
@@ -382,17 +382,13 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     omega^H c_b omega / omega^H c_e omega (see ``DiagForms.lam_gen``).
     """
     epsilon_eve = checked_cap(dforms.c_e, epsilon_eve)
-    ris0, rep0 = uncapped_pair(warm, ARCH_DIAGONAL,
-                               lambda: solve_diagonal_unconstrained(dforms))
-    omega0 = np.diag(ris0.matrix).copy()
+    pair = uncapped_pair(warm, ARCH_DIAGONAL, lambda: solve_diagonal_unconstrained(dforms))
+    omega0 = np.diag(pair[0].matrix).copy()
     eve0 = _quad(dforms.c_e, omega0)
     bound = min(dforms.lam_b * dforms.r, epsilon_eve * dforms.lam_gen)
     if eve0 <= epsilon_eve:
-        return ris0, capped_report(
-            rep0.objective, bound, 0, [rep0.objective], epsilon_eve=epsilon_eve,
-            eve_value=eve0, active=False,
-            stop_reason=rep0.constraint_values["stop_reason"], budget_hits=0,
-            outer_rounds=0, multiplier=0.0)
+        return inactive_answer(pair, bound, epsilon_eve, eve0, budget_hits=0,
+                               outer_rounds=0, multiplier=0.0)
 
     # Unit-scale the forms so the step/penalty constants are magnitude-free.
     s_b, s_e = dforms.lam_b or 1.0, dforms.lam_e or 1.0

@@ -91,6 +91,9 @@ class ExperimentSpec:
         for sc in self.scenarios:
             if sc not in _SCENARIOS:
                 raise ValueError(f"unknown scenario {sc!r}")
+        # A repeated entry names the same cells: keep its first occurrence.
+        self.architectures = tuple(dict.fromkeys(self.architectures))
+        self.scenarios = tuple(dict.fromkeys(self.scenarios))
         if SCENARIO_EVE in self.scenarios and not self.cfg.eve_present:
             raise ValueError("eve scenario requires eavesdropper antennas (n_e > 0)")
         if self.epsilon_grid is not None:
@@ -102,6 +105,10 @@ class ExperimentSpec:
             self.epsilon_grid = grid
         if self.mc_trials < 0:
             raise ValueError("mc_trials must be non-negative")
+        cfg = self.cfg
+        if self.mc_trials > 0 and min(cfg.n_b, cfg.r) < cfg.k:
+            raise ValueError(f"mc_trials needs min(n_b, r) >= k to estimate k parameters "
+                             f"(n_b={cfg.n_b}, r={cfg.r}, k={cfg.k})")
         self.output_path = Path(self.output_path)
 
 

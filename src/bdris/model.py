@@ -426,8 +426,9 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
         raise ValueError("trials must be at least 1")
     g, low = _effective_matrix(ch, ris, "bob")
     k = g.shape[1]
+    # A wide G (n_b < k) has only n_b singular values: rank k needs k of them.
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= max(g.shape) * np.finfo(float).eps * sv[0]:
+    if sv.size < k or sv[0] == 0.0 or sv[-1] <= max(g.shape) * np.finfo(float).eps * sv[0]:
         raise EstimationIllPosedError(
             "effective matrix G = H_rb Omega H_ar P is rank deficient"
         )

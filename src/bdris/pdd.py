@@ -5,12 +5,14 @@
     max tr(Omega^H E_b Omega M)  s.t.  tr(Omega^H E_e Omega M) <= eps,
                                         Omega symmetric unitary
 
-by an augmented Lagrangian on the manifold (Liu & Boumal, Appl. Math.
-Optim. 2020) whose inner solver is the ascent of :mod:`bdris.spectral`.
-The module and ``solve_pdd`` keep the names of the penalty dual
-decomposition (PDD) solver this replaced, because the sweep, the package
-API and the benchmark's traced-function table bind them by name.  That
-solver's blocks stay as tested building blocks: with a copy Psi = Omega,
+as the capped-solve contract of :mod:`bdris.reporting` around the
+reciprocal class's algorithm, ``spectral._capped_reciprocal``: an
+augmented Lagrangian on the manifold (Liu & Boumal, Appl. Math. Optim.
+2020) whose inner solver is the ascent it sits beside.  The module and
+``solve_pdd`` keep the names of the penalty dual decomposition (PDD)
+solver this replaced, because the sweep, the package API and the
+benchmark's traced-function table bind them by name.  That solver's
+blocks stay as tested building blocks: with a copy Psi = Omega,
 
     L = -Re tr(Omega^H E_b Psi M) + (1/2 rho) ||Omega - Psi||_F^2
         + Re tr(Lambda^H (Omega - Psi))
@@ -33,12 +35,11 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import ContractViolationError
-from .kernels import HermEig, nearest_symmetric_unitary, takagi
+from .kernels import HermEig, nearest_symmetric_unitary
 from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
-from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
-    uncapped_pair
-from .spectral import _ascend, _bisect, _unit_scaled, solve_nonreciprocal, \
-    solve_reciprocal_ao, von_neumann_bound
+from .reporting import SolveReport, checked_cap, inactive_answer, uncapped_pair
+from .spectral import _bisect, _capped_reciprocal, solve_reciprocal_ao, \
+    von_neumann_bound
 
 __all__ = [
     "PddState",
@@ -47,19 +48,6 @@ __all__ = [
     "update_psi",
     "qcqp_spectral",
 ]
-
-# Schedule of the capped reciprocal design (unit-scale forms) under the
-# shared rule of :class:`~bdris.reporting.CapPenalty`: the inner ascent
-# tolerance starts at _INNER_TOL0 and shrinks by _INNER_SHRINK to
-# _INNER_TOL_MIN; each round runs at most _MAX_INNER ascent steps, at most
-# _MAX_ROUNDS rounds run, and the residual tolerance is _RESIDUAL_TOL.
-_INNER_TOL0 = 1e-2
-_INNER_SHRINK = 0.3
-_INNER_TOL_MIN = 1e-8
-_MAX_INNER = 500
-_MAX_ROUNDS = 30
-_RESIDUAL_TOL = 1e-10
-
 
 @dataclass
 class PddState:
@@ -128,22 +116,6 @@ def qcqp_spectral(b: np.ndarray, eig_a: HermEig, epsilon_eve: float,
     return x
 
 
-def _normalized_problem(forms: QuadraticForms, epsilon_eve: float):
-    """Rescale the forms to unit spectral norm so the solver knobs are scale-free.
-
-    The low noise floor makes E_b and E_e orders of magnitude larger than
-    the unitary iterates; dividing each form by its top eigenvalue (and
-    the cap by the matching product) leaves the argmax unchanged while
-    making the initial penalty and the ascent tolerances balanced.  E_b and
-    h are those of the uncapped ascent (:func:`~bdris.spectral._unit_scaled`).
-    Returns the scaled E_b, h, E_e and M and the scaled cap; M is scaled
-    as it is, not derived again from the scaled h.
-    """
-    _, s_m, e_b, h = _unit_scaled(forms)
-    s_e = float(forms.eig_e.values[0]) or 1.0
-    return e_b, h, forms.e_e / s_e, forms.m / s_m, epsilon_eve / (s_e * s_m)
-
-
 def _constrained_shrink(target: np.ndarray, eig_e: HermEig, eig_m: HermEig,
                         epsilon_eve: float) -> np.ndarray:
     """Project a matrix target onto the leakage ball without forming the
@@ -195,59 +167,22 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
 
     The uncapped reciprocal optimum (``warm``, or a fresh
     :func:`~bdris.spectral.solve_reciprocal_ao`) is returned when it meets
-    the cap.  Otherwise the exact capped non-reciprocal optimum is
-    computed as X; below its leakage floor the cell ends at once as
-    ``infeasible``, with the nearest symmetric unitary U U^T to X.  The
-    Takagi factor U of X + X^T is also the start: from it each round runs
-    :func:`~bdris.spectral._ascend` on the augmented cost of the
-    unit-scale forms to the round's tolerance (no ascent step lowers this
-    cost), and the round ends in the shared rule of
-    :class:`~bdris.reporting.CapPenalty`, for which a round is finished
-    when the ascent ends ``stationary``.  The cell converges
-    (``stationary``) by that rule and ends ``budget`` after _MAX_ROUNDS
-    rounds; ``infeasible`` is reported only below the floor.
-    The report, a :func:`~bdris.reporting.capped_report` (with
-    ``cap_residual``), adds the non-reciprocal ``dual_bound`` (it bounds
-    every symmetric response too), ``outer_rounds`` and ``grad_norm``;
-    ``iterations`` counts ascent steps.
+    the cap (:func:`~bdris.reporting.inactive_answer`, ``outer_rounds``
+    0).  Otherwise ``spectral._capped_reciprocal`` solves the cell: from
+    the Takagi factor of the exact capped non-reciprocal optimum it runs
+    augmented-Lagrangian rounds of the reciprocal ascent under the rule of
+    :class:`~bdris.reporting.CapPenalty`, and ends ``stationary``,
+    ``budget`` after its round cap, or ``infeasible``, which is reported
+    only below the non-reciprocal leakage floor.  The report, a
+    :func:`~bdris.reporting.capped_report` (with ``cap_residual``), adds
+    the non-reciprocal ``dual_bound`` (it bounds every symmetric response
+    too), ``outer_rounds`` and ``grad_norm``; ``iterations`` counts ascent
+    steps.
     """
     epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
-    ris0, rep0 = uncapped_pair(warm, ARCH_RECIPROCAL,
-                               lambda: solve_reciprocal_ao(forms))
-    bound = von_neumann_bound(forms, "bob")
-    eve0 = quad_objective(ris0.matrix, forms.e_e, forms.m)
-    if eve0 <= epsilon_eve:
-        return ris0, capped_report(
-            rep0.objective, bound, 0, [rep0.objective], epsilon_eve=epsilon_eve,
-            eve_value=eve0, active=False,
-            stop_reason=rep0.constraint_values["stop_reason"], outer_rounds=0)
-
-    ris_n, rep_n = solve_nonreciprocal(forms, epsilon_eve)
-    # U U^T is the nearest symmetric unitary to X: one factorization gives
-    # both the ascent's start U and the infeasible cell's response.
-    u = takagi(ris_n.matrix + ris_n.matrix.T).u
-    omega = u @ u.T
-    iterations, cost_trace, stop = 0, [], "infeasible"
-    extra = {"outer_rounds": 0}
-    if rep_n.converged:
-        extra["dual_bound"] = rep_n.constraint_values["dual_bound"]
-        e_b_hat, h_hat, e_e_hat, m_hat, eps_hat = _normalized_problem(forms, epsilon_eve)
-        pen = CapPenalty(1, eps_hat, 1.0, _INNER_TOL0, _INNER_TOL_MIN, _INNER_SHRINK,
-                         _MAX_ROUNDS, _RESIDUAL_TOL)
-        while pen.live[0]:
-            u, grad, steps, _, inner = _ascend(
-                u, e_b_hat, h_hat, float(pen.tol[0]), _MAX_INNER,
-                penalty=(e_e_hat, eps_hat, float(pen.lam[0]), float(pen.rho[0])))
-            iterations += steps
-            omega = u @ u.T
-            cost_trace.append(quad_objective(omega, forms.e_b, forms.m))
-            pen.end_round(True, quad_objective(omega, e_e_hat, m_hat), inner == "stationary")
-        extra.update(outer_rounds=int(pen.rounds[0]), grad_norm=grad)
-        stop = "stationary" if pen.converged[0] else "budget"
-
-    omega = 0.5 * (omega + omega.T)
-    objective = quad_objective(omega, forms.e_b, forms.m)
-    return RisMatrix(omega, ARCH_RECIPROCAL), capped_report(
-        objective, bound, iterations, cost_trace or [objective],
-        epsilon_eve=epsilon_eve, eve_value=quad_objective(omega, forms.e_e, forms.m),
-        active=True, stop_reason=stop, **extra)
+    pair = uncapped_pair(warm, ARCH_RECIPROCAL, lambda: solve_reciprocal_ao(forms))
+    eve0 = quad_objective(pair[0].matrix, forms.e_e, forms.m)
+    if eve0 > epsilon_eve:
+        return _capped_reciprocal(forms, epsilon_eve)
+    return inactive_answer(pair, von_neumann_bound(forms), epsilon_eve, eve0,
+                           outer_rounds=0)

@@ -1,8 +1,16 @@
 """Solver diagnostics shared by every optimizer in the package, and the
-contract of every leakage-capped solve: refuse a bad cap, start from the
-uncapped answer, return it when it meets the cap, run the one
-augmented-Lagrangian rule on the cap (:class:`CapPenalty`), report cap and
-leakage.
+contract of every leakage-capped solve: refuse a bad cap
+(:func:`checked_cap`), start from the uncapped answer
+(:func:`uncapped_pair`), return it when it meets the cap
+(:func:`inactive_answer`), run the one augmented-Lagrangian rule on the cap
+(:class:`CapPenalty`), report cap and leakage (:func:`capped_report`).
+
+A public capped solver is that contract plus its class's private algorithm
+for an active cap, kept beside the class's uncapped solve:
+``spectral._capped_nonreciprocal`` (the exact dual search),
+``spectral._capped_reciprocal`` (penalty rounds of the symmetric ascent)
+and ``diagonal._projected_ascent`` (penalty rounds of box-projected
+gradient over restarts).
 """
 
 from __future__ import annotations
@@ -94,13 +102,25 @@ def capped_report(objective: float, bound: float, iterations: int,
     """A capped solver's report; ``extra`` holds the solver's own keys.
 
     ``cap_residual`` = eve_value / epsilon_eve - 1 is the relative leakage
-    margin: at most 0 when the cap holds.  An inactive cap (``active``
-    False) passes on the uncapped report's ``stop_reason``.
+    margin: at most 0 when the cap holds.
     """
     cv = {"epsilon_eve": epsilon_eve, "eve_value": eve_value,
           "cap_residual": eve_value / epsilon_eve - 1.0,
           "constraint_active": active, "stop_reason": stop_reason, **extra}
     return SolveReport(objective, bound, iterations, cost_trace, cv)
+
+
+def inactive_answer(pair, bound: float, epsilon_eve: float, eve_value: float,
+                    **extra):
+    """The uncapped (RisMatrix, SolveReport) ``pair`` as the answer to a cap
+    its leakage ``eve_value`` meets: its response, 0 steps, its objective as
+    the whole trace and its ``stop_reason``, with ``constraint_active``
+    False and the class's ``extra`` keys."""
+    ris, rep = pair
+    return ris, capped_report(
+        rep.objective, bound, 0, [rep.objective], epsilon_eve=epsilon_eve,
+        eve_value=eve_value, active=False,
+        stop_reason=rep.constraint_values["stop_reason"], **extra)
 
 
 class CapPenalty:

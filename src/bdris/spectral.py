@@ -21,16 +21,21 @@ commuting forms).
 The reciprocal (symmetric unitary) case has no closed form: a
 limited-memory BFGS ascent on U, Omega = U U^T, solves it from the
 symmetric-unitary matrix closest to the unconstrained optimum, and is
-also the inner solver of the capped reciprocal design in
-:mod:`bdris.pdd`.  The ascent works on the r-by-k source matrix h rather
-than on M = h h^H, which has rank k <= r.  Its state is a frame B with
-Omega = B B^T plus r-by-k products of h; a step costs the half step
-exp(i t P / 2) - I, a short real Taylor series whose cosine and sine
-parts share one stack of powers (:func:`_expm1i`, m + 2 real r-by-r
-products at degree m), the two-loop recursion over _MEMORY pairs, one
-complex r-by-r product that moves the frame, and r-by-r-by-k products,
-and a line-search trial only the latter.  The knobs of both searches are the module constants
-below; every caller uses the same values.
+also the inner solver of the capped reciprocal design
+(:func:`_capped_reciprocal`, behind :func:`bdris.pdd.solve_pdd`):
+penalty rounds under :class:`~bdris.reporting.CapPenalty` from the
+Takagi factor of the capped non-reciprocal optimum.  Each capped class
+here is the contract of :mod:`bdris.reporting` around its private
+algorithm (:func:`_capped_nonreciprocal`, :func:`_capped_reciprocal`).
+The ascent works on the r-by-k source matrix h rather than on M = h h^H,
+which has rank k <= r.  Its state is a frame B with Omega = B B^T plus
+r-by-k products of h; a step costs the half step exp(i t P / 2) - I, a
+short real Taylor series whose cosine and sine parts share one stack of
+powers (:func:`_expm1i`, m + 2 real r-by-r products at degree m), the
+two-loop recursion over _MEMORY pairs, one complex r-by-r product that
+moves the frame, and r-by-r-by-k products, and a line-search trial only
+the latter.  The knobs of both searches are the module constants below;
+every caller uses the same values.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from .model import (
     RisMatrix,
     quad_objective,
 )
-from .reporting import SolveReport, capped_report, checked_cap
+from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
+    inactive_answer
 
 __all__ = [
     "solve_nonreciprocal",
@@ -81,6 +87,18 @@ _STEP_FLOOR = 1e-10
 _MEMORY = 5
 _AO_GRAD_TOL = 1e-6
 _AO_MAX_ITERS = 5000
+
+# Schedule of the capped reciprocal rounds (unit-scale forms) under the
+# shared rule of :class:`~bdris.reporting.CapPenalty`: the inner ascent
+# tolerance starts at _INNER_TOL0 and shrinks by _INNER_SHRINK to
+# _INNER_TOL_MIN; each round runs at most _MAX_INNER ascent steps, at most
+# _MAX_ROUNDS rounds run, and the residual tolerance is _RESIDUAL_TOL.
+_INNER_TOL0 = 1e-2
+_INNER_SHRINK = 0.3
+_INNER_TOL_MIN = 1e-8
+_MAX_INNER = 500
+_MAX_ROUNDS = 30
+_RESIDUAL_TOL = 1e-10
 
 
 # exp(i X) - I for real symmetric X (:func:`_expm1i`), with Y = X^2:
@@ -143,24 +161,21 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
     omega = forms.eig_b.vectors @ forms.eig_m.vectors.conj().T
     objective = quad_objective(omega, forms.e_b, forms.m)
     bound = von_neumann_bound(forms)
+    if epsilon_eve is not None:
+        epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
+        eve = quad_objective(omega, forms.e_e, forms.m)
+        if eve > epsilon_eve:
+            return _capped_nonreciprocal(forms, epsilon_eve)
+    pair = RisMatrix(omega, ARCH_NONRECIPROCAL), SolveReport(
+        objective=objective, bound=bound, iterations=0, cost_trace=[objective],
+        constraint_values={"stop_reason": "closed_form"})
     if epsilon_eve is None:
-        return RisMatrix(omega, ARCH_NONRECIPROCAL), SolveReport(
-            objective=objective, bound=bound, iterations=0, cost_trace=[objective],
-            constraint_values={"stop_reason": "closed_form"})
-    epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
-    eve = quad_objective(omega, forms.e_e, forms.m)
-    if eve <= epsilon_eve:
-        report = capped_report(objective, bound, 0, [objective],
-                               epsilon_eve=epsilon_eve, eve_value=eve, active=False,
-                               stop_reason="closed_form", multiplier=0.0,
-                               dual_bound=bound)
-    else:
-        omega, report = _capped_nonreciprocal(forms, epsilon_eve)
-    return RisMatrix(omega, ARCH_NONRECIPROCAL), report
+        return pair
+    return inactive_answer(pair, bound, epsilon_eve, eve, multiplier=0.0, dual_bound=bound)
 
 
 def _capped_nonreciprocal(forms: QuadraticForms,
-                          epsilon_eve: float) -> tuple[np.ndarray, SolveReport]:
+                          epsilon_eve: float) -> tuple[RisMatrix, SolveReport]:
     """Dual search for a cap the uncapped optimum V_E V_M^H violates; the
     forms hold the spectra, so it decomposes only E_b - mu E_e."""
     e_b, e_e, m = forms.e_b, forms.e_e, forms.m
@@ -179,17 +194,16 @@ def _capped_nonreciprocal(forms: QuadraticForms,
         eig = hermitian_eig(e_b - mu * e_e)
         return eig.vectors @ v_m_h, float(eig.values @ eig_m.values) + mu * epsilon_eve
 
-    def report(omega: np.ndarray, converged: bool, **extra) -> SolveReport:
+    def answer(omega: np.ndarray, converged: bool, **extra):
         objective = quad_objective(omega, e_b, m)
-        return capped_report(objective, bound, evaluations, [objective],
-                             epsilon_eve=epsilon_eve,
-                             eve_value=quad_objective(omega, e_e, m), active=True,
-                             stop_reason="stationary" if converged else "infeasible",
-                             **extra)
+        return RisMatrix(omega, ARCH_NONRECIPROCAL), capped_report(
+            objective, bound, evaluations, [objective], epsilon_eve=epsilon_eve,
+            eve_value=quad_objective(omega, e_e, m), active=True,
+            stop_reason="stationary" if converged else "infeasible", **extra)
 
     floor_omega = eig_e.vectors[:, ::-1] @ v_m_h
     if epsilon_eve < float(eig_e.values[::-1] @ eig_m.values):
-        return floor_omega, report(floor_omega, False)
+        return answer(floor_omega, False)
 
     def by_multiplier(mu: float):
         omega, g = maximizer(mu)
@@ -205,7 +219,7 @@ def _capped_nonreciprocal(forms: QuadraticForms,
         lo = (mu, payload)
         mu *= 2.0
     else:
-        return floor_omega, report(floor_omega, False)
+        return answer(floor_omega, False)
     (_, (omega_lo, _)), (mu, (omega_hi, g)) = _bisect(by_multiplier, lo, (mu, payload))
 
     # Geodesic Omega(t) = Omega_hi W^t from Omega_hi (t = 0, feasible) to
@@ -227,7 +241,7 @@ def _capped_nonreciprocal(forms: QuadraticForms,
     # would halve on towards 0.
     (_, omega), _ = _bisect(along, (0.0, omega_hi), (1.0, None),
                             width=np.finfo(float).eps)
-    return omega, report(omega, True, multiplier=mu, dual_bound=g)
+    return answer(omega, True, multiplier=mu, dual_bound=g)
 
 
 def _bisect(probe, lo, hi, width: float = 0.0):
@@ -471,3 +485,60 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
         constraint_values={"grad_norm": grad, "stop_reason": stop},
     )
     return RisMatrix(omega, ARCH_RECIPROCAL), report
+
+
+def _capped_reciprocal(forms: QuadraticForms,
+                       epsilon_eve: float) -> tuple[RisMatrix, SolveReport]:
+    """Penalty rounds of :func:`_ascend` for a cap the uncapped reciprocal
+    optimum violates.
+
+    The exact capped non-reciprocal optimum X (:func:`solve_nonreciprocal`)
+    comes first; below its leakage floor the cell ends at once as
+    ``infeasible``, with the nearest symmetric unitary U U^T to X.  The
+    Takagi factor U of X + X^T is also the start: from it each round runs
+    :func:`_ascend` on the augmented cost of the forms scaled as in
+    :func:`_unit_scaled` (E_e and M by their top eigenvalues, the cap by
+    their product) to the round's tolerance (no ascent step lowers this
+    cost), and the round ends in the shared rule of
+    :class:`~bdris.reporting.CapPenalty`, for which a round is finished
+    when the ascent ends ``stationary``.  The cell converges
+    (``stationary``) by that rule and ends ``budget`` after _MAX_ROUNDS
+    rounds.  The response is symmetrized once at the end.  The report adds
+    the non-reciprocal ``dual_bound`` (it bounds every symmetric response
+    too), ``outer_rounds`` and ``grad_norm``; ``iterations`` counts ascent
+    steps and ``cost_trace`` holds the objective after each round.
+    """
+    ris_n, rep_n = solve_nonreciprocal(forms, epsilon_eve)
+    # U U^T is the nearest symmetric unitary to X: one factorization gives
+    # both the ascent's start U and the infeasible cell's response.
+    u = takagi(ris_n.matrix + ris_n.matrix.T).u
+    omega = u @ u.T
+    iterations, cost_trace, stop = 0, [], "infeasible"
+    extra = {"outer_rounds": 0}
+    if rep_n.converged:
+        extra["dual_bound"] = rep_n.constraint_values["dual_bound"]
+        # Unit scale, as in the uncapped ascent: the argmax is unchanged, and
+        # the first penalty and the tolerances become scale-free.  M is scaled
+        # as it is, not rebuilt from the scaled h.
+        _, s_m, e_b, h = _unit_scaled(forms)
+        s_e = float(forms.eig_e.values[0]) or 1.0
+        e_e, m, eps = forms.e_e / s_e, forms.m / s_m, epsilon_eve / (s_e * s_m)
+        pen = CapPenalty(1, eps, 1.0, _INNER_TOL0, _INNER_TOL_MIN, _INNER_SHRINK,
+                         _MAX_ROUNDS, _RESIDUAL_TOL)
+        while pen.live[0]:
+            u, grad, steps, _, inner = _ascend(
+                u, e_b, h, float(pen.tol[0]), _MAX_INNER,
+                penalty=(e_e, eps, float(pen.lam[0]), float(pen.rho[0])))
+            iterations += steps
+            omega = u @ u.T
+            cost_trace.append(quad_objective(omega, forms.e_b, forms.m))
+            pen.end_round(True, quad_objective(omega, e_e, m), inner == "stationary")
+        extra.update(outer_rounds=int(pen.rounds[0]), grad_norm=grad)
+        stop = "stationary" if pen.converged[0] else "budget"
+
+    omega = 0.5 * (omega + omega.T)
+    objective = quad_objective(omega, forms.e_b, forms.m)
+    return RisMatrix(omega, ARCH_RECIPROCAL), capped_report(
+        objective, von_neumann_bound(forms), iterations, cost_trace or [objective],
+        epsilon_eve=epsilon_eve, eve_value=quad_objective(omega, forms.e_e, forms.m),
+        active=True, stop_reason=stop, **extra)

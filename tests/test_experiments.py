@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import bdris
+from bdris import experiments
 from bdris.cli import build_parser, main, make_spec
 from bdris.experiments import (
     CSV_COLUMNS,
@@ -104,6 +105,16 @@ class TestSpecValidation:
     def test_trials_non_negative(self):
         with pytest.raises(ValueError):
             ExperimentSpec(cfg=SystemConfig(**TINY), mc_trials=-1)
+
+    @pytest.mark.parametrize("dims", [dict(k=4, r=6, n_b=2), dict(k=4, r=3, n_b=8)],
+                             ids=["n_b<k", "r<k"])
+    def test_trials_need_min_nb_r_at_least_k(self, dims):
+        """The Monte-Carlo estimate of k parameters needs rank k, so
+        min(n_b, r) >= k; without trials the CRB column (inf) is enough."""
+        cfg = SystemConfig(n_e=4, seed=3, **dims)
+        with pytest.raises(ValueError, match="min\\(n_b, r\\) >= k"):
+            ExperimentSpec(cfg=cfg, mc_trials=50)
+        ExperimentSpec(cfg=cfg, mc_trials=0)
 
     def test_default_grid(self):
         grid = default_epsilon_grid(50.0)
@@ -264,6 +275,25 @@ class TestRunExperiment:
                 b = (again.output_path / "plots" / (stem + ext)).read_bytes()
                 assert a == b
 
+    def test_repeated_entries_solved_once(self, tmp_path, monkeypatch):
+        """A repeated architecture or scenario names the same cells: the
+        spec keeps its first occurrence and the uncapped cell is solved once."""
+        solves = []
+        solve = experiments.solve_diagonal_unconstrained
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(experiments, "solve_diagonal_unconstrained", counted)
+        spec = tiny_spec(tmp_path, architectures=(ARCH_DIAGONAL, ARCH_DIAGONAL),
+                         scenarios=(SCENARIO_EVE, SCENARIO_NO_EVE, SCENARIO_EVE))
+        assert spec.architectures == (ARCH_DIAGONAL,)
+        assert spec.scenarios == (SCENARIO_EVE, SCENARIO_NO_EVE)
+        rows = run_experiment(spec)
+        assert len(solves) == 1
+        assert [row["scenario"] for row in rows] == [SCENARIO_NO_EVE] + [SCENARIO_EVE] * 3
+
     def test_monte_carlo_column(self, tmp_path):
         spec = tiny_spec(tmp_path, scenarios=(SCENARIO_NO_EVE,),
                          architectures=(ARCH_NONRECIPROCAL,), mc_trials=300)
@@ -346,6 +376,34 @@ class TestCli:
         assert code == 1
         key = next(iter(entry))
         assert capsys.readouterr().err.startswith(f"error: {key}:")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--arch", "foo"], ["--r", "abc"],
+                                      ["--trials", "1.5"], ["--bogus"]],
+                             ids=["arch-foo", "r-abc", "trials-1.5", "bogus"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+        """A bad flag or flag value is an invalid description: exit 1 with
+        ``error:``, not argparse's 2, which means a flagged cell."""
+        code = main(argv + ["--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: bdris" in capsys.readouterr().out
+
+    def test_ill_posed_monte_carlo_exits_one(self, tmp_path, capsys):
+        """Trials on a design with n_b < k, whose CRB is inf, are refused
+        before anything is solved or written."""
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"r": 6, "k": 4, "n_b": 2, "n_e": 4,
+                                    "mc_trials": 50}), encoding="utf-8")
+        code = main(["--config", str(conf), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: mc_trials")
         assert not (tmp_path / "o").exists()
 
     def test_malformed_grid_exits(self, tmp_path, capsys):

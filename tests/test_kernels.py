@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import haar_unitary, rand_complex
+
 from bdris.errors import ContractViolationError, DimensionError
 from bdris.kernels import (
     expm_skew,
@@ -17,16 +19,6 @@ from bdris.kernels import (
     takagi,
     unitary_procrustes,
 )
-
-
-def rand_complex(rng, n, m=None):
-    m = n if m is None else m
-    return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-
-
-def haar_unitary(rng, n):
-    q, r = np.linalg.qr(rand_complex(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def unitary_defect(u):

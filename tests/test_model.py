@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import batch_haar, batch_trace_objective
+from conftest import batch_haar, batch_trace_objective, haar_unitary, rand_complex
 
 import bdris
 from bdris.cli import main
@@ -51,16 +51,6 @@ from bdris.pdd import solve_pdd
 from bdris.reporting import SolveReport
 from bdris.tolerances import COND_LIMIT
 from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao
-
-
-def rand_complex(rng, n, m=None):
-    m = n if m is None else m
-    return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-
-
-def haar_unitary(rng, n):
-    q, r = np.linalg.qr(rand_complex(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def make_channels(rng, r=5, k=3, n_b=4, n_e=0, noise=0.1):
@@ -457,7 +447,8 @@ class TestSolveReport:
     def test_capped_solvers_report_cap_residual(self, arch, scale, active):
         """A capped solver called directly, not through the sweep, reports
         the cap, the leakage and cap_residual = eve_value / epsilon_eve - 1;
-        an inactive cap returns the uncapped response with its stop reason."""
+        an inactive cap returns the uncapped response with its stop reason,
+        0 steps, its objective as the trace and the class's own keys."""
         forms, uncapped, capped = report_solvers(arch)
         ris0, rep0 = uncapped()
         eps = scale * quad_objective(ris0.matrix, forms.e_e, forms.m)
@@ -475,6 +466,15 @@ class TestSolveReport:
             assert cv["cap_residual"] == pytest.approx(1.0 / scale - 1.0)
             assert cv["stop_reason"] == rep0.constraint_values["stop_reason"]
             np.testing.assert_array_equal(ris.matrix, ris0.matrix)
+            assert rep.iterations == 0 and rep.cost_trace == [rep0.objective]
+            extra = {
+                ARCH_NONRECIPROCAL: {"multiplier": 0.0, "dual_bound": rep.bound},
+                ARCH_RECIPROCAL: {"outer_rounds": 0},
+                ARCH_DIAGONAL: {"budget_hits": 0, "outer_rounds": 0, "multiplier": 0.0},
+            }[arch]
+            shared = {"epsilon_eve", "eve_value", "cap_residual", "constraint_active",
+                      "stop_reason"}
+            assert {key: cv[key] for key in set(cv) - shared} == extra
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_every_report_has_a_trace(self, arch):
@@ -619,6 +619,15 @@ class TestCrbAndMle:
                         h_rb=rand_complex(rng, 3, 4),
                         sigma_b=np.eye(3), p=np.eye(2))
         ris = RisMatrix(haar_unitary(rng, 4), ARCH_NONRECIPROCAL)
+        with pytest.raises(EstimationIllPosedError):
+            simulate_mle_mse(ch, ris, trials=10, seed=0)
+
+    def test_wide_design_raises(self):
+        """n_b = 2 receive antennas cannot resolve k = 4 parameters: G is
+        2-by-4 with only two singular values, both well above the
+        tolerance, and its rank deficiency must still be refused."""
+        ch = generate_channels(SystemConfig(k=4, r=6, n_b=2, n_e=4, seed=0))
+        ris = RisMatrix(np.eye(6), ARCH_NONRECIPROCAL)
         with pytest.raises(EstimationIllPosedError):
             simulate_mle_mse(ch, ris, trials=10, seed=0)
 

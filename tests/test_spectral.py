@@ -10,7 +10,8 @@ case where the symmetric feasible set provably contains the global optimum
 import numpy as np
 import pytest
 
-from conftest import batch_haar, batch_trace_objective, capped_cases
+from conftest import batch_haar, batch_trace_objective, capped_cases, haar_unitary, \
+    rand_complex
 
 from bdris.experiments import default_epsilon_grid
 from bdris.model import (
@@ -29,16 +30,6 @@ from bdris.spectral import (
     solve_reciprocal_ao,
     von_neumann_bound,
 )
-
-
-def rand_complex(rng, n, m=None):
-    m = n if m is None else m
-    return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-
-
-def haar_unitary(rng, n):
-    q, r = np.linalg.qr(rand_complex(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def rand_forms(rng, r, k=None, n_b=None, with_eve=False):
