@@ -132,12 +132,14 @@ class DiagForms:
 
 
 def _check_psd(c: np.ndarray, name: str) -> float:
-    """Refuse an empty, non-square, non-Hermitian or indefinite c; return
-    its largest eigenvalue."""
+    """Refuse an empty, non-square, non-finite, non-Hermitian or
+    indefinite c; return its largest eigenvalue."""
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ContractViolationError(f"{name} must be square")
     if c.shape[0] < 1:
         raise DimensionError(f"{name} needs at least one element (r >= 1)")
+    if not np.isfinite(c).all():
+        raise ContractViolationError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c - c.conj().T).max() > _HADAMARD_TOL * scale:
         raise ContractViolationError(f"{name} not Hermitian within {_HADAMARD_TOL}")

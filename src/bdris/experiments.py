@@ -33,6 +33,7 @@ from .model import (
     ARCH_RECIPROCAL,
     ARCHITECTURES,
     SystemConfig,
+    _check_count,
     build_forms,
     crb_trace,
     fim_matrix,
@@ -100,9 +101,12 @@ class ExperimentSpec:
             grid = np.asarray(self.epsilon_grid, dtype=float)
             if grid.ndim != 1 or grid.size == 0:
                 raise ValueError("epsilon_grid must be a non-empty vector")
-            if not ((grid > 0).all() and (np.diff(grid) > 0).all()):
-                raise ValueError("epsilon_grid must be positive and strictly increasing")
+            if not ((grid > 0).all() and np.isfinite(grid).all()
+                    and (np.diff(grid) > 0).all()):
+                raise ValueError("epsilon_grid must be positive, finite and "
+                                 "strictly increasing")
             self.epsilon_grid = grid
+        _check_count("mc_trials", self.mc_trials)
         if self.mc_trials < 0:
             raise ValueError("mc_trials must be non-negative")
         cfg = self.cfg
@@ -114,8 +118,8 @@ class ExperimentSpec:
 
 def default_epsilon_grid(scale: float, points: int = _GRID_POINTS) -> np.ndarray:
     """Log-spaced cap grid covering two decades up to the given scale."""
-    if scale <= 0:
-        raise ValueError("grid scale must be positive")
+    if not 0 < scale < np.inf:
+        raise ValueError("grid scale must be positive and finite")
     return np.geomspace(_GRID_LO * scale, scale, points)
 
 

@@ -16,6 +16,7 @@ of E_b, M and E_e that every solver reads.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,6 +64,13 @@ ARCHITECTURES = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL)
 _MC_CHUNK = 1024
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is a boolean or not an integer (numpy integers
+    pass), rather than reading True as 1 or failing later inside numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class SystemConfig:
     """Dimensions and physical constants of one scenario.
@@ -79,6 +87,8 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "r", "n_b", "n_e", "seed"):
+            _check_count(name, getattr(self, name))
         if self.k < 1 or self.r < 1 or self.n_b < 1:
             raise ValueError("k, r and n_b must all be at least 1")
         if self.n_e < 0:
@@ -188,8 +198,9 @@ class QuadraticForms:
     """Quadratic forms entering the trace objective tr(Omega^H E Omega M).
 
     M = h h^H is derived from the source matrix h, so the two always agree,
-    and the spectra of E_b, M and E_e are taken once, here; an indefinite
-    E_b or E_e is refused, and so is a surface with no element (r = 0).
+    and the spectra of E_b, M and E_e are taken once, here; a non-finite
+    entry, an indefinite E_b or E_e and a surface with no element (r = 0)
+    are refused.
     """
 
     e_b: np.ndarray                  # (r, r) Hermitian PSD
@@ -210,6 +221,10 @@ class QuadraticForms:
             raise DimensionError(f"h must have {r} rows, got shape {self.h.shape}")
         if self.e_e is not None and self.e_e.shape != (r, r):
             raise DimensionError(f"e_e must have shape {(r, r)}, got {self.e_e.shape}")
+        for name in ("e_b", "h", "e_e"):
+            a = getattr(self, name)
+            if a is not None and not np.isfinite(a).all():
+                raise ContractViolationError(f"{name} must be finite")
         m = self.h @ self.h.conj().T
         self.m = 0.5 * (m + m.conj().T)
         self.eig_b = hermitian_eig(self.e_b)
@@ -227,7 +242,11 @@ class QuadraticForms:
 
 @dataclass
 class RisMatrix:
-    """Surface response matrix tagged with its hardware class."""
+    """Surface response matrix tagged with its hardware class.
+
+    A non-finite entry is refused, and each structural check is written so
+    that a NaN residual fails it.
+    """
 
     matrix: np.ndarray
     architecture: str
@@ -238,6 +257,8 @@ class RisMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError("response matrix must be square")
+        if not np.isfinite(m).all():
+            raise ContractViolationError("response matrix must be finite")
         self.matrix = m
         r = m.shape[0]
         if self.architecture == ARCH_DIAGONAL:
@@ -245,18 +266,19 @@ class RisMatrix:
                 raise ContractViolationError(
                     "diagonal architecture requires exactly zero off-diagonal entries"
                 )
-            if np.max(np.abs(np.diag(m))) > 1.0 + tol.ARCH_CHECK_TOL:
+            if not np.max(np.abs(np.diag(m))) <= 1.0 + tol.ARCH_CHECK_TOL:
                 raise ContractViolationError("diagonal magnitudes must not exceed 1")
         else:
-            resid = np.max(np.abs(m.conj().T @ m - np.eye(r)))
-            if resid > tol.ARCH_CHECK_TOL:
+            with np.errstate(over="ignore", invalid="ignore"):   # fails below as inf or NaN
+                resid = np.max(np.abs(m.conj().T @ m - np.eye(r)))
+            if not resid <= tol.ARCH_CHECK_TOL:
                 raise ContractViolationError(
                     f"{self.architecture} response must be unitary "
                     f"(residual {resid:.3e})"
                 )
             if self.architecture == ARCH_RECIPROCAL:
                 dev = np.max(np.abs(m - m.T))
-                if dev > tol.ARCH_CHECK_TOL:
+                if not dev <= tol.ARCH_CHECK_TOL:
                     raise ContractViolationError(
                         f"reciprocal response must be symmetric (deviation {dev:.3e})"
                     )
@@ -350,11 +372,13 @@ def build_forms(ch: ChannelSet) -> QuadraticForms:
 def quad_objective(omega: np.ndarray, e: np.ndarray, m: np.ndarray) -> float:
     """Real trace tr(Omega^H E Omega M) for Hermitian PSD E and M.
 
-    The imaginary residue must stay below IMAG_RESIDUE_TOL (relative);
-    anything larger means corrupted inputs and raises.  Tiny negative
-    values from rounding are clamped to zero.
+    A non-finite trace, or an imaginary residue above IMAG_RESIDUE_TOL
+    (relative), means corrupted inputs and raises.  Tiny negative values
+    from rounding are clamped to zero.
     """
     val = complex(np.vdot(omega, e @ (omega @ m)))
+    if not cmath.isfinite(val):
+        raise NumericalConsistencyError(f"trace is not finite: {val}")
     ref = max(1.0, abs(val.real))
     if abs(val.imag) > tol.IMAG_RESIDUE_TOL * ref:
         raise NumericalConsistencyError(
@@ -422,6 +446,8 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
     trials-by-k array, summed once at the end, so the estimate is bit for
     bit the whole-block one and no complex temporary grows with ``trials``.
     """
+    _check_count("trials", trials)
+    _check_count("seed", seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     g, low = _effective_matrix(ch, ris, "bob")

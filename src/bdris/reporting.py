@@ -75,12 +75,13 @@ def checked_cap(leak_form, epsilon_eve) -> float:
     """The cap as a float, after refusing a solve that cannot honour it.
 
     Raises ``ValueError`` when the leakage form (``e_e`` or ``c_e``) is
-    None or the cap is not > 0 (NaN fails that comparison too).
+    None or the cap is not positive and finite (NaN fails that comparison
+    too): an infinite cap is no cap, and has no residual to report.
     """
     if leak_form is None:
         raise ValueError("a leakage cap needs eavesdropper forms (e_e / c_e is None)")
-    if not epsilon_eve > 0:
-        raise ValueError("epsilon_eve must be positive")
+    if not 0 < epsilon_eve < np.inf:
+        raise ValueError("epsilon_eve must be positive and finite")
     return float(epsilon_eve)
 
 

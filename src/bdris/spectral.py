@@ -29,13 +29,13 @@ here is the contract of :mod:`bdris.reporting` around its private
 algorithm (:func:`_capped_nonreciprocal`, :func:`_capped_reciprocal`).
 The ascent works on the r-by-k source matrix h rather than on M = h h^H,
 which has rank k <= r.  Its state is a frame B with Omega = B B^T plus
-r-by-k products of h; a step costs the half step exp(i t P / 2) - I, a
-short real Taylor series whose cosine and sine parts share one stack of
-powers (:func:`_expm1i`, m + 2 real r-by-r products at degree m), the
-two-loop recursion over _MEMORY pairs, one complex r-by-r product that
-moves the frame, and r-by-r-by-k products, and a line-search trial only
-the latter.  The knobs of both searches are the module constants below;
-every caller uses the same values.
+r-by-k products of h.  Each line-search trial costs one half step
+exp(i t P / 2) - I, a short real Taylor series whose cosine and sine
+parts share one stack of powers (:func:`_expm1i`, m + 2 real r-by-r
+products at degree m), and r-by-r-by-k products; an accepted step adds
+the two-loop recursion over _MEMORY pairs and one complex r-by-r product
+that moves the frame.  The knobs of both searches are the module
+constants below; every caller uses the same values.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ _RESIDUAL_TOL = 1e-10
 # 1 the s_j.  One more degree costs one real r-by-r product and a squaring
 # F <- F (2I + F) a complex one, four real.  Three more degrees would
 # double theta past m = _TAYLOR_MAX and save one product on the squaring
-# they replace, but such X are rare (a squaring ran in 5 of 1 675 calls
-# over the r = 64 acceptance draws and in 1 of 8 911 over the r = 36
+# they replace, but such X are rare (a squaring ran in 6 of 1 681 calls
+# over the r = 64 acceptance draws and in 1 of 9 739 over the r = 36
 # reference sweep), so the table stops here and larger X are halved.
 _TAYLOR_MAX = 8
 _TAYLOR_TABLES = tuple(
@@ -305,8 +305,8 @@ def _two_loop(a: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _expm1i(p: np.ndarray, tau: float) -> list[np.ndarray]:
-    """F(tau) = exp(i tau P) - I for real symmetric P, with its halvings.
+def _expm1i(p: np.ndarray, tau: float) -> np.ndarray:
+    """F(tau) = exp(i tau P) - I for real symmetric P.
 
     X = tau P / 2^s, with the least s >= 0 that brings the bound
     ||Y||_1^(1/2) >= ||X||_2 within _TAYLOR_THETA[-1], and the least degree
@@ -318,8 +318,10 @@ def _expm1i(p: np.ndarray, tau: float) -> list[np.ndarray]:
     SIAM J. Comput., 1973, with every power kept).  The scaling is undone
     by F <- F (2I + F), which keeps the accuracy relative to ||F|| that
     forming exp(i X) first would lose (Al-Mohy and Higham, SIAM J. Matrix
-    Anal. Appl., 2009).  Returns the chain
-    F(tau / 2^s), ..., F(tau / 2), F(tau), shortest step first.
+    Anal. Appl., 2009).  Halving tau halves X and the bound exactly, so
+    F(tau / 2) evaluated on its own reaches the same scaled X and degree
+    with s - 1 squarings: F(tau) is F(tau / 2) (2I + F(tau / 2)) bit for
+    bit whenever s >= 1.
     """
     r = len(p)
     x = tau * p
@@ -339,11 +341,9 @@ def _expm1i(p: np.ndarray, tau: float) -> list[np.ndarray]:
     f = np.empty(p.shape, dtype=complex)
     f.real = cos1
     f.imag = x @ sin_q
-    chain = [f]
     for _ in range(s):
         f = f @ f + 2.0 * f
-        chain.append(f)
-    return chain
+    return f
 
 
 def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
@@ -376,12 +376,12 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
     (:func:`_expm1i`, m + 2 real r-by-r products for the Taylor degree m
     that ||t P / 2|| calls for): F(t) = H (2I + H), so the increment is
     Delta h = B H (2c + H c), and then E Delta h, r-by-r-by-k products.
-    The chain of half steps that :func:`_expm1i` builds while undoing its
-    scaling serves the line search's halvings, until they fall below it.
-    An accepted step adds E Delta h and sets B <- B + B H and c <- c + H c.
-    The frame moves by the symmetric e^{i t P / 2}, so in the new frame
-    identity coordinates still carry a tangent vector along the step, and
-    the stored pairs are used as they are, without a transport.  Returns
+    Each trial evaluates its own half step, so the line search keeps no
+    state from one trial to the next but the step.  An accepted step adds
+    E Delta h and sets B <- B + B H and c <- c + H c.  The frame moves by
+    the symmetric e^{i t P / 2}, so in the new frame identity coordinates
+    still carry a tangent vector along the step, and the stored pairs are
+    used as they are, without a transport.  Returns
     B, ||A||_F, the accepted steps, the trace of f_b and the stop reason:
     ``stationary`` (||A||_F <= tol), ``budget`` or ``stalled``.
     """
@@ -417,11 +417,9 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
             break
         p = _two_loop(a, pairs)
         need = _ARMIJO * float(np.vdot(a, p))
-        step, halves = 1.0, []
+        step = 1.0
         while True:
-            if not halves:
-                halves = _expm1i(p, 0.5 * step)
-            half = halves.pop()                      # F(step / 2)
+            half = _expm1i(p, 0.5 * step)            # F(step / 2)
             hc = half @ c
             dh = b @ (half @ (2.0 * c + hc))         # B F(step) c
             dprods = [e @ dh for e in mats]

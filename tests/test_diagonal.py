@@ -222,6 +222,15 @@ class TestReduction:
         with pytest.raises(DimensionError):
             DiagForms(c_b=np.eye(0))                           # no element (r = 0)
 
+    @pytest.mark.parametrize("name", ["c_b", "c_e"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_forms_refused(self, name, value):
+        forms = dict(c_b=np.eye(3), c_e=np.eye(3))
+        bad = np.eye(3)
+        bad[1, 1] = value
+        with pytest.raises(ContractViolationError, match=f"{name} must be finite"):
+            DiagForms(**{**forms, name: bad})
+
     def test_forms_keep_their_largest_eigenvalues(self, monkeypatch):
         """lam_b and lam_e are kept from the PSD check, and lam_gen is the
         largest generalized eigenvalue of (c_b, c_e); once the forms exist
@@ -310,8 +319,8 @@ class TestConstrained:
             solve_diagonal_constrained(df, 1.0)
         df = DiagForms(c_b=np.eye(3), c_e=np.eye(3))
         # NaN fails every comparison: it must be refused, not run to an
-        # all-NaN response reported as converged.
-        for eps in (0.0, float("nan")):
+        # all-NaN response reported as converged.  An infinite cap is no cap.
+        for eps in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 solve_diagonal_constrained(df, eps)
 

@@ -98,13 +98,23 @@ class TestSpecValidation:
             with pytest.raises(ValueError):
                 ExperimentSpec(cfg=SystemConfig(**TINY),
                                epsilon_grid=np.array(grid))
-        # +inf is a slack cap, and valid.
-        ExperimentSpec(cfg=SystemConfig(**TINY),
-                       epsilon_grid=np.array([1e3, np.inf]))
+
+    def test_grid_rejects_infinite_caps(self):
+        # An infinite cap is no cap: its cell would report cap_residual -1
+        # and put inf on the log-x axis of the plots.
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(cfg=SystemConfig(**TINY),
+                           epsilon_grid=np.array([1e3, np.inf]))
 
     def test_trials_non_negative(self):
         with pytest.raises(ValueError):
             ExperimentSpec(cfg=SystemConfig(**TINY), mc_trials=-1)
+
+    @pytest.mark.parametrize("trials", [1.5, True, 2.0])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="mc_trials must be an integer"):
+            ExperimentSpec(cfg=SystemConfig(**TINY), mc_trials=trials)
+        ExperimentSpec(cfg=SystemConfig(**TINY), mc_trials=np.int64(2))
 
     @pytest.mark.parametrize("dims", [dict(k=4, r=6, n_b=2), dict(k=4, r=3, n_b=8)],
                              ids=["n_b<k", "r<k"])
@@ -122,8 +132,9 @@ class TestSpecValidation:
         assert grid[0] == pytest.approx(0.5)
         assert grid[-1] == pytest.approx(50.0)
         assert np.all(np.diff(grid) > 0)
-        with pytest.raises(ValueError):
-            default_epsilon_grid(0.0)
+        for scale in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                default_epsilon_grid(scale)
 
 
 class TestCsv:
@@ -438,6 +449,13 @@ class TestCli:
                      "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_cap_exits_one(self, tmp_path, capsys):
+        code = main(["--r", "6", "--k", "2", "--eps-grid", "1e3,inf",
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: epsilon_grid")
         assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):

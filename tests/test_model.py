@@ -128,6 +128,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed"):
             SystemConfig(k=1, r=2, n_b=1, seed=-1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", 2.5), ("r", True), ("n_b", 4.0), ("n_e", 2.0), ("seed", 1.5),
+        ("seed", False)])
+    def test_config_refuses_non_integer_counts(self, key, value):
+        """A boolean or a float count is refused at construction, not read
+        as 0 or 1 or left to fail inside numpy; numpy integers are taken."""
+        dims = dict(k=2, r=4, n_b=4, n_e=2, seed=3)
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            SystemConfig(**{**dims, key: value})
+        generate_channels(SystemConfig(**{**dims, key: np.int64(dims[key])}))
+
     def test_cli_rejects_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["--r", "3", "--k", "1", "--seed", "-1",
@@ -253,6 +264,20 @@ class TestValidation:
         with pytest.raises(DimensionError):
             RisMatrix(u[:, :3], ARCH_NONRECIPROCAL)
 
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_ris_matrix_refuses_non_finite_entries(self, arch):
+        """NaN fails every comparison, so it must fail the checks, not pass
+        them; so must a finite matrix whose Gram product overflows."""
+        def matrix(value):
+            return np.diag([value, 1.0]) if arch == ARCH_DIAGONAL else np.full((2, 2), value)
+
+        for value in (np.nan, np.inf):
+            with pytest.raises(ContractViolationError, match="finite"):
+                RisMatrix(matrix(value), arch)
+        if arch != ARCH_DIAGONAL:
+            with pytest.raises(ContractViolationError, match="unitary"):
+                RisMatrix(matrix(1e200 * (1 + 1j)), arch)
+
 
 # ---------------------------------------------------------------- forms / trace
 
@@ -313,6 +338,12 @@ class TestForms:
         with pytest.raises(NumericalConsistencyError):
             # Anti-Hermitian "form" makes the value purely imaginary.
             quad_objective(np.eye(2), 1j * np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("omega, e", [
+        (np.full((2, 2), np.nan), np.eye(2)), (np.eye(2), np.diag([np.nan, 1.0]))])
+    def test_quad_objective_rejects_non_finite_trace(self, omega, e):
+        with pytest.raises(NumericalConsistencyError, match="finite"):
+            quad_objective(omega, e, np.eye(2))
 
     def test_quad_objective_rejects_negative_trace(self):
         # A negative definite "form" gives a real trace far below zero.
@@ -401,6 +432,16 @@ class TestForms:
         with pytest.raises(ContractViolationError, match=name):
             QuadraticForms(**{**forms, name: np.diag([1e3, 1.0, -1e-4])})
         QuadraticForms(**{**forms, name: np.diag([1e3, 1.0, -1e-6])})
+
+    @pytest.mark.parametrize("name", ["e_b", "h", "e_e"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_forms_refused(self, name, value):
+        """A non-finite entry is refused before the forms are factored."""
+        forms = dict(e_b=np.eye(3), h=np.eye(3, 2), e_e=np.eye(3))
+        bad = forms[name].copy()
+        bad[1, 1] = value
+        with pytest.raises(ContractViolationError, match=f"{name} must be finite"):
+            QuadraticForms(**{**forms, name: bad})
 
     def test_fim_matrix_refuses_bad_calls(self):
         rng = np.random.default_rng(17)
@@ -631,6 +672,17 @@ class TestCrbAndMle:
         with pytest.raises(EstimationIllPosedError):
             simulate_mle_mse(ch, ris, trials=10, seed=0)
 
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, 1.5])
+    def test_trials_and_seed_must_be_integers(self, key, value):
+        rng = np.random.default_rng(34)
+        ch = make_channels(rng)
+        ris = RisMatrix(haar_unitary(rng, 5), ARCH_NONRECIPROCAL)
+        counts = dict(trials=2, seed=0)
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            simulate_mle_mse(ch, ris, **{**counts, key: value})
+        assert simulate_mle_mse(ch, ris, **{**counts, key: np.int64(counts[key])}) > 0.0
 
     def test_trials_checked_before_the_design(self):
         # A trial count below one is refused first, even on a design that

@@ -361,7 +361,7 @@ class TestSolvePdd:
     def test_settings_validation(self):
         rng = np.random.default_rng(14)
         forms = rand_forms(rng, 3)
-        for eps in (-1.0, 0.0, float("nan")):
+        for eps in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 solve_pdd(forms, eps)
         # The cap is the only setting; the solver's constants are not knobs.

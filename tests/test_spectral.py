@@ -204,7 +204,8 @@ class TestCappedNonReciprocal:
     def test_rejects_nonpositive_cap(self):
         rng = np.random.default_rng(34)
         forms = rand_forms(rng, 3, with_eve=True)
-        for eps in (0.0, -1.0):
+        # An infinite cap is no cap, and has no residual to report.
+        for eps in (0.0, -1.0, np.inf):
             with pytest.raises(ValueError):
                 solve_nonreciprocal(forms, eps)
 
@@ -385,25 +386,30 @@ class TestTaylorStep:
     def allowed(r, size):
         return 8.0 * np.finfo(float).eps * (np.sqrt(r) + size)
 
+    @staticmethod
+    def bound(x):
+        """The kernel's bound ||X^2||_1^(1/2) >= ||X||_2, which it scales
+        down to _TAYLOR_THETA[-1]."""
+        return np.sqrt(np.abs(x @ x).sum(axis=0).max())
+
     @pytest.mark.parametrize("r", [1, 2, 12, 64])
     def test_matches_eigh_reference(self, r):
         """Relative error within the tolerance of ||F||_2, I + F unitary and
-        F symmetric, on both the unscaled branch (one link) and the scaled
-        one."""
+        F symmetric, on both the unscaled branch and the scaled one: the
+        smallest size needs no squaring, the largest more than ten."""
         p = self.sym(r, 60 + r)
         mu, v = np.linalg.eigh(p)
-        links = []
         for size in self.SIZES:
             tau = size / np.abs(mu).max()
-            chain = spectral._expm1i(p, tau)
-            f, ref = chain[-1], (v * np.expm1(1j * tau * mu)) @ v.T
+            f, ref = spectral._expm1i(p, tau), (v * np.expm1(1j * tau * mu)) @ v.T
             tol = self.allowed(r, size)
             assert np.linalg.norm(f - ref, 2) <= tol * np.linalg.norm(ref, 2), size
             w = np.eye(r) + f
             assert np.abs(w.conj().T @ w - np.eye(r)).max() <= tol, size
             assert np.abs(f - f.T).max() <= tol * np.abs(f).max(), size
-            links.append(len(chain))
-        assert links[0] == 1 and links[-1] > 10
+        # ||X||_2 <= bound <= r^(1/4) ||X||_2
+        theta = spectral._TAYLOR_THETA[-1]
+        assert r ** 0.25 * self.SIZES[0] <= theta < self.SIZES[-1] / 2 ** 10
 
     @pytest.mark.parametrize("r", [2, 12, 64])
     def test_every_degree_matches_eigh_reference(self, r):
@@ -413,33 +419,33 @@ class TestTaylorStep:
         its boundary, and 1.001 theta_max takes the first squaring."""
         p = self.sym(r, 80 + r)
         mu, v = np.linalg.eigh(p)
-        bound = np.sqrt(np.abs(p @ p).sum(axis=0).max())
+        bound = self.bound(p)
         for theta in spectral._TAYLOR_THETA:
             for factor in (0.999, 1.001):
                 tau = factor * theta / bound
-                chain = spectral._expm1i(p, tau)
-                f, ref = chain[-1], (v * np.expm1(1j * tau * mu)) @ v.T
+                f, ref = spectral._expm1i(p, tau), (v * np.expm1(1j * tau * mu)) @ v.T
                 size = tau * np.abs(mu).max()
                 tol = self.allowed(r, size)
                 assert np.linalg.norm(f - ref, 2) <= tol * np.linalg.norm(ref, 2), tau
-        assert len(chain) == 2
+        assert self.bound(tau * p) > spectral._TAYLOR_THETA[-1]
 
     @pytest.mark.parametrize("r", [2, 12, 64])
-    def test_each_link_of_the_chain_is_a_direct_evaluation(self, r):
-        """The chain F(tau / 2^s), ..., F(tau) the line search halves along:
-        link j from the end equals F(tau / 2^j) evaluated on its own."""
+    def test_squaring_relation(self, r):
+        """Wherever the kernel scales (bound above theta_max), F(tau) is
+        F(tau / 2) (2I + F(tau / 2)) bit for bit: halving tau halves X and
+        its bound exactly, so F(tau / 2) on its own takes one squaring
+        fewer from the same scaled X.  A line-search halving therefore
+        loses nothing by evaluating its half step afresh."""
         p = self.sym(r, 70 + r)
-        size = 40.0
-        tau = size / np.linalg.norm(p, 2)
-        chain = spectral._expm1i(p, tau)
-        assert len(chain) >= 5
-        for j, link in enumerate(reversed(chain)):
-            direct = spectral._expm1i(p, tau / 2 ** j)[-1]
-            tol = self.allowed(r, size / 2 ** j)
-            assert np.linalg.norm(link - direct, 2) <= tol * np.linalg.norm(direct, 2), j
+        theta = spectral._TAYLOR_THETA[-1]
+        for size in np.geomspace(1.001 * theta, 40.0, 12):
+            tau = size / self.bound(p)
+            assert self.bound(tau * p) > theta, size
+            f = spectral._expm1i(p, tau / 2)
+            np.testing.assert_array_equal(spectral._expm1i(p, tau), f @ f + 2.0 * f)
 
     def test_zero_direction_is_no_move(self):
-        np.testing.assert_array_equal(spectral._expm1i(np.zeros((3, 3)), 1.0)[-1],
+        np.testing.assert_array_equal(spectral._expm1i(np.zeros((3, 3)), 1.0),
                                       np.zeros((3, 3)))
 
 
