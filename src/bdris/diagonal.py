@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError
+from .kernels import _checked, _require_psd
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
     inactive_answer, uncapped_pair
@@ -50,7 +51,6 @@ __all__ = [
     "solve_diagonal_constrained",
 ]
 
-_HADAMARD_TOL = 1e-10
 # The cap's bound uses c_e^{-1/2} only when cond(c_e) <= _BOUND_COND, where
 # its rounding stays below about 1e-10 relative.
 _BOUND_COND = 1e6
@@ -97,7 +97,11 @@ _RESIDUAL_TOL = 1e-8
 @dataclass
 class DiagForms:
     """Hadamard-reduced quadratic forms c_b = E_b o M^T and c_e = E_e o M^T,
-    with their largest eigenvalues lam_b and lam_e (None without c_e)."""
+    with their largest eigenvalues lam_b and lam_e (None without c_e).
+
+    Each form must pass the input check of :class:`~bdris.model.QuadraticForms`
+    (square, finite, Hermitian and PSD within the one ``STRUCTURE_TOL``) and
+    have at least one element; c_e must have c_b's shape."""
 
     c_b: np.ndarray
     c_e: np.ndarray | None = None
@@ -132,20 +136,15 @@ class DiagForms:
 
 
 def _check_psd(c: np.ndarray, name: str) -> float:
-    """Refuse an empty, non-square, non-finite, non-Hermitian or
-    indefinite c; return its largest eigenvalue."""
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ContractViolationError(f"{name} must be square")
+    """Refuse an empty c, or one that fails the shared input check of
+    :mod:`bdris.kernels` (square, finite, Hermitian and PSD within
+    ``STRUCTURE_TOL``, as the full forms are); return its largest
+    eigenvalue."""
+    _checked(c, name, "Hermitian")
     if c.shape[0] < 1:
         raise DimensionError(f"{name} needs at least one element (r >= 1)")
-    if not np.isfinite(c).all():
-        raise ContractViolationError(f"{name} must be finite")
-    scale = max(1.0, float(np.abs(c).max()))
-    if np.abs(c - c.conj().T).max() > _HADAMARD_TOL * scale:
-        raise ContractViolationError(f"{name} not Hermitian within {_HADAMARD_TOL}")
     w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    if w[0] < -_HADAMARD_TOL * max(1.0, float(w[-1])):
-        raise ContractViolationError(f"{name} not PSD (min eigenvalue {w[0]:.3e})")
+    _require_psd(w, name)
     return float(w[-1])
 
 

@@ -34,6 +34,7 @@ from .model import (
     ARCHITECTURES,
     SystemConfig,
     _check_count,
+    _check_real,
     build_forms,
     crb_trace,
     fim_matrix,
@@ -98,6 +99,8 @@ class ExperimentSpec:
         if SCENARIO_EVE in self.scenarios and not self.cfg.eve_present:
             raise ValueError("eve scenario requires eavesdropper antennas (n_e > 0)")
         if self.epsilon_grid is not None:
+            for value in np.asarray(self.epsilon_grid, dtype=object).flat:
+                _check_real("each epsilon_grid entry", value)
             grid = np.asarray(self.epsilon_grid, dtype=float)
             if grid.ndim != 1 or grid.size == 0:
                 raise ValueError("epsilon_grid must be a non-empty vector")

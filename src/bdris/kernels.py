@@ -2,15 +2,24 @@
 
 All routines are pure functions of their operands.  The Takagi factor,
 and with it the symmetric-unitary projection, comes from one real
-symmetric eigendecomposition.  Structural
-preconditions (Hermitian, symmetric, skew-Hermitian) are checked against
-the tolerances in :mod:`bdris.tolerances` and violations raise
-:class:`~bdris.errors.ContractViolationError`; shape problems raise
-:class:`~bdris.errors.DimensionError`.
+symmetric eigendecomposition.
+
+Every matrix operand of the package is checked here, by one rule:
+``_checked`` refuses a non-square operand with
+:class:`~bdris.errors.DimensionError`, and a non-finite one, or one further
+than ``STRUCTURE_TOL`` (relative to max|A|) from its structure (Hermitian,
+symmetric, skew-Hermitian), with
+:class:`~bdris.errors.ContractViolationError`; ``_require_psd`` refuses a
+least eigenvalue below -``STRUCTURE_TOL`` max(1, lam_max).  The kernels,
+the covariances, quadratic forms and information matrix of
+:mod:`bdris.model`, the reduced forms of :mod:`bdris.diagonal` and the
+QCQP of :mod:`bdris.pdd` all use them; the checks only read their operand,
+so every factorization sees the same bits.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -44,26 +53,48 @@ class TakagiFactor(NamedTuple):
     u: np.ndarray        # unitary, shape (n, n)
 
 
-def _require_square(a: np.ndarray, name: str) -> np.ndarray:
+def _checked(a, name: str, structure: str | None = None) -> np.ndarray:
+    """``a`` as an array, after refusing it unless it is square, finite and,
+    when ``structure`` names one, within ``STRUCTURE_TOL`` of it.
+
+    ``structure`` is "Hermitian" (A = A^H), "symmetric" (A = A^T) or
+    "skew-Hermitian" (A = -A^H); the deviation from that mirror is measured
+    against max|A|, which also carries a NaN or an infinite entry, so
+    finiteness costs no pass of its own.
+    """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {a.shape}")
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if not math.isfinite(scale):
+        raise ContractViolationError(f"{name} must be finite")
+    if structure is not None:
+        mirror = a.T if structure == "symmetric" else a.conj().T
+        diff = a + mirror if structure == "skew-Hermitian" else a - mirror
+        dev = float(np.max(np.abs(diff), initial=0.0))
+        if dev > tol.STRUCTURE_TOL * scale:
+            raise ContractViolationError(
+                f"{name} is not {structure}: relative deviation {dev / scale:.3e}")
     return a
 
 
-def _scale(a: np.ndarray) -> float:
-    """Magnitude reference for relative tolerance checks (1.0 for a zero matrix)."""
-    s = float(np.max(np.abs(a))) if a.size else 0.0
-    return s if s > 0.0 else 1.0
+def _require_psd(values: np.ndarray, name: str) -> None:
+    """Refuse eigenvalues of a Hermitian matrix whose least one is below
+    -STRUCTURE_TOL max(1, lam_max): rounding-level negatives pass, and so
+    does an empty spectrum (``initial=0.0`` cannot change the verdict)."""
+    lo, hi = float(np.min(values, initial=0.0)), float(np.max(values, initial=0.0))
+    if lo < -tol.STRUCTURE_TOL * max(1.0, hi):
+        raise ContractViolationError(
+            f"{name} must be positive semidefinite (least eigenvalue {lo:.3e})")
 
 
 def hermitian_eig(a: np.ndarray) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
 
     The input is symmetrized to (A + A^H)/2 before factorization so that
-    floating-point asymmetry never leaks into downstream solvers; inputs
-    further than ``HERMITIAN_INPUT_TOL`` (relative) from Hermitian are
-    rejected.
+    floating-point asymmetry never leaks into downstream solvers; a
+    non-finite input, or one further than ``STRUCTURE_TOL`` (relative) from
+    Hermitian, is rejected.
 
     Parameters
     ----------
@@ -76,12 +107,7 @@ def hermitian_eig(a: np.ndarray) -> HermEig:
         ``values`` sorted descending, ``vectors`` with orthonormal columns
         in the matching order.
     """
-    a = _require_square(a, "a")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol.HERMITIAN_INPUT_TOL * _scale(a):
-        raise ContractViolationError(
-            f"matrix is not Hermitian: relative deviation {dev / _scale(a):.3e}"
-        )
+    a = _checked(a, "a", "Hermitian")
     sym = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(sym)
     return HermEig(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
@@ -115,12 +141,7 @@ def takagi(a: np.ndarray) -> TakagiFactor:
     TakagiFactor
         ``sigma`` non-negative descending, ``u`` unitary.
     """
-    a = _require_square(a, "a")
-    dev = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if dev > tol.SYMMETRIC_INPUT_TOL * _scale(a):
-        raise ContractViolationError(
-            f"matrix is not complex symmetric: relative deviation {dev / _scale(a):.3e}"
-        )
+    a = _checked(a, "a", "symmetric")
     n = a.shape[0]
     sym = 0.5 * (a + a.T)
     p, q = sym.real, sym.imag
@@ -151,12 +172,7 @@ def expm_skew(s: np.ndarray, step: float = 1.0) -> np.ndarray:
     (n, n) ndarray
         Unitary matrix exp(step * S).
     """
-    s = _require_square(s, "s")
-    dev = np.max(np.abs(s + s.conj().T)) if s.size else 0.0
-    if dev > tol.SKEW_INPUT_TOL * _scale(s):
-        raise ContractViolationError(
-            f"matrix is not skew-Hermitian: relative deviation {dev / _scale(s):.3e}"
-        )
+    s = _checked(s, "s", "skew-Hermitian")
     h = -1j * s
     h = 0.5 * (h + h.conj().T)
     w, v = np.linalg.eigh(h)
@@ -170,7 +186,7 @@ def unitary_procrustes(t: np.ndarray) -> np.ndarray:
     unitary Omega is P Q^H.  If T is rank deficient the minimizer is not
     unique; a valid one is still returned and a warning is emitted.
     """
-    t = _require_square(t, "t")
+    t = _checked(t, "t")
     p, s, qh = np.linalg.svd(t)
     if s[0] == 0.0 or s[-1] <= tol.SINGULAR_REL_TOL * s[0]:
         warnings.warn(
@@ -191,7 +207,7 @@ def nearest_symmetric_unitary(t: np.ndarray) -> np.ndarray:
     factorization solves the problem, singular S included.  The product
     is symmetrized to remove rounding.
     """
-    t = _require_square(t, "t")
+    t = _checked(t, "t")
     u = takagi(t + t.T).u
     omega = u @ u.T
     return 0.5 * (omega + omega.T)

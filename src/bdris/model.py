@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalConsistencyError,
 )
-from .kernels import HermEig, hermitian_eig
+from .kernels import HermEig, _checked, _require_psd, hermitian_eig
 
 __all__ = [
     "ARCH_NONRECIPROCAL",
@@ -71,6 +71,15 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse a real value that is a boolean or not a number (numpy integers
+    and floats pass), rather than reading True as 1 or failing later on a
+    string."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class SystemConfig:
     """Dimensions and physical constants of one scenario.
@@ -89,6 +98,8 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("k", "r", "n_b", "n_e", "seed"):
             _check_count(name, getattr(self, name))
+        for name in ("total_power", "noise_variance"):
+            _check_real(name, getattr(self, name))
         if self.k < 1 or self.r < 1 or self.n_b < 1:
             raise ValueError("k, r and n_b must all be at least 1")
         if self.n_e < 0:
@@ -112,11 +123,7 @@ def _check_covariance(sigma: np.ndarray, h_out: np.ndarray, name: str):
     sigma, n = np.asarray(sigma), h_out.shape[0]
     if sigma.shape != (n, n):
         raise DimensionError(f"{name} must have shape {(n, n)}, got {sigma.shape}")
-    scale = float(np.max(np.abs(sigma), initial=0.0)) or 1.0
-    if not np.isfinite(scale):
-        raise ContractViolationError(f"{name} must be finite")
-    if np.max(np.abs(sigma - sigma.conj().T), initial=0.0) > tol.HERMITIAN_INPUT_TOL * scale:
-        raise ContractViolationError(f"{name} must be Hermitian")
+    _checked(sigma, name, "Hermitian")
     try:
         low = np.linalg.cholesky(0.5 * (sigma + sigma.conj().T))
     except np.linalg.LinAlgError as exc:
@@ -198,9 +205,10 @@ class QuadraticForms:
     """Quadratic forms entering the trace objective tr(Omega^H E Omega M).
 
     M = h h^H is derived from the source matrix h, so the two always agree,
-    and the spectra of E_b, M and E_e are taken once, here; a non-finite
-    entry, an indefinite E_b or E_e and a surface with no element (r = 0)
-    are refused.
+    and the spectra of E_b, M and E_e are taken once, here.  E_b and E_e
+    must pass the shared input check of :mod:`bdris.kernels` (finite,
+    Hermitian and PSD within ``STRUCTURE_TOL``), h must be finite, and a
+    surface with no element (r = 0) is refused.
     """
 
     e_b: np.ndarray                  # (r, r) Hermitian PSD
@@ -221,23 +229,27 @@ class QuadraticForms:
             raise DimensionError(f"h must have {r} rows, got shape {self.h.shape}")
         if self.e_e is not None and self.e_e.shape != (r, r):
             raise DimensionError(f"e_e must have shape {(r, r)}, got {self.e_e.shape}")
-        for name in ("e_b", "h", "e_e"):
-            a = getattr(self, name)
-            if a is not None and not np.isfinite(a).all():
-                raise ContractViolationError(f"{name} must be finite")
+        if not np.isfinite(self.h).all():
+            raise ContractViolationError("h must be finite")
         m = self.h @ self.h.conj().T
         self.m = 0.5 * (m + m.conj().T)
-        self.eig_b = hermitian_eig(self.e_b)
+        self.eig_b = _psd_eig(self.e_b, "e_b")
         self.eig_m = hermitian_eig(self.m)
-        self.eig_e = None if self.e_e is None else hermitian_eig(self.e_e)
-        for name, eig in (("e_b", self.eig_b), ("e_e", self.eig_e)):
-            if eig is not None and eig.values[-1] < (
-                    -tol.HERMITIAN_INPUT_TOL * max(1.0, eig.values[0])):
-                raise ContractViolationError(f"{name} must be positive semidefinite")
+        self.eig_e = None if self.e_e is None else _psd_eig(self.e_e, "e_e")
 
     @property
     def r(self) -> int:
         return self.e_b.shape[0]
+
+
+def _psd_eig(e: np.ndarray, name: str) -> HermEig:
+    """The spectrum of a form that is refused unless finite, Hermitian and
+    PSD within the package's structure tolerance.  The form is checked under
+    its own name before ``hermitian_eig`` checks it as ``a``, so an error
+    names ``e_b`` or ``e_e``."""
+    eig = hermitian_eig(_checked(e, name, "Hermitian"))
+    _require_psd(eig.values, name)
+    return eig
 
 
 @dataclass
@@ -373,10 +385,13 @@ def quad_objective(omega: np.ndarray, e: np.ndarray, m: np.ndarray) -> float:
     """Real trace tr(Omega^H E Omega M) for Hermitian PSD E and M.
 
     A non-finite trace, or an imaginary residue above IMAG_RESIDUE_TOL
-    (relative), means corrupted inputs and raises.  Tiny negative values
-    from rounding are clamped to zero.
+    (relative), means corrupted inputs and raises; numpy's warnings on the
+    way to a non-finite trace (inf * 0, overflow) are silenced, so the
+    error is what a caller sees.  Tiny negative values from rounding are
+    clamped to zero.
     """
-    val = complex(np.vdot(omega, e @ (omega @ m)))
+    with np.errstate(invalid="ignore", over="ignore"):   # fails below as inf or NaN
+        val = complex(np.vdot(omega, e @ (omega @ m)))
     if not cmath.isfinite(val):
         raise NumericalConsistencyError(f"trace is not finite: {val}")
     ref = max(1.0, abs(val.real))
@@ -414,15 +429,12 @@ def crb_trace(fim: np.ndarray) -> float:
     """Trace of the inverse Fisher information matrix, sum 1/lam_i over its
     eigenvalues.
 
-    Returns +inf (with a warning) when the matrix is numerically singular:
-    lam_min <= 0 or condition number lam_max / lam_min beyond COND_LIMIT.
+    A non-square, non-finite or non-Hermitian matrix is refused by the
+    shared input check of :mod:`bdris.kernels`.  Returns +inf (with a
+    warning) when the matrix is numerically singular: lam_min <= 0 or
+    condition number lam_max / lam_min beyond COND_LIMIT.
     """
-    fim = np.asarray(fim)
-    if fim.ndim != 2 or fim.shape[0] != fim.shape[1]:
-        raise DimensionError("fim must be square")
-    scale = float(np.max(np.abs(fim))) or 1.0
-    if np.max(np.abs(fim - fim.conj().T)) > tol.HERMITIAN_INPUT_TOL * scale:
-        raise ContractViolationError("fim must be Hermitian")
+    fim = _checked(fim, "fim", "Hermitian")
     lam = np.linalg.eigvalsh(0.5 * (fim + fim.conj().T))
     if not (lam[0] > 0.0 and lam[-1] <= tol.COND_LIMIT * lam[0]):
         warnings.warn("singular or ill-conditioned information matrix; "

@@ -33,9 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tolerances as tol
-from .errors import ContractViolationError
-from .kernels import HermEig, nearest_symmetric_unitary
+from .kernels import HermEig, _require_psd, nearest_symmetric_unitary
 from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
 from .reporting import SolveReport, checked_cap, inactive_answer, uncapped_pair
 from .spectral import _bisect, _capped_reciprocal, solve_reciprocal_ao, \
@@ -102,11 +100,12 @@ def qcqp_spectral(b: np.ndarray, eig_a: HermEig, epsilon_eve: float,
     |u_i^H b| / (1 + mu lam_i); when b is already feasible it is returned
     unchanged (mu = 0).  The multiplier is bisected on the secular
     equation from a closed-form feasible bracket (:func:`_kkt_shrink`), so
-    the returned point satisfies x^H A x <= eps up to rounding.
+    the returned point satisfies x^H A x <= eps up to rounding.  A least
+    eigenvalue below -``STRUCTURE_TOL`` max(1, lam_max) is refused, as for
+    every PSD input (``kernels._require_psd``).
     """
     values = np.asarray(eig_a.values, dtype=float)
-    if values.size and values.min() < -tol.HERMITIAN_INPUT_TOL * max(1.0, float(values.max())):
-        raise ContractViolationError("constraint matrix must be PSD (negative eigenvalue)")
+    _require_psd(values, "constraint matrix")
     lam = np.clip(values, 0.0, None)
     proj = eig_a.vectors.conj().T @ np.asarray(b, dtype=complex).ravel()
     shrunk, mu = _kkt_shrink(lam, proj, epsilon_eve)

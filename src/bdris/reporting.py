@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import _check_real
+
 # The augmented Lagrangian of every capped local solve (Birgin & Martinez,
 # Practical Augmented Lagrangian Methods for Constrained Optimization, SIAM
 # 2014): the penalty starts at _RHO0 / scale and grows by _RHO_GROWTH after
@@ -75,11 +77,13 @@ def checked_cap(leak_form, epsilon_eve) -> float:
     """The cap as a float, after refusing a solve that cannot honour it.
 
     Raises ``ValueError`` when the leakage form (``e_e`` or ``c_e``) is
-    None or the cap is not positive and finite (NaN fails that comparison
-    too): an infinite cap is no cap, and has no residual to report.
+    None, the cap is a boolean or not a number, or it is not positive and
+    finite (NaN fails that comparison too): an infinite cap is no cap, and
+    has no residual to report.
     """
     if leak_form is None:
         raise ValueError("a leakage cap needs eavesdropper forms (e_e / c_e is None)")
+    _check_real("epsilon_eve", epsilon_eve)
     if not 0 < epsilon_eve < np.inf:
         raise ValueError("epsilon_eve must be positive and finite")
     return float(epsilon_eve)

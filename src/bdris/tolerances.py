@@ -1,17 +1,21 @@
 """Shared numerical tolerances.
 
-The input-contract checks of the kernels, the Procrustes rank warning,
-the model layer's trace and conditioning checks, and the structure checks
-on response matrices read their thresholds here.  The factorizations
-themselves take none: the Takagi factor needs no clustering of repeated
-singular values.  Each solver's own iteration constants (step sizes,
+Every input check on a matrix operand (``kernels._checked`` and
+``kernels._require_psd``: the kernels, the covariances, the quadratic
+forms, the Hadamard-reduced forms, the information matrix and the QCQP
+constraint) reads the one structure tolerance below.  The Procrustes rank
+warning, the model layer's trace and conditioning checks, and the
+structure checks on response matrices read their thresholds here too.
+The factorizations themselves take none: the Takagi factor needs no
+clustering of repeated singular values.  Each solver's own iteration constants (step sizes,
 stopping tolerances, budgets) are module constants of that solver.
 """
 
-# Input contract checks (relative to the largest entry of the input).
-HERMITIAN_INPUT_TOL = 1e-8      # accepted deviation of A from A^H
-SYMMETRIC_INPUT_TOL = 1e-8      # accepted deviation of A from A^T
-SKEW_INPUT_TOL = 1e-8           # accepted deviation of S from -S^H
+# Input contract checks.
+STRUCTURE_TOL = 1e-8            # accepted deviation of A from A^H, A^T or
+                                # -A^H (relative to max|A|), and of the
+                                # least eigenvalue of a PSD input below 0
+                                # (relative to max(1, lam_max))
 
 # Factorization quality.
 SINGULAR_REL_TOL = 1e-12        # sigma_min / sigma_max at or below which a

@@ -211,7 +211,7 @@ class TestReduction:
             assert w.min() >= -1e-10 * max(1.0, w.max())
 
     def test_forms_validation(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DimensionError, match="square"):
             DiagForms(c_b=np.ones((2, 3)))
         with pytest.raises(ContractViolationError):
             DiagForms(c_b=np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -106,6 +106,12 @@ class TestSpecValidation:
             ExperimentSpec(cfg=SystemConfig(**TINY),
                            epsilon_grid=np.array([1e3, np.inf]))
 
+    @pytest.mark.parametrize("grid", [[True, 2.0], ["1", "2"]], ids=["bool", "str"])
+    def test_grid_refuses_non_numbers(self, grid):
+        """A boolean or a string cap is refused, not read as 1.0 or parsed."""
+        with pytest.raises(ValueError, match="epsilon_grid entry must be a real number"):
+            ExperimentSpec(cfg=SystemConfig(**TINY), epsilon_grid=grid)
+
     def test_trials_non_negative(self):
         with pytest.raises(ValueError):
             ExperimentSpec(cfg=SystemConfig(**TINY), mc_trials=-1)

@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernel properties.
+"""Dense linear-algebra kernel properties, and the one input check that
+every matrix operand of the package goes through.
 
 Ground truths: scipy.linalg.expm for the skew exponential, an order-6
 Taylor series at small steps, brute-force random search for the two
@@ -11,6 +12,7 @@ import scipy.linalg
 
 from conftest import haar_unitary, rand_complex
 
+from bdris.diagonal import DiagForms
 from bdris.errors import ContractViolationError, DimensionError
 from bdris.kernels import (
     expm_skew,
@@ -19,6 +21,9 @@ from bdris.kernels import (
     takagi,
     unitary_procrustes,
 )
+from bdris.model import ChannelSet, QuadraticForms, crb_trace
+from bdris.pdd import qcqp_spectral
+from bdris.tolerances import STRUCTURE_TOL
 
 
 def unitary_defect(u):
@@ -314,3 +319,104 @@ class TestSymmetricPolarFactor:
         gain = np.vdot(star, t).real
         bound = 0.5 * np.linalg.svd(t + t.T, compute_uv=False).sum()
         assert gain >= bound - 1e-9 * np.linalg.norm(t)
+
+
+# ------------------------------------------------------------ shared input check
+
+def _channels(**covariances):
+    """A 3-element ChannelSet whose covariances default to the identity."""
+    return ChannelSet(h_ar=np.ones((3, 1)), h_rb=np.eye(3), p=np.eye(1),
+                      h_re=np.eye(3), **{"sigma_b": np.eye(3), "sigma_e": np.eye(3),
+                                         **covariances})
+
+
+def _forms(**operands):
+    """QuadraticForms on 3 elements whose E_b and E_e default to the identity."""
+    return QuadraticForms(h=np.eye(3, 2), **{"e_b": np.eye(3), "e_e": np.eye(3),
+                                             **operands})
+
+
+# Every matrix operand the shared check guards: (call on the operand, the
+# operand's name in the error, the structure it must have).
+OPERANDS = {
+    "hermitian_eig": (hermitian_eig, "a", "Hermitian"),
+    "takagi": (takagi, "a", "symmetric"),
+    "expm_skew": (expm_skew, "s", "skew-Hermitian"),
+    "unitary_procrustes": (unitary_procrustes, "t", None),
+    "nearest_symmetric_unitary": (nearest_symmetric_unitary, "t", None),
+    "crb_trace": (crb_trace, "fim", "Hermitian"),
+    "sigma_b": (lambda a: _channels(sigma_b=a), "sigma_b", "Hermitian"),
+    "sigma_e": (lambda a: _channels(sigma_e=a), "sigma_e", "Hermitian"),
+    "e_b": (lambda a: _forms(e_b=a), "e_b", "Hermitian"),
+    "e_e": (lambda a: _forms(e_e=a), "e_e", "Hermitian"),
+    "c_b": (lambda a: DiagForms(c_b=a, c_e=np.eye(3)), "c_b", "Hermitian"),
+    "c_e": (lambda a: DiagForms(c_b=np.eye(3), c_e=a), "c_e", "Hermitian"),
+}
+
+# The positive semidefinite operands: a call on a Hermitian matrix and its name.
+PSD_OPERANDS = {
+    "e_b": (lambda a: _forms(e_b=a), "e_b"),
+    "e_e": (lambda a: _forms(e_e=a), "e_e"),
+    "c_b": (lambda a: DiagForms(c_b=a, c_e=np.eye(3)), "c_b"),
+    "c_e": (lambda a: DiagForms(c_b=np.eye(3), c_e=a), "c_e"),
+    "qcqp_spectral": (lambda a: qcqp_spectral(np.ones(3, dtype=complex),
+                                              hermitian_eig(a), 1.0),
+                      "constraint matrix"),
+}
+
+
+class TestSharedInputCheck:
+    """One rule for every matrix operand: square, finite, and within one
+    tolerance, STRUCTURE_TOL, of its structure and of positive
+    semidefiniteness."""
+
+    @staticmethod
+    def _base(structure):
+        """A valid 3x3 operand of the structure: the identity, or i times it
+        for a skew-Hermitian one."""
+        return (1j if structure == "skew-Hermitian" else 1.0) * np.eye(3, dtype=complex)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", list(OPERANDS))
+    def test_non_finite_entry_refused(self, operand, value):
+        call, name, structure = OPERANDS[operand]
+        bad = self._base(structure)
+        bad[1, 1] = value
+        with pytest.raises(ContractViolationError, match=f"^{name} must be finite"):
+            call(bad)
+
+    @pytest.mark.parametrize("operand", list(OPERANDS)[:6] + ["c_b"])
+    def test_non_square_refused(self, operand):
+        """Operands whose shape no other operand fixes first (the covariances,
+        E_e and c_e must match the channels, E_b or c_b)."""
+        call, name, _ = OPERANDS[operand]
+        with pytest.raises(DimensionError, match=f"^{name} must be a square matrix"):
+            call(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("operand", [op for op, (_, _, structure) in OPERANDS.items()
+                                         if structure is not None])
+    def test_one_tolerance_for_every_structure(self, operand):
+        """A deviation of one entry from the mirror of half the tolerance
+        passes, of twice the tolerance is refused, at max|A| = 1."""
+        call, name, structure = OPERANDS[operand]
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            a = self._base(structure)
+            a[0, 1] += factor * STRUCTURE_TOL
+            if accepted:
+                call(a)
+            else:
+                with pytest.raises(ContractViolationError,
+                                   match=f"^{name} is not {structure}"):
+                    call(a)
+
+    @pytest.mark.parametrize("operand", list(PSD_OPERANDS))
+    def test_one_tolerance_for_positive_semidefinite(self, operand):
+        """A least eigenvalue of -0.5 STRUCTURE_TOL max(1, lam_max) passes and
+        one of -2 STRUCTURE_TOL max(1, lam_max) is refused, at lam_max = 1 and
+        at lam_max = 100."""
+        call, name = PSD_OPERANDS[operand]
+        for top in (1.0, 100.0):
+            call(np.diag([top, 1.0, -0.5 * STRUCTURE_TOL * top]))
+            with pytest.raises(ContractViolationError,
+                               match=f"^{name} must be positive semidefinite"):
+                call(np.diag([top, 1.0, -2.0 * STRUCTURE_TOL * top]))

@@ -139,6 +139,18 @@ class TestValidation:
             SystemConfig(**{**dims, key: value})
         generate_channels(SystemConfig(**{**dims, key: np.int64(dims[key])}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("total_power", True), ("noise_variance", np.True_), ("total_power", "30")],
+        ids=["power-bool", "noise-numpy-bool", "power-str"])
+    def test_config_refuses_non_real_values(self, key, value):
+        """A boolean or a string power or noise level is refused at
+        construction, not stored or left to fail in a comparison; numpy
+        floats are taken."""
+        dims = dict(k=2, r=4, n_b=4, n_e=2, seed=3)
+        with pytest.raises(ValueError, match=f"{key} must be a real number"):
+            SystemConfig(**{**dims, key: value})
+        generate_channels(SystemConfig(**{**dims, key: np.float32(0.5)}))
+
     def test_cli_rejects_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["--r", "3", "--k", "1", "--seed", "-1",
@@ -231,7 +243,7 @@ class TestValidation:
                     np.array([[np.inf, 0.0], [0.0, 1.0]])):
             with pytest.raises(ContractViolationError, match="sigma_b"):
                 channels(bad)
-        # A deviation within HERMITIAN_INPUT_TOL (relative) is accepted,
+        # A deviation within STRUCTURE_TOL (relative) is accepted,
         # and the stored factor is that of the Hermitian part.
         sigma = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j + 1e-12, 3.0]])
         ch = channels(sigma)
@@ -340,8 +352,11 @@ class TestForms:
             quad_objective(np.eye(2), 1j * np.eye(2), np.eye(2))
 
     @pytest.mark.parametrize("omega, e", [
-        (np.full((2, 2), np.nan), np.eye(2)), (np.eye(2), np.diag([np.nan, 1.0]))])
+        (np.full((2, 2), np.nan), np.eye(2)), (np.eye(2), np.diag([np.nan, 1.0])),
+        (np.eye(2), np.diag([np.inf, 1.0]))])
     def test_quad_objective_rejects_non_finite_trace(self, omega, e):
+        """An infinite entry makes inf * 0 = NaN inside the product: the
+        error, not numpy's warning about it, is what the caller sees."""
         with pytest.raises(NumericalConsistencyError, match="finite"):
             quad_objective(omega, e, np.eye(2))
 
@@ -424,7 +439,7 @@ class TestForms:
     @pytest.mark.parametrize("name", ["e_b", "e_e"])
     def test_indefinite_forms_refused(self, name):
         """An E_b or E_e with an eigenvalue below
-        -HERMITIAN_INPUT_TOL max(1, lam_max) is refused; rounding-level
+        -STRUCTURE_TOL max(1, lam_max) is refused; rounding-level
         negative eigenvalues of a PSD form are not."""
         forms = dict(e_b=np.eye(3), h=np.eye(3, 2), e_e=np.eye(3))
         with pytest.raises(ContractViolationError, match=name):

@@ -727,3 +727,16 @@ class TestCappedReportSerializes:
         assert type(cv["epsilon_eve"]) is float
         assert json.loads(json.dumps(rep.to_dict()))["constraint_values"][
             "constraint_active"] is active
+
+
+class TestCapMustBeANumber:
+    @pytest.mark.parametrize("cap", (True, "1"), ids=("bool", "str"))
+    @pytest.mark.parametrize("arch", sorted(CAPPED_SOLVERS))
+    def test_boolean_or_string_cap_refused(self, arch, cap):
+        """``checked_cap`` refuses a cap that is not a number for every
+        capped solver, rather than reading True as 1.0 or failing in a
+        comparison."""
+        capped, _ = CAPPED_SOLVERS[arch]
+        forms = build_forms(generate_channels(SystemConfig(k=2, r=6, n_b=4, n_e=4, seed=3)))
+        with pytest.raises(ValueError, match="epsilon_eve must be a real number"):
+            capped(forms, cap)
