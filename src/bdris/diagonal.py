@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionError
+from .errors import DimensionError
 from .kernels import _checked, _require_psd
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
@@ -101,7 +101,8 @@ class DiagForms:
 
     Each form must pass the input check of :class:`~bdris.model.QuadraticForms`
     (square, finite, Hermitian and PSD within the one ``STRUCTURE_TOL``) and
-    have at least one element; c_e must have c_b's shape."""
+    have at least one element; a c_e of another shape than c_b raises
+    :class:`~bdris.errors.DimensionError`, as a mismatched E_e does."""
 
     c_b: np.ndarray
     c_e: np.ndarray | None = None
@@ -114,7 +115,8 @@ class DiagForms:
         if self.c_e is not None:
             self.c_e = np.asarray(self.c_e, dtype=complex)
             if self.c_e.shape != self.c_b.shape:
-                raise ContractViolationError("c_e shape differs from c_b")
+                raise DimensionError(f"c_e must have shape {self.c_b.shape}, "
+                                     f"got {self.c_e.shape}")
             self.lam_e = _check_psd(self.c_e, "c_e")
 
     @property

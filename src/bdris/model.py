@@ -205,10 +205,12 @@ class QuadraticForms:
     """Quadratic forms entering the trace objective tr(Omega^H E Omega M).
 
     M = h h^H is derived from the source matrix h, so the two always agree,
-    and the spectra of E_b, M and E_e are taken once, here.  E_b and E_e
-    must pass the shared input check of :mod:`bdris.kernels` (finite,
-    Hermitian and PSD within ``STRUCTURE_TOL``), h must be finite, and a
-    surface with no element (r = 0) is refused.
+    and the spectra of E_b, M and E_e are taken once, here.  The operands
+    are read as arrays (``np.asarray``, dtype kept), so nested lists build
+    the same forms as their arrays.  E_b and E_e must pass the shared
+    input check of :mod:`bdris.kernels` (finite, Hermitian and PSD within
+    ``STRUCTURE_TOL``), h must be finite, and a surface with no element
+    (r = 0) is refused.
     """
 
     e_b: np.ndarray                  # (r, r) Hermitian PSD
@@ -220,9 +222,13 @@ class QuadraticForms:
     eig_e: HermEig | None = field(init=False)                 # of e_e
 
     def __post_init__(self):
-        r = self.e_b.shape[0]
-        if self.e_b.shape != (r, r):
-            raise DimensionError(f"e_b must be square, got shape {self.e_b.shape}")
+        self.e_b, self.h = np.asarray(self.e_b), np.asarray(self.h)
+        if self.e_e is not None:
+            self.e_e = np.asarray(self.e_e)
+        shape = self.e_b.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DimensionError(f"e_b must be square, got shape {shape}")
+        r = shape[0]
         if r < 1:
             raise DimensionError("the surface needs at least one element (r >= 1)")
         if self.h.ndim != 2 or self.h.shape[0] != r:

@@ -34,8 +34,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import HermEig, _require_psd, nearest_symmetric_unitary
-from .model import ARCH_RECIPROCAL, QuadraticForms, RisMatrix, quad_objective
-from .reporting import SolveReport, checked_cap, inactive_answer, uncapped_pair
+from .model import ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, QuadraticForms, RisMatrix, \
+    quad_objective
+from .reporting import SolveReport, checked_cap, checked_pair, inactive_answer, \
+    uncapped_pair
 from .spectral import _bisect, _capped_reciprocal, solve_reciprocal_ao, \
     von_neumann_bound
 
@@ -161,6 +163,7 @@ def update_psi(state: PddState, forms: QuadraticForms, epsilon_eve: float) -> Pd
 
 def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
               warm: tuple[RisMatrix, SolveReport] | None = None,
+              relaxed: tuple[RisMatrix, SolveReport] | None = None,
               ) -> tuple[RisMatrix, SolveReport]:
     """Best symmetric-unitary response under a leakage cap at the unintended receiver.
 
@@ -177,11 +180,21 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
     the non-reciprocal ``dual_bound`` (it bounds every symmetric response
     too), ``outer_rounds`` and ``grad_norm``; ``iterations`` counts ascent
     steps.
+
+    ``relaxed`` is that non-reciprocal optimum when the caller already
+    holds it: the pair :func:`~bdris.spectral.solve_nonreciprocal` returned
+    for the same forms and cap, used as it is instead of a second dual
+    search.  It is data, not an option, so the answer is the same bit for
+    bit with or without it.  Like ``warm`` it is checked
+    (:func:`~bdris.reporting.checked_pair`): a response of another
+    architecture, or a report for another cap, raises ``ValueError``.
     """
     epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
+    if relaxed is not None:
+        checked_pair(relaxed, ARCH_NONRECIPROCAL, "relaxed answer", epsilon_eve)
     pair = uncapped_pair(warm, ARCH_RECIPROCAL, lambda: solve_reciprocal_ao(forms))
     eve0 = quad_objective(pair[0].matrix, forms.e_e, forms.m)
     if eve0 > epsilon_eve:
-        return _capped_reciprocal(forms, epsilon_eve)
+        return _capped_reciprocal(forms, epsilon_eve, relaxed)
     return inactive_answer(pair, von_neumann_bound(forms), epsilon_eve, eve0,
                            outer_rounds=0)

@@ -1,7 +1,8 @@
 """Solver diagnostics shared by every optimizer in the package, and the
 contract of every leakage-capped solve: refuse a bad cap
 (:func:`checked_cap`), start from the uncapped answer
-(:func:`uncapped_pair`), return it when it meets the cap
+(:func:`uncapped_pair`; an answer a caller hands in passes
+:func:`checked_pair`), return it when it meets the cap
 (:func:`inactive_answer`), run the one augmented-Lagrangian rule on the cap
 (:class:`CapPenalty`), report cap and leakage (:func:`capped_report`).
 
@@ -95,10 +96,22 @@ def uncapped_pair(warm, architecture: str, solve):
     None."""
     if warm is None:
         return solve()
-    if warm[0].architecture != architecture:
-        raise ValueError(f"warm start architecture {warm[0].architecture!r} "
+    return checked_pair(warm, architecture, "warm start")
+
+
+def checked_pair(pair, architecture: str, role: str, epsilon_eve: float | None = None):
+    """``pair``, a (RisMatrix, SolveReport) a caller hands a solver as its
+    ``role``, after refusing it with ``ValueError`` unless its response is
+    of ``architecture`` and, when ``epsilon_eve`` is given, its report
+    answers that cap."""
+    if pair[0].architecture != architecture:
+        raise ValueError(f"{role} architecture {pair[0].architecture!r} "
                          f"does not match {architecture!r}")
-    return warm
+    if epsilon_eve is not None:
+        cap = pair[1].constraint_values.get("epsilon_eve")
+        if cap != epsilon_eve:
+            raise ValueError(f"{role} is for the cap {cap!r}, not {epsilon_eve!r}")
+    return pair
 
 
 def capped_report(objective: float, bound: float, iterations: int,

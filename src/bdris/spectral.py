@@ -24,7 +24,9 @@ symmetric-unitary matrix closest to the unconstrained optimum, and is
 also the inner solver of the capped reciprocal design
 (:func:`_capped_reciprocal`, behind :func:`bdris.pdd.solve_pdd`):
 penalty rounds under :class:`~bdris.reporting.CapPenalty` from the
-Takagi factor of the capped non-reciprocal optimum.  Each capped class
+Takagi factor of the capped non-reciprocal optimum.  A sweep that has
+solved the non-reciprocal cell at the same cap hands that answer in, so
+each cap runs the dual search once.  Each capped class
 here is the contract of :mod:`bdris.reporting` around its private
 algorithm (:func:`_capped_nonreciprocal`, :func:`_capped_reciprocal`).
 The ascent works on the r-by-k source matrix h rather than on M = h h^H,
@@ -286,22 +288,25 @@ def _direction(b: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _two_loop(a: np.ndarray, pairs) -> np.ndarray:
     """Limited-memory BFGS product H A (Nocedal 1980) over the stored pairs.
 
-    ``pairs`` holds (s, y, 1 / s^T y) oldest first, each with s^T y > 0;
+    ``pairs`` holds (s, y, rho, rho y^T y) oldest first, rho = 1 / s^T y
+    with s^T y > 0, the last entry taken once when the pair is stored;
     inner products are Frobenius ones.  H_0 = (s^T y / y^T y) I from the
-    newest pair, or 1 / ||A||_F when there is none.
+    newest pair, or 1 / ||A||_F when there is none.  The scalars are
+    Python floats and each axpy runs through one buffer: the same
+    arithmetic, in the same order, as scaling and adding whole arrays.
     """
     if not pairs:
         return a / np.linalg.norm(a)
     q = a.copy()
+    tmp = np.empty_like(a)
     alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * np.vdot(s, q)
-        q -= alpha * y
+    for s, y, rho, _ in reversed(pairs):
+        alpha = rho * float(np.vdot(s, q))
+        q -= np.multiply(y, alpha, out=tmp)
         alphas.append(alpha)
-    _, y, rho = pairs[-1]
-    q /= rho * np.vdot(y, y)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * np.vdot(y, q)) * s
+    q /= pairs[-1][3]
+    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
+        q += np.multiply(s, alpha - rho * float(np.vdot(y, q)), out=tmp)
     return q
 
 
@@ -443,7 +448,8 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
         s, y = step * p, a - a_new
         sy = float(np.vdot(s, y))
         if sy > 0.0:
-            pairs.append((s, y, 1.0 / sy))
+            inv_sy = 1.0 / sy
+            pairs.append((s, y, inv_sy, inv_sy * float(np.vdot(y, y))))
         a = a_new
         grad = float(np.linalg.norm(a))
         trace.append(vals[0])
@@ -485,15 +491,19 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     return RisMatrix(omega, ARCH_RECIPROCAL), report
 
 
-def _capped_reciprocal(forms: QuadraticForms,
-                       epsilon_eve: float) -> tuple[RisMatrix, SolveReport]:
+def _capped_reciprocal(forms: QuadraticForms, epsilon_eve: float,
+                       relaxed: tuple[RisMatrix, SolveReport] | None,
+                       ) -> tuple[RisMatrix, SolveReport]:
     """Penalty rounds of :func:`_ascend` for a cap the uncapped reciprocal
     optimum violates.
 
-    The exact capped non-reciprocal optimum X (:func:`solve_nonreciprocal`)
-    comes first; below its leakage floor the cell ends at once as
-    ``infeasible``, with the nearest symmetric unitary U U^T to X.  The
-    Takagi factor U of X + X^T is also the start: from it each round runs
+    The exact capped non-reciprocal optimum X comes first: ``relaxed``, the
+    pair :func:`solve_nonreciprocal` returned for these forms and this cap
+    (``pdd.solve_pdd`` has checked its architecture and cap), or that dual
+    search, run here only when ``relaxed`` is None.  Below its leakage
+    floor the cell ends at once as ``infeasible``, with the nearest
+    symmetric unitary U U^T to X.  The Takagi factor U of X + X^T is also
+    the start: from it each round runs
     :func:`_ascend` on the augmented cost of the forms scaled as in
     :func:`_unit_scaled` (E_e and M by their top eigenvalues, the cap by
     their product) to the round's tolerance (no ascent step lowers this
@@ -506,7 +516,9 @@ def _capped_reciprocal(forms: QuadraticForms,
     too), ``outer_rounds`` and ``grad_norm``; ``iterations`` counts ascent
     steps and ``cost_trace`` holds the objective after each round.
     """
-    ris_n, rep_n = solve_nonreciprocal(forms, epsilon_eve)
+    if relaxed is None:
+        relaxed = solve_nonreciprocal(forms, epsilon_eve)
+    ris_n, rep_n = relaxed
     # U U^T is the nearest symmetric unitary to X: one factorization gives
     # both the ascent's start U and the infeasible cell's response.
     u = takagi(ris_n.matrix + ris_n.matrix.T).u

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite (no fixtures, plain functions)."""
+import ctypes
+import glob
 import json
+import os
 import warnings
 from time import perf_counter
 
@@ -85,6 +88,57 @@ def capped_cases():
             e_b=np.diag(d_b).astype(complex), h=hd.astype(complex),
             e_e=np.diag(d_b ** 2).astype(complex))))
     return cases
+
+
+def two_loop_pairs(rng, r, count):
+    """A symmetric r-by-r A and ``count`` pairs (s, y, rho, rho y^T y) of
+    symmetric matrices with s^T y > 0, rho = 1 / s^T y, each stored as the
+    reciprocal ascent stores it."""
+    def sym():
+        x = rng.normal(size=(r, r))
+        return x + x.T
+
+    pairs = []
+    for _ in range(count):
+        s, y = sym(), sym()
+        sy = float(np.vdot(s, y))
+        if sy < 0.0:
+            y, sy = -y, -sy
+        rho = 1.0 / sy
+        pairs.append((s, y, rho, rho * float(np.vdot(y, y))))
+    return sym(), pairs
+
+
+def two_loop_reference(a, pairs):
+    """The limited-memory BFGS two-loop recursion written with whole-array
+    scalings and numpy scalars, over (s, y, 1 / s^T y) pairs oldest first:
+    the reference ``spectral._two_loop`` must equal bit for bit."""
+    if not pairs:
+        return a / np.linalg.norm(a)
+    q = a.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * np.vdot(s, q)
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, rho = pairs[-1]
+    q /= rho * np.vdot(y, y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * np.vdot(y, q)) * s
+    return q
+
+
+def openblas_core():
+    """The kernel numpy's bundled OpenBLAS runs (``SkylakeX``, ``Haswell``,
+    ...), or "unknown" where the library or its query is absent."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if not libs:
+        return "unknown"
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def solve_based_qcqp_oracle(b, a, eps, steps=40):

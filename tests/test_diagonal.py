@@ -217,10 +217,18 @@ class TestReduction:
             DiagForms(c_b=np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ContractViolationError):
             DiagForms(c_b=np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DimensionError):
             DiagForms(c_b=np.eye(3), c_e=np.eye(2))
         with pytest.raises(DimensionError):
             DiagForms(c_b=np.eye(0))                           # no element (r = 0)
+
+    @pytest.mark.parametrize("c_e", [np.eye(2), np.eye(4), np.ones((3, 2))],
+                             ids=["smaller", "larger", "non-square"])
+    def test_leakage_form_of_another_shape(self, c_e):
+        """A c_e whose shape differs from c_b's is a shape error naming the
+        expected shape, as a mismatched E_e is for the full forms."""
+        with pytest.raises(DimensionError, match=r"^c_e must have shape \(3, 3\), got "):
+            DiagForms(c_b=np.eye(3), c_e=c_e)
 
     @pytest.mark.parametrize("name", ["c_b", "c_e"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

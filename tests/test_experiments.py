@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import bdris
-from bdris import experiments
+from bdris import experiments, spectral
 from bdris.cli import build_parser, main, make_spec
 from bdris.experiments import (
     CSV_COLUMNS,
@@ -310,6 +310,49 @@ class TestRunExperiment:
         rows = run_experiment(spec)
         assert len(solves) == 1
         assert [row["scenario"] for row in rows] == [SCENARIO_NO_EVE] + [SCENARIO_EVE] * 3
+
+    def test_one_dual_search_per_cap(self, tmp_path, monkeypatch):
+        """The reciprocal cell at a cap starts from the non-reciprocal
+        answer the sweep solved at that cap: one capped dual search per
+        active non-reciprocal cap, not a second one in the reciprocal solve."""
+        searches = []
+        search = spectral._capped_nonreciprocal
+
+        def counted(forms, eps):
+            searches.append(eps)
+            return search(forms, eps)
+
+        monkeypatch.setattr(spectral, "_capped_nonreciprocal", counted)
+        spec = tiny_spec(tmp_path)
+        run_experiment(spec)
+        active = {}
+        for idx, eps in enumerate(spec.epsilon_grid):
+            for arch in (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL):
+                report = json.loads((spec.output_path / "reports" /
+                                     f"eve-{arch}-eps{idx:02d}.json").read_text())
+                active[arch, idx] = report["constraint_values"]["constraint_active"]
+        assert all(active.values())         # both classes search at every cap
+        assert searches == [float(eps) for eps in spec.epsilon_grid]
+
+    def test_reciprocal_alone_writes_the_same_rows(self, result, tmp_path):
+        """Without the non-reciprocal class the reciprocal solve runs the
+        dual search itself and writes the same rows and reports."""
+        spec, _ = result
+        alone = tiny_spec(tmp_path, architectures=(ARCH_RECIPROCAL,))
+        run_experiment(alone)
+
+        def reciprocal(out):
+            lines = (out / "results.csv").read_text().splitlines()
+            paths = [out / "reports" / f"{SCENARIO_NO_EVE}-{ARCH_RECIPROCAL}.json",
+                     *(out / "reports").glob(f"{SCENARIO_EVE}-{ARCH_RECIPROCAL}-eps*.json")]
+            reports = {path.name: json.loads(path.read_text()) for path in paths}
+            for report in reports.values():
+                del report["wall_ms"]
+            return [line for line in lines if f",{ARCH_RECIPROCAL}," in line], reports
+
+        lines, reports = reciprocal(alone.output_path)
+        assert len(lines) == 1 + len(spec.epsilon_grid) and len(reports) == len(lines)
+        assert (lines, reports) == reciprocal(spec.output_path)
 
     def test_monte_carlo_column(self, tmp_path):
         spec = tiny_spec(tmp_path, scenarios=(SCENARIO_NO_EVE,),

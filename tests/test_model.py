@@ -435,6 +435,25 @@ class TestForms:
             with pytest.raises(DimensionError):
                 QuadraticForms(e_b=e_b, h=h_bad, e_e=e_e)
 
+    def test_zero_dimensional_e_b_is_a_shape_error(self):
+        with pytest.raises(DimensionError, match=r"e_b must be square, got shape \(\)"):
+            QuadraticForms(e_b=np.array(1.0), h=np.eye(1))
+
+    @pytest.mark.parametrize("name", ["e_b", "h", "e_e"])
+    def test_nested_lists_build_like_arrays(self, name):
+        """An operand given as nested lists is read as its array, dtype
+        kept, so the forms and their spectra are the array's bit for bit."""
+        rng = np.random.default_rng(18)
+        g = rand_complex(rng, 3, 3)
+        forms = dict(e_b=g @ g.conj().T, h=rand_complex(rng, 3, 2), e_e=np.eye(3))
+        want = QuadraticForms(**forms)
+        got = QuadraticForms(**{**forms, name: forms[name].tolist()})
+        for field in ("e_b", "h", "e_e", "m"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        for field in ("eig_b", "eig_m", "eig_e"):
+            np.testing.assert_array_equal(getattr(got, field).values,
+                                          getattr(want, field).values)
+
 
     @pytest.mark.parametrize("name", ["e_b", "e_e"])
     def test_indefinite_forms_refused(self, name):

@@ -19,6 +19,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import (
+    SETUP_36,
     batch_haar,
     batch_trace_objective,
     capped_cases,
@@ -44,6 +45,7 @@ from bdris.model import (
 )
 import bdris.pdd as pdd
 from bdris import spectral
+from bdris.experiments import default_epsilon_grid
 from bdris.pdd import (
     PddState,
     qcqp_spectral,
@@ -649,23 +651,41 @@ class TestCappedReciprocalContract:
 # numpy's bundled library, and the stop reason of ``capped_cases()``
 # "commuting r=8" at 0.1 of its uncapped reciprocal leakage.
 _KERNEL_CHILD = """
-import ctypes, glob, os
-import numpy as np
-from conftest import capped_cases
+from conftest import capped_cases, openblas_core
 from bdris.model import quad_objective
 from bdris.pdd import solve_pdd
 from bdris.spectral import solve_reciprocal_ao
-libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                              "libscipy_openblas64_*.so"))
-core = "unknown"
-if libs:
-    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    corename.restype = ctypes.c_char_p
-    core = corename().decode()
 forms = dict(capped_cases())["commuting r=8"]
 base = solve_reciprocal_ao(forms)
 eps = 0.1 * quad_objective(base[0].matrix, forms.e_e, forms.m)
-print(core, solve_pdd(forms, eps, warm=base)[1].constraint_values["stop_reason"])
+print(openblas_core(), solve_pdd(forms, eps, warm=base)[1].constraint_values["stop_reason"])
+"""
+
+# One active capped reciprocal cell solved with and without the non-reciprocal
+# answer handed in, and the two-loop recursion against its whole-array
+# reference at r = 1, 4, 36 and 64 with 0-5 pairs: prints the kernel, whether
+# the handed-in answer was an active dual search, and whether each pair of
+# results is equal bit for bit.
+_EXACT_CHILD = """
+import numpy as np
+from conftest import capped_cases, openblas_core, two_loop_pairs, two_loop_reference
+from bdris import spectral
+from bdris.model import quad_objective
+from bdris.pdd import solve_pdd
+forms = dict(capped_cases())["random r=8"]
+base = spectral.solve_reciprocal_ao(forms)
+eps = 0.3 * quad_objective(base[0].matrix, forms.e_e, forms.m)
+relaxed = spectral.solve_nonreciprocal(forms, eps)
+alone = solve_pdd(forms, eps, warm=base)
+shared = solve_pdd(forms, eps, warm=base, relaxed=relaxed)
+same = (alone[0].matrix.tobytes() == shared[0].matrix.tobytes()
+        and alone[1].to_dict() == shared[1].to_dict())
+rng = np.random.default_rng(61)
+loops = all(np.array_equal(spectral._two_loop(a, pairs),
+                           two_loop_reference(a, [pair[:3] for pair in pairs]))
+            for r in (1, 4, 36, 64) for count in range(6)
+            for a, pairs in [two_loop_pairs(rng, r, count)])
+print(openblas_core(), relaxed[1].constraint_values["constraint_active"], same, loops)
 """
 
 
@@ -678,27 +698,88 @@ def _cpu_flags() -> set:
             for flag in line.split(":", 1)[1].split()}
 
 
+def _in_child(script: str, kernel: str, flag: str) -> list[str]:
+    """The words ``script`` prints in one child interpreter with
+    ``OPENBLAS_CORETYPE`` forced to ``kernel`` (one child at a time, one
+    BLAS thread), after the kernel it reports.  Skips where the CPU lacks
+    the kernel's instructions or the library reports another kernel."""
+    if flag not in _cpu_flags():
+        pytest.skip(f"CPU flags lack {flag}")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here),
+                            os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    core, *words = out.stdout.split()
+    if core.lower() != kernel.lower():
+        pytest.skip(f"OpenBLAS runs {core}, not {kernel}")
+    return words
+
+
+KERNELS = [("Haswell", "avx2"), ("Sandybridge", "avx")]
+
+
 class TestBlasKernel:
-    @pytest.mark.parametrize("kernel,flag", [("Haswell", "avx2"), ("Sandybridge", "avx")])
+    @pytest.mark.parametrize("kernel,flag", KERNELS)
     def test_commuting_cell_converges_under_kernel(self, kernel, flag):
         """The capped reciprocal solve converges on a reachable cap whatever
-        OpenBLAS kernel runs it: the cell in one child interpreter with
-        ``OPENBLAS_CORETYPE`` forced (one child at a time, one BLAS thread).
-        It is skipped where the CPU lacks the kernel's instructions or the
-        library reports another kernel."""
-        if flag not in _cpu_flags():
-            pytest.skip(f"CPU flags lack {flag}")
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join([str(here.parent / "src"), str(here),
-                                os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": path}
-        out = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env,
-                             capture_output=True, text=True, timeout=300, check=True)
-        core, stop = out.stdout.split()
-        if core.lower() != kernel.lower():
-            pytest.skip(f"OpenBLAS runs {core}, not {kernel}")
-        assert stop == "stationary"
+        OpenBLAS kernel runs it."""
+        assert _in_child(_KERNEL_CHILD, kernel, flag) == ["stationary"]
+
+    @pytest.mark.parametrize("kernel,flag", KERNELS)
+    def test_shared_work_is_exact_under_kernel(self, kernel, flag):
+        """Handing the capped reciprocal solve the non-reciprocal answer at
+        its cap, and the two-loop recursion's buffered axpys and cached
+        scale, change no bit under other OpenBLAS kernels either."""
+        assert _in_child(_EXACT_CHILD, kernel, flag) == ["True", "True", "True"]
+
+
+class TestSharedRelaxedAnswer:
+    """``solve_pdd(..., relaxed=solve_nonreciprocal(forms, eps))`` is the
+    solve without it, bit for bit: the same dual search, run once."""
+
+    @staticmethod
+    def _both(forms, eps, base):
+        alone = solve_pdd(forms, eps, warm=base)
+        shared = solve_pdd(forms, eps, warm=base,
+                           relaxed=solve_nonreciprocal(forms, eps))
+        assert alone[0].matrix.tobytes() == shared[0].matrix.tobytes()
+        assert alone[1].to_dict() == shared[1].to_dict()
+        return alone
+
+    @pytest.mark.parametrize("name,forms", capped_cases(), ids=[n for n, _ in capped_cases()])
+    def test_capped_cases(self, name, forms):
+        base = solve_reciprocal_ao(forms)
+        leak = quad_objective(base[0].matrix, forms.e_e, forms.m)
+        for frac in (0.1, 0.3, 0.6, 0.9):
+            self._both(forms, frac * leak, base)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """The r = 36 reference instance, its uncapped reciprocal answer
+        and its 10-point cap grid."""
+        forms = build_forms(generate_channels(SystemConfig(**SETUP_36)))
+        grid = default_epsilon_grid(solve_nonreciprocal(forms)[1].objective, points=10)
+        return forms, solve_reciprocal_ao(forms), grid
+
+    @pytest.mark.parametrize("idx", range(7))
+    def test_reference_caps(self, reference, idx):
+        """Caps 0-6 of the reference grid, the active ones."""
+        forms, base, grid = reference
+        _, rep = self._both(forms, float(grid[idx]), base)
+        assert rep.constraint_values["constraint_active"] is True
+
+    def test_relaxed_answer_is_checked(self):
+        forms = dict(capped_cases())["random r=6"]
+        base = solve_reciprocal_ao(forms)
+        eps = 0.3 * quad_objective(base[0].matrix, forms.e_e, forms.m)
+        with pytest.raises(ValueError, match="relaxed answer architecture"):
+            solve_pdd(forms, eps, warm=base, relaxed=solve_pdd(forms, eps, warm=base))
+        for other in (None, 0.5 * eps):
+            with pytest.raises(ValueError, match="relaxed answer is for the cap"):
+                solve_pdd(forms, eps, warm=base, relaxed=solve_nonreciprocal(forms, other))
 
 
 # Each capped solver with its uncapped counterpart, both on QuadraticForms.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import batch_haar, batch_trace_objective, capped_cases, haar_unitary, \
-    rand_complex
+    rand_complex, two_loop_pairs, two_loop_reference
 
 from bdris.experiments import default_epsilon_grid
 from bdris.model import (
@@ -476,10 +476,22 @@ class TestLbfgsDirection:
             hess_inv = left @ hess_inv @ left.T + rho * np.outer(s.ravel(), s.ravel())
         a = sym()
         dense = (hess_inv @ a.ravel()).reshape(r, r)
-        got = spectral._two_loop(a, pairs)
+        got = spectral._two_loop(a, [(s, y, rho, rho * float(np.vdot(y, y)))
+                                     for s, y, rho in pairs])
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
         np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12)
         assert np.vdot(a, got) > 0.0
+
+    @pytest.mark.parametrize("r", (1, 4, 36, 64))
+    def test_two_loop_matches_whole_array_reference(self, r):
+        """The buffered axpys, Python-float scalars and stored scale are
+        the whole-array recursion bit for bit, for 0 to _MEMORY pairs."""
+        rng = np.random.default_rng(60 + r)
+        for count in range(spectral._MEMORY + 1):
+            a, pairs = two_loop_pairs(rng, r, count)
+            np.testing.assert_array_equal(
+                spectral._two_loop(a, pairs),
+                two_loop_reference(a, [pair[:3] for pair in pairs]))
 
     def test_empty_memory_is_the_normalized_gradient(self):
         rng = np.random.default_rng(52)
