@@ -39,8 +39,8 @@ from .model import (
     quad_objective,
     simulate_mle_mse,
 )
-from .pdd import PddState, qcqp_spectral, solve_pdd
+from .pdd import PddState, qcqp_spectral
 from .reporting import SolveReport
-from .spectral import solve_nonreciprocal, solve_reciprocal_ao, von_neumann_bound
+from .spectral import solve_nonreciprocal, solve_pdd, solve_reciprocal_ao, von_neumann_bound
 
 __version__ = "0.1.0"

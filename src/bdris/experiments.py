@@ -42,8 +42,7 @@ from .model import (
     quad_objective,
     simulate_mle_mse,
 )
-from .pdd import solve_pdd
-from .spectral import solve_nonreciprocal, solve_reciprocal_ao
+from .spectral import solve_nonreciprocal, solve_pdd, solve_reciprocal_ao
 
 __all__ = [
     "SCENARIO_NO_EVE",

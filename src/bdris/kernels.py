@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import ContractViolationError, DimensionError
 
 __all__ = [
@@ -37,6 +36,14 @@ __all__ = [
     "unitary_procrustes",
     "nearest_symmetric_unitary",
 ]
+
+# Input contract: the accepted deviation of A from A^H, A^T or -A^H
+# (relative to max|A|), and of the least eigenvalue of a PSD input below 0
+# (relative to max(1, lam_max)).
+STRUCTURE_TOL = 1e-8
+# sigma_min / sigma_max at or below which a Procrustes target counts as
+# rank deficient.
+SINGULAR_REL_TOL = 1e-12
 
 
 class HermEig(NamedTuple):
@@ -72,7 +79,7 @@ def _checked(a, name: str, structure: str | None = None) -> np.ndarray:
         mirror = a.T if structure == "symmetric" else a.conj().T
         diff = a + mirror if structure == "skew-Hermitian" else a - mirror
         dev = float(np.max(np.abs(diff), initial=0.0))
-        if dev > tol.STRUCTURE_TOL * scale:
+        if dev > STRUCTURE_TOL * scale:
             raise ContractViolationError(
                 f"{name} is not {structure}: relative deviation {dev / scale:.3e}")
     return a
@@ -83,7 +90,7 @@ def _require_psd(values: np.ndarray, name: str) -> None:
     -STRUCTURE_TOL max(1, lam_max): rounding-level negatives pass, and so
     does an empty spectrum (``initial=0.0`` cannot change the verdict)."""
     lo, hi = float(np.min(values, initial=0.0)), float(np.max(values, initial=0.0))
-    if lo < -tol.STRUCTURE_TOL * max(1.0, hi):
+    if lo < -STRUCTURE_TOL * max(1.0, hi):
         raise ContractViolationError(
             f"{name} must be positive semidefinite (least eigenvalue {lo:.3e})")
 
@@ -188,7 +195,7 @@ def unitary_procrustes(t: np.ndarray) -> np.ndarray:
     """
     t = _checked(t, "t")
     p, s, qh = np.linalg.svd(t)
-    if s[0] == 0.0 or s[-1] <= tol.SINGULAR_REL_TOL * s[0]:
+    if s[0] == 0.0 or s[-1] <= SINGULAR_REL_TOL * s[0]:
         warnings.warn(
             "procrustes target is rank deficient; the nearest unitary is not unique",
             RuntimeWarning,

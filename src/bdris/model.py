@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import (
     ContractViolationError,
     DimensionError,
@@ -53,6 +52,14 @@ ARCH_NONRECIPROCAL = "non-reciprocal"
 ARCH_RECIPROCAL = "reciprocal"
 ARCH_DIAGONAL = "diagonal"
 ARCHITECTURES = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL)
+
+# Per-architecture structure checks on response matrices (unitarity,
+# symmetry, off-diagonal mass).
+ARCH_CHECK_TOL = 1e-8
+# Tolerated imaginary part of real traces.
+IMAG_RESIDUE_TOL = 1e-9
+# Condition number beyond which an information matrix counts as singular.
+COND_LIMIT = 1e12
 
 # Trial rows per Monte-Carlo chunk: 1 024 rows of 30 receive antennas (the
 # r = 64 reference) are 480 KB of complex noise, which fits in L2. There, a
@@ -284,19 +291,19 @@ class RisMatrix:
                 raise ContractViolationError(
                     "diagonal architecture requires exactly zero off-diagonal entries"
                 )
-            if not np.max(np.abs(np.diag(m))) <= 1.0 + tol.ARCH_CHECK_TOL:
+            if not np.max(np.abs(np.diag(m))) <= 1.0 + ARCH_CHECK_TOL:
                 raise ContractViolationError("diagonal magnitudes must not exceed 1")
         else:
             with np.errstate(over="ignore", invalid="ignore"):   # fails below as inf or NaN
                 resid = np.max(np.abs(m.conj().T @ m - np.eye(r)))
-            if not resid <= tol.ARCH_CHECK_TOL:
+            if not resid <= ARCH_CHECK_TOL:
                 raise ContractViolationError(
                     f"{self.architecture} response must be unitary "
                     f"(residual {resid:.3e})"
                 )
             if self.architecture == ARCH_RECIPROCAL:
                 dev = np.max(np.abs(m - m.T))
-                if not dev <= tol.ARCH_CHECK_TOL:
+                if not dev <= ARCH_CHECK_TOL:
                     raise ContractViolationError(
                         f"reciprocal response must be symmetric (deviation {dev:.3e})"
                     )
@@ -401,11 +408,11 @@ def quad_objective(omega: np.ndarray, e: np.ndarray, m: np.ndarray) -> float:
     if not cmath.isfinite(val):
         raise NumericalConsistencyError(f"trace is not finite: {val}")
     ref = max(1.0, abs(val.real))
-    if abs(val.imag) > tol.IMAG_RESIDUE_TOL * ref:
+    if abs(val.imag) > IMAG_RESIDUE_TOL * ref:
         raise NumericalConsistencyError(
             f"trace has imaginary residue {val.imag:.3e} (value {val.real:.6e})"
         )
-    if val.real < -tol.IMAG_RESIDUE_TOL * ref:
+    if val.real < -IMAG_RESIDUE_TOL * ref:
         raise NumericalConsistencyError(f"trace is negative: {val.real:.3e}")
     return max(val.real, 0.0)
 
@@ -442,7 +449,7 @@ def crb_trace(fim: np.ndarray) -> float:
     """
     fim = _checked(fim, "fim", "Hermitian")
     lam = np.linalg.eigvalsh(0.5 * (fim + fim.conj().T))
-    if not (lam[0] > 0.0 and lam[-1] <= tol.COND_LIMIT * lam[0]):
+    if not (lam[0] > 0.0 and lam[-1] <= COND_LIMIT * lam[0]):
         warnings.warn("singular or ill-conditioned information matrix; "
                       "CRB reported as inf", RuntimeWarning, stacklevel=2)
         return float("inf")

@@ -1,18 +1,7 @@
-"""Leakage-capped reciprocal design, and the split-problem blocks it grew from.
+"""Split-problem blocks of the leakage-capped reciprocal design.
 
-:func:`solve_pdd` solves
-
-    max tr(Omega^H E_b Omega M)  s.t.  tr(Omega^H E_e Omega M) <= eps,
-                                        Omega symmetric unitary
-
-as the capped-solve contract of :mod:`bdris.reporting` around the
-reciprocal class's algorithm, ``spectral._capped_reciprocal``: an
-augmented Lagrangian on the manifold (Liu & Boumal, Appl. Math. Optim.
-2020) whose inner solver is the ascent it sits beside.  The module and
-``solve_pdd`` keep the names of the penalty dual decomposition (PDD)
-solver this replaced, because the sweep, the package API and the
-benchmark's traced-function table bind them by name.  That solver's
-blocks stay as tested building blocks: with a copy Psi = Omega,
+The penalty dual decomposition (PDD) that once solved the capped reciprocal
+cell split it with a copy Psi = Omega:
 
     L = -Re tr(Omega^H E_b Psi M) + (1/2 rho) ||Omega - Psi||_F^2
         + Re tr(Lambda^H (Omega - Psi))
@@ -21,10 +10,9 @@ is minimized over Omega by the nearest symmetric unitary
 (:func:`update_omega`) and over Psi by a QCQP solved in the eigenbasis of
 E_e and M (:func:`update_psi`, :func:`qcqp_spectral`) by bisection on
 the scalar secular equation, from a closed-form bracket; the r^2-by-r^2
-constraint matrix M^T (x) E_e is never formed.
-
-The same problem over all unitaries (the non-reciprocal class) has an
-exact dual and is solved by :func:`bdris.spectral.solve_nonreciprocal`.
+constraint matrix M^T (x) E_e is never formed.  These blocks stay as tested
+building blocks; the capped reciprocal cell itself is solved by
+:func:`bdris.spectral.solve_pdd`.
 """
 
 from __future__ import annotations
@@ -33,17 +21,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import spectral
 from .kernels import HermEig, _require_psd, nearest_symmetric_unitary
-from .model import ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, QuadraticForms, RisMatrix, \
-    quad_objective
-from .reporting import SolveReport, checked_cap, checked_pair, inactive_answer, \
-    uncapped_pair
-from .spectral import _bisect, _capped_reciprocal, solve_reciprocal_ao, \
-    von_neumann_bound
+from .model import QuadraticForms
+from .spectral import _bisect
+
+# The capped reciprocal solver, bound here as well only because the
+# benchmark's traced-function table wraps ``pdd.solve_pdd``: the same object,
+# not a wrapper, so that table's spans reach every call the sweep makes.
+solve_pdd = spectral.solve_pdd
 
 __all__ = [
     "PddState",
-    "solve_pdd",
     "update_omega",
     "update_psi",
     "qcqp_spectral",
@@ -160,41 +149,3 @@ def update_psi(state: PddState, forms: QuadraticForms, epsilon_eve: float) -> Pd
     psi = _constrained_shrink(target, forms.eig_e, forms.eig_m, epsilon_eve)
     return replace(state, psi=psi)
 
-
-def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
-              warm: tuple[RisMatrix, SolveReport] | None = None,
-              relaxed: tuple[RisMatrix, SolveReport] | None = None,
-              ) -> tuple[RisMatrix, SolveReport]:
-    """Best symmetric-unitary response under a leakage cap at the unintended receiver.
-
-    The uncapped reciprocal optimum (``warm``, or a fresh
-    :func:`~bdris.spectral.solve_reciprocal_ao`) is returned when it meets
-    the cap (:func:`~bdris.reporting.inactive_answer`, ``outer_rounds``
-    0).  Otherwise ``spectral._capped_reciprocal`` solves the cell: from
-    the Takagi factor of the exact capped non-reciprocal optimum it runs
-    augmented-Lagrangian rounds of the reciprocal ascent under the rule of
-    :class:`~bdris.reporting.CapPenalty`, and ends ``stationary``,
-    ``budget`` after its round cap, or ``infeasible``, which is reported
-    only below the non-reciprocal leakage floor.  The report, a
-    :func:`~bdris.reporting.capped_report` (with ``cap_residual``), adds
-    the non-reciprocal ``dual_bound`` (it bounds every symmetric response
-    too), ``outer_rounds`` and ``grad_norm``; ``iterations`` counts ascent
-    steps.
-
-    ``relaxed`` is that non-reciprocal optimum when the caller already
-    holds it: the pair :func:`~bdris.spectral.solve_nonreciprocal` returned
-    for the same forms and cap, used as it is instead of a second dual
-    search.  It is data, not an option, so the answer is the same bit for
-    bit with or without it.  Like ``warm`` it is checked
-    (:func:`~bdris.reporting.checked_pair`): a response of another
-    architecture, or a report for another cap, raises ``ValueError``.
-    """
-    epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
-    if relaxed is not None:
-        checked_pair(relaxed, ARCH_NONRECIPROCAL, "relaxed answer", epsilon_eve)
-    pair = uncapped_pair(warm, ARCH_RECIPROCAL, lambda: solve_reciprocal_ao(forms))
-    eve0 = quad_objective(pair[0].matrix, forms.e_e, forms.m)
-    if eve0 > epsilon_eve:
-        return _capped_reciprocal(forms, epsilon_eve, relaxed)
-    return inactive_answer(pair, von_neumann_bound(forms), epsilon_eve, eve0,
-                           outer_rounds=0)

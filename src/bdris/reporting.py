@@ -6,12 +6,12 @@ contract of every leakage-capped solve: refuse a bad cap
 (:func:`inactive_answer`), run the one augmented-Lagrangian rule on the cap
 (:class:`CapPenalty`), report cap and leakage (:func:`capped_report`).
 
-A public capped solver is that contract plus its class's private algorithm
-for an active cap, kept beside the class's uncapped solve:
+A public capped solver is that contract plus its class's algorithm for an
+active cap, kept beside the class's uncapped solve:
 ``spectral._capped_nonreciprocal`` (the exact dual search),
-``spectral._capped_reciprocal`` (penalty rounds of the symmetric ascent)
-and ``diagonal._projected_ascent`` (penalty rounds of box-projected
-gradient over restarts).
+``spectral.solve_pdd`` (the capped reciprocal cell: penalty rounds of the
+symmetric ascent) and ``diagonal._projected_ascent`` (penalty rounds of
+box-projected gradient over restarts).
 """
 
 from __future__ import annotations

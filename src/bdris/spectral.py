@@ -20,15 +20,12 @@ commuting forms).
 
 The reciprocal (symmetric unitary) case has no closed form: a
 limited-memory BFGS ascent on U, Omega = U U^T, solves it from the
-symmetric-unitary matrix closest to the unconstrained optimum, and is
-also the inner solver of the capped reciprocal design
-(:func:`_capped_reciprocal`, behind :func:`bdris.pdd.solve_pdd`):
-penalty rounds under :class:`~bdris.reporting.CapPenalty` from the
-Takagi factor of the capped non-reciprocal optimum.  A sweep that has
-solved the non-reciprocal cell at the same cap hands that answer in, so
-each cap runs the dual search once.  Each capped class
-here is the contract of :mod:`bdris.reporting` around its private
-algorithm (:func:`_capped_nonreciprocal`, :func:`_capped_reciprocal`).
+symmetric-unitary matrix closest to the unconstrained optimum.  Under a
+cap, :func:`solve_pdd` runs penalty rounds of the same ascent from the
+Takagi factor of the capped non-reciprocal optimum.  Each capped class
+here is the contract of :mod:`bdris.reporting` around its class's
+algorithm.
+
 The ascent works on the r-by-k source matrix h rather than on M = h h^H,
 which has rank k <= r.  Its state is a frame B with Omega = B B^T plus
 r-by-k products of h.  Each line-search trial costs one half step
@@ -57,12 +54,13 @@ from .model import (
     quad_objective,
 )
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
-    inactive_answer
+    checked_pair, inactive_answer, uncapped_pair
 
 __all__ = [
     "solve_nonreciprocal",
     "von_neumann_bound",
     "solve_reciprocal_ao",
+    "solve_pdd",
 ]
 
 # Capped closed form: the multiplier bracket starts at lambda_max(E_b) /
@@ -288,25 +286,22 @@ def _direction(b: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _two_loop(a: np.ndarray, pairs) -> np.ndarray:
     """Limited-memory BFGS product H A (Nocedal 1980) over the stored pairs.
 
-    ``pairs`` holds (s, y, rho, rho y^T y) oldest first, rho = 1 / s^T y
-    with s^T y > 0, the last entry taken once when the pair is stored;
-    inner products are Frobenius ones.  H_0 = (s^T y / y^T y) I from the
-    newest pair, or 1 / ||A||_F when there is none.  The scalars are
-    Python floats and each axpy runs through one buffer: the same
-    arithmetic, in the same order, as scaling and adding whole arrays.
+    ``pairs`` holds (s, y, rho) oldest first, rho = 1 / s^T y with
+    s^T y > 0; inner products are Frobenius ones.  H_0 = (s^T y / y^T y) I
+    from the newest pair, or 1 / ||A||_F when there is none.
     """
     if not pairs:
         return a / np.linalg.norm(a)
     q = a.copy()
-    tmp = np.empty_like(a)
     alphas = []
-    for s, y, rho, _ in reversed(pairs):
-        alpha = rho * float(np.vdot(s, q))
-        q -= np.multiply(y, alpha, out=tmp)
+    for s, y, rho in reversed(pairs):
+        alpha = rho * np.vdot(s, q)
+        q -= alpha * y
         alphas.append(alpha)
-    q /= pairs[-1][3]
-    for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
-        q += np.multiply(s, alpha - rho * float(np.vdot(y, q)), out=tmp)
+    _, y, rho = pairs[-1]
+    q /= rho * np.vdot(y, y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * np.vdot(y, q)) * s
     return q
 
 
@@ -448,8 +443,7 @@ def _ascend(u: np.ndarray, e_b: np.ndarray, h: np.ndarray, tol: float,
         s, y = step * p, a - a_new
         sy = float(np.vdot(s, y))
         if sy > 0.0:
-            inv_sy = 1.0 / sy
-            pairs.append((s, y, inv_sy, inv_sy * float(np.vdot(y, y))))
+            pairs.append((s, y, 1.0 / sy))
         a = a_new
         grad = float(np.linalg.norm(a))
         trace.append(vals[0])
@@ -491,31 +485,49 @@ def solve_reciprocal_ao(forms: QuadraticForms) -> tuple[RisMatrix, SolveReport]:
     return RisMatrix(omega, ARCH_RECIPROCAL), report
 
 
-def _capped_reciprocal(forms: QuadraticForms, epsilon_eve: float,
-                       relaxed: tuple[RisMatrix, SolveReport] | None,
-                       ) -> tuple[RisMatrix, SolveReport]:
-    """Penalty rounds of :func:`_ascend` for a cap the uncapped reciprocal
-    optimum violates.
+def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
+              warm: tuple[RisMatrix, SolveReport] | None = None,
+              relaxed: tuple[RisMatrix, SolveReport] | None = None,
+              ) -> tuple[RisMatrix, SolveReport]:
+    """Best symmetric-unitary response under a leakage cap at the unintended receiver.
 
-    The exact capped non-reciprocal optimum X comes first: ``relaxed``, the
-    pair :func:`solve_nonreciprocal` returned for these forms and this cap
-    (``pdd.solve_pdd`` has checked its architecture and cap), or that dual
-    search, run here only when ``relaxed`` is None.  Below its leakage
-    floor the cell ends at once as ``infeasible``, with the nearest
-    symmetric unitary U U^T to X.  The Takagi factor U of X + X^T is also
-    the start: from it each round runs
-    :func:`_ascend` on the augmented cost of the forms scaled as in
-    :func:`_unit_scaled` (E_e and M by their top eigenvalues, the cap by
-    their product) to the round's tolerance (no ascent step lowers this
-    cost), and the round ends in the shared rule of
-    :class:`~bdris.reporting.CapPenalty`, for which a round is finished
-    when the ascent ends ``stationary``.  The cell converges
-    (``stationary``) by that rule and ends ``budget`` after _MAX_ROUNDS
-    rounds.  The response is symmetrized once at the end.  The report adds
-    the non-reciprocal ``dual_bound`` (it bounds every symmetric response
-    too), ``outer_rounds`` and ``grad_norm``; ``iterations`` counts ascent
-    steps and ``cost_trace`` holds the objective after each round.
+    Solves max tr(Omega^H E_b Omega M) s.t. tr(Omega^H E_e Omega M) <= eps
+    over symmetric unitaries.  The uncapped reciprocal optimum (``warm``, or
+    a fresh :func:`solve_reciprocal_ao`) is returned when it meets the cap
+    (:func:`~bdris.reporting.inactive_answer`, ``outer_rounds`` 0).
+    Otherwise the exact capped non-reciprocal optimum X comes first:
+    ``relaxed``, or that dual search (:func:`solve_nonreciprocal`).  Below
+    its leakage floor the cell ends at once as ``infeasible``, with the
+    nearest symmetric unitary U U^T to X.  The Takagi factor U of X + X^T is
+    also the start of an augmented Lagrangian on the manifold (Liu & Boumal,
+    Appl. Math. Optim. 2020): each round runs :func:`_ascend` on the
+    augmented cost of the forms scaled as in :func:`_unit_scaled` (E_e and M
+    by their top eigenvalues, the cap by their product) to the round's
+    tolerance, and ends in the rule of :class:`~bdris.reporting.CapPenalty`,
+    for which a round is finished when the ascent ends ``stationary``.  The
+    cell converges (``stationary``) by that rule and ends ``budget`` after
+    _MAX_ROUNDS rounds.  The response is symmetrized once at the end.  The
+    report, a :func:`~bdris.reporting.capped_report`, adds the
+    non-reciprocal ``dual_bound`` (it bounds every symmetric response too),
+    ``outer_rounds`` and ``grad_norm``; ``iterations`` counts ascent steps
+    and ``cost_trace`` holds the objective after each round.  The name is
+    kept from the penalty dual decomposition solver this replaced.
+
+    ``relaxed`` is the pair :func:`solve_nonreciprocal` returned for the
+    same forms and cap, when the caller already holds it.  It is data, not
+    an option, so the answer is the same bit for bit with or without it.
+    Like ``warm`` it is checked (:func:`~bdris.reporting.checked_pair`): a
+    response of another architecture, or a report for another cap, raises
+    ``ValueError``.
     """
+    epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
+    if relaxed is not None:
+        checked_pair(relaxed, ARCH_NONRECIPROCAL, "relaxed answer", epsilon_eve)
+    pair = uncapped_pair(warm, ARCH_RECIPROCAL, lambda: solve_reciprocal_ao(forms))
+    eve0 = quad_objective(pair[0].matrix, forms.e_e, forms.m)
+    if eve0 <= epsilon_eve:
+        return inactive_answer(pair, von_neumann_bound(forms), epsilon_eve, eve0,
+                               outer_rounds=0)
     if relaxed is None:
         relaxed = solve_nonreciprocal(forms, epsilon_eve)
     ris_n, rep_n = relaxed

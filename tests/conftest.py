@@ -90,44 +90,6 @@ def capped_cases():
     return cases
 
 
-def two_loop_pairs(rng, r, count):
-    """A symmetric r-by-r A and ``count`` pairs (s, y, rho, rho y^T y) of
-    symmetric matrices with s^T y > 0, rho = 1 / s^T y, each stored as the
-    reciprocal ascent stores it."""
-    def sym():
-        x = rng.normal(size=(r, r))
-        return x + x.T
-
-    pairs = []
-    for _ in range(count):
-        s, y = sym(), sym()
-        sy = float(np.vdot(s, y))
-        if sy < 0.0:
-            y, sy = -y, -sy
-        rho = 1.0 / sy
-        pairs.append((s, y, rho, rho * float(np.vdot(y, y))))
-    return sym(), pairs
-
-
-def two_loop_reference(a, pairs):
-    """The limited-memory BFGS two-loop recursion written with whole-array
-    scalings and numpy scalars, over (s, y, 1 / s^T y) pairs oldest first:
-    the reference ``spectral._two_loop`` must equal bit for bit."""
-    if not pairs:
-        return a / np.linalg.norm(a)
-    q = a.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * np.vdot(s, q)
-        q -= alpha * y
-        alphas.append(alpha)
-    _, y, rho = pairs[-1]
-    q /= rho * np.vdot(y, y)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * np.vdot(y, q)) * s
-    return q
-
-
 def openblas_core():
     """The kernel numpy's bundled OpenBLAS runs (``SkylakeX``, ``Haswell``,
     ...), or "unknown" where the library or its query is absent."""
@@ -163,6 +125,8 @@ def solve_based_qcqp_oracle(b, a, eps, steps=40):
         lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break           # adjacent floats: further halvings move neither end
             w = np.linalg.solve(eye + mid * a, z)
             if np.vdot(w, a @ w).real > eps:
                 lo = mid

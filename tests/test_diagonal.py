@@ -22,8 +22,7 @@ from bdris.diagonal import (
 )
 from bdris.errors import ContractViolationError, DimensionError
 from bdris.model import ARCH_DIAGONAL, QuadraticForms, quad_objective
-from bdris.pdd import solve_pdd
-from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao
+from bdris.spectral import solve_nonreciprocal, solve_pdd, solve_reciprocal_ao
 
 
 def rand_forms(rng, r, k=None):

@@ -615,26 +615,41 @@ class TestPublicNames:
         assert sorted(private - used) == []
 
 
+def _other_holders(name: str, obj) -> list[str]:
+    """The ``bdris`` modules that bind ``name`` to an object other than
+    ``obj``: a rebinding by name would miss their calls."""
+    modules = [bdris] + [importlib.import_module(f"bdris.{info.name}")
+                         for info in pkgutil.iter_modules(bdris.__path__)]
+    return [m.__name__ for m in modules if getattr(m, name, obj) is not obj]
+
+
 class TestBenchmarkBindings:
     """The benchmark harness rebinds package functions by name; a renamed
-    or deleted one must fail here rather than crash a benchmark run."""
+    or deleted one must fail here rather than crash a benchmark run, and a
+    name bound to two objects (a wrapper left in one module) must fail
+    rather than let the harness count only one of them."""
 
     def test_traced_functions_exist(self):
+        """Every traced name is a function, one object in every ``bdris``
+        module that holds it: ``pdd.solve_pdd`` is the solver that
+        ``spectral`` defines and the sweep calls."""
         spec = importlib.util.spec_from_file_location(
             "bench_spans", BENCHMARKS / "spans.py")
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
-        missing = [f"{layer}.{name}"
-                   for layer, names in spans.TRACED.items()
-                   for name in names
-                   if not callable(getattr(importlib.import_module(
-                       f"bdris.{layer}"), name, None))]
-        assert sum(len(names) for names in spans.TRACED.values()) > 10
-        assert missing == []
+        traced = {f"{layer}.{name}": getattr(importlib.import_module(f"bdris.{layer}"),
+                                            name, None)
+                  for layer, names in spans.TRACED.items() for name in names}
+        assert len(traced) > 10
+        assert [key for key, fn in traced.items() if not callable(fn)] == []
+        assert {key: _other_holders(key.rsplit(".", 1)[1], fn)
+                for key, fn in traced.items()} == dict.fromkeys(traced, [])
+        assert bdris.pdd.solve_pdd is spectral.solve_pdd is experiments.solve_pdd
 
     def test_captured_solvers_exist(self):
         """Every name in the loop of ``Runner.capture_responses`` is a
-        solver that ``bdris.experiments`` calls through its globals."""
+        solver that ``bdris.experiments`` calls through its globals, one
+        object in every module that holds it."""
         tree = ast.parse((BENCHMARKS / "run.py").read_text(encoding="utf-8"))
         names = [elt.value
                  for node in ast.walk(tree)
@@ -645,3 +660,5 @@ class TestBenchmarkBindings:
         assert len(names) >= 5
         import bdris.experiments as experiments
         assert [n for n in names if not callable(getattr(experiments, n, None))] == []
+        assert {n: _other_holders(n, getattr(experiments, n)) for n in names} == \
+            dict.fromkeys(names, [])

@@ -15,6 +15,7 @@ from conftest import haar_unitary, rand_complex
 from bdris.diagonal import DiagForms
 from bdris.errors import ContractViolationError, DimensionError
 from bdris.kernels import (
+    STRUCTURE_TOL,
     expm_skew,
     hermitian_eig,
     nearest_symmetric_unitary,
@@ -23,7 +24,6 @@ from bdris.kernels import (
 )
 from bdris.model import ChannelSet, QuadraticForms, crb_trace
 from bdris.pdd import qcqp_spectral
-from bdris.tolerances import STRUCTURE_TOL
 
 
 def unitary_defect(u):

@@ -36,6 +36,7 @@ from bdris.model import (
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
     ARCHITECTURES,
+    COND_LIMIT,
     ChannelSet,
     QuadraticForms,
     RisMatrix,
@@ -47,10 +48,8 @@ from bdris.model import (
     quad_objective,
     simulate_mle_mse,
 )
-from bdris.pdd import solve_pdd
 from bdris.reporting import SolveReport
-from bdris.tolerances import COND_LIMIT
-from bdris.spectral import solve_nonreciprocal, solve_reciprocal_ao
+from bdris.spectral import solve_nonreciprocal, solve_pdd, solve_reciprocal_ao
 
 
 def make_channels(rng, r=5, k=3, n_b=4, n_e=0, noise=0.1):
