@@ -1,7 +1,12 @@
 """Command-line front end for the sweep harness.
 
 Configuration comes from an optional JSON file (--config) whose keys mirror
-the experiment description, overridden by individual flags.  Exit status is
+the experiment description, overridden by individual flags.  Each setting
+given, by flag or by key, is checked under its key by the library's rule
+for its field (``_SETTINGS``) and handed to :class:`~bdris.model.SystemConfig`
+or :class:`~bdris.experiments.ExperimentSpec`; a setting not given keeps the
+library's default, except the reference scenario's r = 36, k = 10 and
+n_b = n_e = 2k, for which the library has none.  Exit status is
 0 when every cell converged (and for ``--help``), 1 on an invalid
 description (a bad flag or flag value included) or an output directory that
 cannot be written, and 2 when any cell was flagged.
@@ -15,15 +20,26 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
+from .experiments import ExperimentSpec, _check_names, _check_path, _checked_grid, \
+    run_experiment
+from .model import SystemConfig, _check_count, _check_positive
 
-from .experiments import ExperimentSpec, run_experiment
-from .model import ARCHITECTURES, SystemConfig
-
-_CONFIG_KEYS = frozenset({
-    "r", "k", "n_b", "n_e", "power", "noise", "seed",
-    "architectures", "scenarios", "epsilon_grid", "mc_trials", "out",
-})
+# Config key: (library class, its field, the library's rule for that field).
+# A flag stores its value under the key it overrides.
+_SETTINGS = {
+    "r": (SystemConfig, "r", _check_count),
+    "k": (SystemConfig, "k", _check_count),
+    "n_b": (SystemConfig, "n_b", _check_count),
+    "n_e": (SystemConfig, "n_e", _check_count),
+    "power": (SystemConfig, "total_power", _check_positive),
+    "noise": (SystemConfig, "noise_variance", _check_positive),
+    "seed": (SystemConfig, "seed", _check_count),
+    "architectures": (ExperimentSpec, "architectures", _check_names),
+    "scenarios": (ExperimentSpec, "scenarios", _check_names),
+    "epsilon_grid": (ExperimentSpec, "epsilon_grid", _checked_grid),
+    "mc_trials": (ExperimentSpec, "mc_trials", _check_count),
+    "out": (ExperimentSpec, "output_path", _check_path),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,22 +61,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config file; flags override its keys")
     parser.add_argument("--r", type=int, help="number of surface elements")
     parser.add_argument("--k", type=int, help="number of transmit antennas")
-    parser.add_argument("--power", type=float,
-                        help="total transmit power (default 30)")
-    parser.add_argument("--noise", type=float,
-                        help="receiver noise variance (default 1e-5)")
-    parser.add_argument("--seed", type=int, help="channel seed (default 0)")
-    parser.add_argument("--arch", action="append", choices=ARCHITECTURES,
-                        help="architecture to run (repeatable; default all)")
-    parser.add_argument("--scenario", action="append",
-                        choices=("no-eve", "eve"),
-                        help="scenario to run (repeatable; default both)")
-    parser.add_argument("--eps-grid", type=str, default=None,
+    parser.add_argument("--power", type=float, help="total transmit power "
+                        f"(default {SystemConfig.total_power:g})")
+    parser.add_argument("--noise", type=float, help="receiver noise variance "
+                        f"(default {SystemConfig.noise_variance:g})")
+    parser.add_argument("--seed", type=int,
+                        help=f"channel seed (default {SystemConfig.seed})")
+    parser.add_argument("--arch", dest="architectures", action="append",
+                        choices=ExperimentSpec.architectures,
+                        help="architecture to run (repeatable; default: "
+                             f"{', '.join(ExperimentSpec.architectures)})")
+    parser.add_argument("--scenario", dest="scenarios", action="append",
+                        choices=ExperimentSpec.scenarios,
+                        help="scenario to run (repeatable; default: "
+                             f"{', '.join(ExperimentSpec.scenarios)})")
+    parser.add_argument("--eps-grid", dest="epsilon_grid", type=str, default=None,
                         help="comma-separated cap values (default: 20 "
                              "log-spaced points scaled to the instance)")
-    parser.add_argument("--trials", type=int,
-                        help="Monte-Carlo trials per cell (default 0 = skip)")
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--trials", dest="mc_trials", type=int,
+                        help="Monte-Carlo trials per cell "
+                             f"(default {ExperimentSpec.mc_trials} = skip)")
+    parser.add_argument("--out", type=Path,
+                        help=f"output directory (default {ExperimentSpec.output_path})")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logging")
     return parser
@@ -72,7 +94,7 @@ def _load_config(path: Path | None) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
     return data
@@ -85,67 +107,24 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--eps-grid: {exc}") from exc
 
 
-def _real(value) -> float:
-    """A number as a float; a boolean or a string is refused rather than
-    read as 0, 1 or a parsed number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError
-    return float(value)
-
-
-def _count(value) -> int:
-    """An integer value, refused rather than truncated when it is not a
-    whole number."""
-    if not (isinstance(value, int) or _real(value).is_integer()):
-        raise ValueError
-    return int(value)
-
-
-def _listed(value) -> tuple:
-    """A list as a tuple; a bare string is refused rather than split into
-    its characters."""
-    if isinstance(value, str):
-        raise ValueError
-    return tuple(value)
-
-
-def _numbers(value) -> np.ndarray:
-    """A list of numbers as a float array, each entry read by :func:`_real`."""
-    return np.asarray([_real(v) for v in _listed(value)])
-
-
 def make_spec(args: argparse.Namespace) -> ExperimentSpec:
-    conf = _load_config(args.config)
-
-    def pick(flag, key, default, kind):
-        """The flag, else the config key, else the default, read by ``kind``;
-        no setting is a boolean, so none is read as 0 or 1."""
-        value = conf.get(key, default) if flag is None else flag
+    given = _load_config(args.config)
+    for key in _SETTINGS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            given[key] = _parse_grid(flag) if key == "epsilon_grid" else flag
+    settings = {SystemConfig: {"r": 36, "k": 10}, ExperimentSpec: {}}
+    for key, value in given.items():
+        owner, name, rule = _SETTINGS[key]
         try:
-            if isinstance(value, bool):
-                raise ValueError
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{key}: invalid value {value!r}") from exc
-
-    k = pick(args.k, "k", 10, _count)
-    cfg = SystemConfig(
-        k=k, r=pick(args.r, "r", 36, _count),
-        n_b=pick(None, "n_b", 2 * k, _count), n_e=pick(None, "n_e", 2 * k, _count),
-        total_power=pick(args.power, "power", 30.0, _real),
-        noise_variance=pick(args.noise, "noise", 1e-5, _real),
-        seed=pick(args.seed, "seed", 0, _count),
-    )
-    grid = _parse_grid(args.eps_grid) if args.eps_grid is not None else None
-    grid = pick(grid, "epsilon_grid", None, lambda g: None if g is None else _numbers(g))
-    return ExperimentSpec(
-        cfg=cfg,
-        epsilon_grid=grid,
-        architectures=pick(args.arch, "architectures", ARCHITECTURES, _listed),
-        scenarios=pick(args.scenario, "scenarios", ("no-eve", "eve"), _listed),
-        mc_trials=pick(args.trials, "mc_trials", 0, _count),
-        output_path=pick(args.out, "out", "out", Path),
-    )
+            rule(name, value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+        settings[owner][name] = value
+    cfg = settings[SystemConfig]
+    cfg.setdefault("n_b", 2 * cfg["k"])
+    cfg.setdefault("n_e", 2 * cfg["k"])
+    return ExperimentSpec(cfg=SystemConfig(**cfg), **settings[ExperimentSpec])
 
 
 def main(argv: list[str] | None = None) -> int:

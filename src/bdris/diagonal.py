@@ -42,7 +42,7 @@ from .errors import DimensionError
 from .kernels import _checked, _require_psd
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
-    inactive_answer, uncapped_pair
+    checked_pair, inactive_answer
 
 __all__ = [
     "DiagForms",
@@ -385,7 +385,8 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     omega^H c_b omega / omega^H c_e omega (see ``DiagForms.lam_gen``).
     """
     epsilon_eve = checked_cap(dforms.c_e, epsilon_eve)
-    pair = uncapped_pair(warm, ARCH_DIAGONAL, lambda: solve_diagonal_unconstrained(dforms))
+    pair = (solve_diagonal_unconstrained(dforms) if warm is None
+            else checked_pair(warm, ARCH_DIAGONAL, "warm start"))
     omega0 = np.diag(pair[0].matrix).copy()
     eve0 = _quad(dforms.c_e, omega0)
     bound = min(dforms.lam_b * dforms.r, epsilon_eve * dforms.lam_gen)

@@ -19,9 +19,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .model import (
     ARCHITECTURES,
     SystemConfig,
     _check_count,
-    _check_real,
+    _check_positive,
     build_forms,
     crb_trace,
     fim_matrix,
@@ -68,20 +69,56 @@ _GRID_POINTS = 20
 _GRID_LO = 1e-2
 
 
+def _check_names(name: str, value) -> None:
+    """Refuse a name list that is not a list or tuple: a bare string is not
+    split into its characters, and an unordered set is not read in an
+    arbitrary order."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of names, got {value!r}")
+
+
+def _check_path(name: str, value) -> None:
+    """Refuse an output path that is not a string or a path object."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a path, got {value!r}")
+
+
+def _checked_grid(name: str, grid) -> np.ndarray | None:
+    """``grid`` as a float vector, after refusing it unless each entry is a
+    cap (:func:`~bdris.model._check_positive`) and the entries form a
+    non-empty, strictly increasing vector; None (a grid derived from the
+    instance) passes."""
+    if grid is None:
+        return None
+    for value in np.asarray(grid, dtype=object).flat:
+        _check_positive(f"each {name} entry", value)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector")
+    if not (np.diff(grid) > 0).all():
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
+
+
 @dataclass
 class ExperimentSpec:
-    """Full description of one sweep; identical specs give identical CSVs."""
+    """Full description of one sweep; identical specs give identical CSVs.
+
+    An invalid field raises ``ValueError``; the rule of each field is
+    written once, here or in :mod:`bdris.model`, and the command line
+    applies the same one.
+    """
 
     cfg: SystemConfig
     epsilon_grid: np.ndarray | None = None   # None: derived from the instance
     architectures: tuple = ARCHITECTURES
     scenarios: tuple = _SCENARIOS
     mc_trials: int = 0
-    output_path: Path = field(default_factory=lambda: Path("out"))
+    output_path: Path = Path("out")
 
     def __post_init__(self):
-        self.architectures = tuple(self.architectures)
-        self.scenarios = tuple(self.scenarios)
+        _check_names("architectures", self.architectures)
+        _check_names("scenarios", self.scenarios)
         if not self.architectures:
             raise ValueError("need at least one architecture")
         for arch in self.architectures:
@@ -97,17 +134,7 @@ class ExperimentSpec:
         self.scenarios = tuple(dict.fromkeys(self.scenarios))
         if SCENARIO_EVE in self.scenarios and not self.cfg.eve_present:
             raise ValueError("eve scenario requires eavesdropper antennas (n_e > 0)")
-        if self.epsilon_grid is not None:
-            for value in np.asarray(self.epsilon_grid, dtype=object).flat:
-                _check_real("each epsilon_grid entry", value)
-            grid = np.asarray(self.epsilon_grid, dtype=float)
-            if grid.ndim != 1 or grid.size == 0:
-                raise ValueError("epsilon_grid must be a non-empty vector")
-            if not ((grid > 0).all() and np.isfinite(grid).all()
-                    and (np.diff(grid) > 0).all()):
-                raise ValueError("epsilon_grid must be positive, finite and "
-                                 "strictly increasing")
-            self.epsilon_grid = grid
+        self.epsilon_grid = _checked_grid("epsilon_grid", self.epsilon_grid)
         _check_count("mc_trials", self.mc_trials)
         if self.mc_trials < 0:
             raise ValueError("mc_trials must be non-negative")
@@ -115,13 +142,14 @@ class ExperimentSpec:
         if self.mc_trials > 0 and min(cfg.n_b, cfg.r) < cfg.k:
             raise ValueError(f"mc_trials needs min(n_b, r) >= k to estimate k parameters "
                              f"(n_b={cfg.n_b}, r={cfg.r}, k={cfg.k})")
+        _check_path("output_path", self.output_path)
         self.output_path = Path(self.output_path)
 
 
 def default_epsilon_grid(scale: float, points: int = _GRID_POINTS) -> np.ndarray:
-    """Log-spaced cap grid covering two decades up to the given scale."""
-    if not 0 < scale < np.inf:
-        raise ValueError("grid scale must be positive and finite")
+    """Log-spaced cap grid covering two decades up to the given scale, which
+    passes the cap rule (:func:`~bdris.model._check_positive`)."""
+    _check_positive("grid scale", scale)
     return np.geomspace(_GRID_LO * scale, scale, points)
 
 

@@ -11,10 +11,10 @@ than ``STRUCTURE_TOL`` (relative to max|A|) from its structure (Hermitian,
 symmetric, skew-Hermitian), with
 :class:`~bdris.errors.ContractViolationError`; ``_require_psd`` refuses a
 least eigenvalue below -``STRUCTURE_TOL`` max(1, lam_max).  The kernels,
-the covariances, quadratic forms and information matrix of
-:mod:`bdris.model`, the reduced forms of :mod:`bdris.diagonal` and the
-QCQP of :mod:`bdris.pdd` all use them; the checks only read their operand,
-so every factorization sees the same bits.
+the covariances, quadratic forms, response matrix (``RisMatrix``) and
+information matrix of :mod:`bdris.model`, the reduced forms of
+:mod:`bdris.diagonal` and the QCQP of :mod:`bdris.pdd` all use them; the
+checks only read their operand, so every factorization sees the same bits.
 """
 
 from __future__ import annotations

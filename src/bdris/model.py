@@ -78,13 +78,18 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_real(name: str, value) -> None:
-    """Refuse a real value that is a boolean or not a number (numpy integers
-    and floats pass), rather than reading True as 1 or failing later on a
-    string."""
+def _check_positive(name: str, value) -> float:
+    """``value`` as a float, after refusing it unless it is a real number
+    (numpy integers and floats pass, a boolean or a string does not) that is
+    positive and finite (NaN fails that comparison too).  The one rule of
+    every power, noise variance and leakage cap of the package: an infinite
+    cap is no cap, and has no residual to report."""
     if isinstance(value, bool) or not isinstance(
             value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
 
 
 @dataclass
@@ -106,17 +111,13 @@ class SystemConfig:
         for name in ("k", "r", "n_b", "n_e", "seed"):
             _check_count(name, getattr(self, name))
         for name in ("total_power", "noise_variance"):
-            _check_real(name, getattr(self, name))
+            _check_positive(name, getattr(self, name))
         if self.k < 1 or self.r < 1 or self.n_b < 1:
             raise ValueError("k, r and n_b must all be at least 1")
         if self.n_e < 0:
             raise ValueError("n_e must be non-negative (0: no unintended receiver)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not 0 < self.total_power < np.inf:
-            raise ValueError("total_power must be positive and finite")
-        if not 0 < self.noise_variance < np.inf:
-            raise ValueError("noise_variance must be positive and finite")
 
     @property
     def eve_present(self) -> bool:
@@ -269,8 +270,9 @@ def _psd_eig(e: np.ndarray, name: str) -> HermEig:
 class RisMatrix:
     """Surface response matrix tagged with its hardware class.
 
-    A non-finite entry is refused, and each structural check is written so
-    that a NaN residual fails it.
+    The matrix passes the shared input check of :mod:`bdris.kernels`
+    (square and finite), and each structural check of its class is written
+    so that a NaN residual fails it.
     """
 
     matrix: np.ndarray
@@ -279,12 +281,8 @@ class RisMatrix:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("response matrix must be square")
-        if not np.isfinite(m).all():
-            raise ContractViolationError("response matrix must be finite")
-        self.matrix = m
+        self.matrix = m = _checked(np.asarray(self.matrix, dtype=complex),
+                                   "response matrix")
         r = m.shape[0]
         if self.architecture == ARCH_DIAGONAL:
             if np.any(m[~np.eye(r, dtype=bool)] != 0):

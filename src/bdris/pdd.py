@@ -23,7 +23,7 @@ import numpy as np
 
 from . import spectral
 from .kernels import HermEig, _require_psd, nearest_symmetric_unitary
-from .model import QuadraticForms
+from .model import QuadraticForms, _check_positive
 from .spectral import _bisect
 
 # The capped reciprocal solver, bound here as well only because the
@@ -61,10 +61,10 @@ def _kkt_shrink(lam: np.ndarray, coeff: np.ndarray,
     mu = sum_{lam_i > 0} w_i / (4 eps) is feasible in closed form (the
     second stays finite when some 1/lam_i overflows);
     :func:`~bdris.spectral._bisect` narrows [0, that mu] to adjacent floats
-    and its feasible end is returned.
+    and its feasible end is returned.  The cap passes the package's cap
+    rule (:func:`~bdris.model._check_positive`) first.
     """
-    if not epsilon_eve > 0:
-        raise ValueError("epsilon_eve must be positive")
+    epsilon_eve = _check_positive("epsilon_eve", epsilon_eve)
     weights = np.abs(coeff) ** 2
     if float(lam @ weights) <= epsilon_eve:
         return coeff, 0.0
@@ -93,7 +93,8 @@ def qcqp_spectral(b: np.ndarray, eig_a: HermEig, epsilon_eve: float,
     equation from a closed-form feasible bracket (:func:`_kkt_shrink`), so
     the returned point satisfies x^H A x <= eps up to rounding.  A least
     eigenvalue below -``STRUCTURE_TOL`` max(1, lam_max) is refused, as for
-    every PSD input (``kernels._require_psd``).
+    every PSD input (``kernels._require_psd``), and so is a cap that is not
+    a real number, positive and finite, as for every cap.
     """
     values = np.asarray(eig_a.values, dtype=float)
     _require_psd(values, "constraint matrix")

@@ -1,10 +1,11 @@
 """Solver diagnostics shared by every optimizer in the package, and the
 contract of every leakage-capped solve: refuse a bad cap
-(:func:`checked_cap`), start from the uncapped answer
-(:func:`uncapped_pair`; an answer a caller hands in passes
-:func:`checked_pair`), return it when it meets the cap
-(:func:`inactive_answer`), run the one augmented-Lagrangian rule on the cap
-(:class:`CapPenalty`), report cap and leakage (:func:`capped_report`).
+(:func:`checked_cap`, by the package's one cap rule), start from the
+uncapped answer (the class's uncapped solve, or a ``warm`` answer the
+caller hands in, which passes :func:`checked_pair`), return it when it
+meets the cap (:func:`inactive_answer`), run the one augmented-Lagrangian
+rule on the cap (:class:`CapPenalty`), report cap and leakage
+(:func:`capped_report`).
 
 A public capped solver is that contract plus its class's algorithm for an
 active cap, kept beside the class's uncapped solve:
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _check_real
+from .model import _check_positive
 
 # The augmented Lagrangian of every capped local solve (Birgin & Martinez,
 # Practical Augmented Lagrangian Methods for Constrained Optimization, SIAM
@@ -78,25 +79,13 @@ def checked_cap(leak_form, epsilon_eve) -> float:
     """The cap as a float, after refusing a solve that cannot honour it.
 
     Raises ``ValueError`` when the leakage form (``e_e`` or ``c_e``) is
-    None, the cap is a boolean or not a number, or it is not positive and
-    finite (NaN fails that comparison too): an infinite cap is no cap, and
-    has no residual to report.
+    None or the cap fails the package's cap rule
+    (:func:`~bdris.model._check_positive`: a real number, positive and
+    finite).
     """
     if leak_form is None:
         raise ValueError("a leakage cap needs eavesdropper forms (e_e / c_e is None)")
-    _check_real("epsilon_eve", epsilon_eve)
-    if not 0 < epsilon_eve < np.inf:
-        raise ValueError("epsilon_eve must be positive and finite")
-    return float(epsilon_eve)
-
-
-def uncapped_pair(warm, architecture: str, solve):
-    """The uncapped (RisMatrix, SolveReport) a capped solve starts from:
-    ``warm`` once its architecture is checked, or ``solve()`` when it is
-    None."""
-    if warm is None:
-        return solve()
-    return checked_pair(warm, architecture, "warm start")
+    return _check_positive("epsilon_eve", epsilon_eve)
 
 
 def checked_pair(pair, architecture: str, role: str, epsilon_eve: float | None = None):

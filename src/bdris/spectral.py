@@ -54,7 +54,7 @@ from .model import (
     quad_objective,
 )
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
-    checked_pair, inactive_answer, uncapped_pair
+    checked_pair, inactive_answer
 
 __all__ = [
     "solve_nonreciprocal",
@@ -523,7 +523,8 @@ def solve_pdd(forms: QuadraticForms, epsilon_eve: float,
     epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
     if relaxed is not None:
         checked_pair(relaxed, ARCH_NONRECIPROCAL, "relaxed answer", epsilon_eve)
-    pair = uncapped_pair(warm, ARCH_RECIPROCAL, lambda: solve_reciprocal_ao(forms))
+    pair = (solve_reciprocal_ao(forms) if warm is None
+            else checked_pair(warm, ARCH_RECIPROCAL, "warm start"))
     eve0 = quad_objective(pair[0].matrix, forms.e_e, forms.m)
     if eve0 <= epsilon_eve:
         return inactive_answer(pair, von_neumann_bound(forms), epsilon_eve, eve0,

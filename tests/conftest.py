@@ -39,6 +39,20 @@ def rand_complex(rng, n, m=None):
     return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
 
 
+def rand_forms(rng, r, k=None, with_eve=True):
+    """Random forms on r elements with k streams (default r // 2, at least
+    1) and 2k antennas at each receiver: h, then H_b, then H_e when
+    ``with_eve``, drawn from ``rng`` in that order."""
+    k = k or max(1, r // 2)
+    h = rand_complex(rng, r, k)
+    hb = rand_complex(rng, 2 * k, r)
+    e_e = None
+    if with_eve:
+        he = rand_complex(rng, 2 * k, r)
+        e_e = he.conj().T @ he
+    return QuadraticForms(e_b=hb.conj().T @ hb, h=h, e_e=e_e)
+
+
 def haar_unitary(rng, n):
     q, r = np.linalg.qr(rand_complex(rng, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import eigh as generalized_eigh
 from scipy.optimize import minimize
 
-from conftest import rand_complex
+from conftest import rand_complex, rand_forms
 
 from bdris import diagonal, reporting
 from bdris.diagonal import (
@@ -21,16 +21,8 @@ from bdris.diagonal import (
     solve_diagonal_unconstrained,
 )
 from bdris.errors import ContractViolationError, DimensionError
-from bdris.model import ARCH_DIAGONAL, QuadraticForms, quad_objective
+from bdris.model import ARCH_DIAGONAL, quad_objective
 from bdris.spectral import solve_nonreciprocal, solve_pdd, solve_reciprocal_ao
-
-
-def rand_forms(rng, r, k=None):
-    k = k or max(1, r // 2)
-    h = rand_complex(rng, r, k)
-    hb = rand_complex(rng, 2 * k, r)
-    he = rand_complex(rng, 2 * k, r)
-    return QuadraticForms(e_b=hb.conj().T @ hb, h=h, e_e=he.conj().T @ he)
 
 
 def _quad(c, w):

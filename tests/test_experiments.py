@@ -4,6 +4,7 @@ the benchmark harness binds, and every name a module exports.
 """
 import ast
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -111,6 +112,15 @@ class TestSpecValidation:
         """A boolean or a string cap is refused, not read as 1.0 or parsed."""
         with pytest.raises(ValueError, match="epsilon_grid entry must be a real number"):
             ExperimentSpec(cfg=SystemConfig(**TINY), epsilon_grid=grid)
+
+    @pytest.mark.parametrize("field, value", [("architectures", 5), ("architectures", None),
+                                              ("scenarios", "eve"), ("output_path", 5)])
+    def test_rejects_mistyped_lists_and_paths(self, field, value):
+        """A name list that is not a list, a bare string included, and an
+        output path that is not a path are refused with ``ValueError``
+        naming the field, not a ``TypeError`` or a list of characters."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentSpec(cfg=SystemConfig(**TINY), **{field: value})
 
     def test_trials_non_negative(self):
         with pytest.raises(ValueError):
@@ -528,6 +538,75 @@ class TestCli:
             table = list(csv.reader(fh))
         conv_idx = table[0].index("converged")
         assert table[1][conv_idx] == "false"
+
+
+# Each config key with the SystemConfig or ExperimentSpec field it sets.
+CONFIG_FIELDS = {"r": "r", "k": "k", "n_b": "n_b", "n_e": "n_e",
+                 "power": "total_power", "noise": "noise_variance", "seed": "seed",
+                 "architectures": "architectures", "scenarios": "scenarios",
+                 "epsilon_grid": "epsilon_grid", "mc_trials": "mc_trials",
+                 "out": "output_path"}
+# A valid config for TINY whose one cap is slack, so every cell converges.
+CLI_BASE = {**TINY, "architectures": [ARCH_NONRECIPROCAL], "epsilon_grid": [1e12]}
+# (config key, value) pairs the command line must judge as the library does.
+AGREEMENT = [
+    ("r", 36.0), ("k", 2.0), ("n_b", 4.0), ("n_e", 4.0), ("seed", 7.0), ("mc_trials", 0.0),
+    ("r", None), ("power", None), ("noise", None), ("seed", None), ("mc_trials", None),
+    ("architectures", None), ("scenarios", None), ("out", None), ("epsilon_grid", None),
+    ("out", 5), ("architectures", 5), ("scenarios", 5),
+    ("architectures", "diagonal"), ("scenarios", "eve"), ("power", "30"), ("out", "o2"),
+    ("epsilon_grid", [1e3, float("inf")]), ("epsilon_grid", [1e3, 0.0]),
+    ("power", float("inf")), ("noise", 0.0),
+    ("r", 8), ("power", 20), ("noise", 1e-4), ("seed", 0), ("mc_trials", 5),
+    ("architectures", [ARCH_DIAGONAL]), ("scenarios", [SCENARIO_EVE]),
+    ("epsilon_grid", [1e3, 1e4]),
+    ("r", np.int64(8)), ("seed", np.int64(4)), ("mc_trials", np.int64(0)),
+    ("power", np.float64(20.0)), ("r", np.float64(8.0)), ("power", np.bool_(True)),
+]
+
+
+def library_refuses(field, value) -> bool:
+    """Whether SystemConfig or ExperimentSpec refuses ``value`` for
+    ``field`` on the TINY instance with ``ValueError``."""
+    try:
+        if field in {f.name for f in dataclasses.fields(SystemConfig)}:
+            SystemConfig(**{**TINY, field: value})
+        else:
+            ExperimentSpec(cfg=SystemConfig(**TINY), **{field: value})
+    except ValueError:
+        return True
+    return False
+
+
+class TestCliAgreesWithLibrary:
+    @pytest.mark.parametrize("key, value", AGREEMENT,
+                             ids=[f"{key}={value!r}" for key, value in AGREEMENT])
+    def test_cli_refuses_what_the_library_refuses(self, tmp_path, monkeypatch, capsys,
+                                                  key, value):
+        """The command line refuses a setting with ``error: <key>:`` exactly
+        when the library field it sets raises ``ValueError`` for it, and
+        runs it otherwise.  A numpy scalar, which JSON cannot carry, goes in
+        through ``make_spec`` as a flag value would."""
+        refused = library_refuses(CONFIG_FIELDS[key], value)
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "conf.json"
+        if isinstance(value, np.generic):
+            conf.write_text(json.dumps(CLI_BASE), encoding="utf-8")
+            args = build_parser().parse_args(["--config", str(conf)])
+            setattr(args, key, value)
+            if refused:
+                with pytest.raises(ValueError, match=f"^{key}: "):
+                    make_spec(args)
+            else:
+                make_spec(args)
+            return
+        conf.write_text(json.dumps({**CLI_BASE, key: value}), encoding="utf-8")
+        code = main(["--config", str(conf), "--quiet"])
+        err = capsys.readouterr().err
+        if refused:
+            assert code == 1 and err.startswith(f"error: {key}:")
+        else:
+            assert code == 0 and err == ""
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -272,7 +272,8 @@ class TestValidation:
         RisMatrix(np.diag([0.5 * p for p in phases]), ARCH_DIAGONAL)
         with pytest.raises(ValueError, match="architecture"):
             RisMatrix(u, "active")
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^response matrix must be a square "
+                                                 r"matrix, got shape \(4, 3\)$"):
             RisMatrix(u[:, :3], ARCH_NONRECIPROCAL)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)

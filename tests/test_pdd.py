@@ -25,6 +25,7 @@ from conftest import (
     capped_cases,
     haar_unitary,
     rand_complex,
+    rand_forms,
 )
 
 from bdris.diagonal import (
@@ -54,16 +55,6 @@ from bdris.pdd import (
     update_psi,
 )
 from bdris.spectral import solve_nonreciprocal, solve_pdd, solve_reciprocal_ao
-
-
-def rand_forms(rng, r, k=None, n_b=None, n_e=None):
-    k = k or max(1, r // 2)
-    n_b = n_b or 2 * k
-    n_e = n_e or n_b
-    h = rand_complex(rng, r, k)
-    hb = rand_complex(rng, n_b, r)
-    he = rand_complex(rng, n_e, r)
-    return QuadraticForms(e_b=hb.conj().T @ hb, h=h, e_e=he.conj().T @ he)
 
 
 def rand_state(rng, r, rho=1.0, symmetric=False):
@@ -166,11 +157,11 @@ class TestQcqpSpectral:
             qcqp_spectral(np.array([1.0, 1.0], dtype=complex), eig, 1.0)
 
     def test_rejects_nonpositive_cap(self):
-        # NaN fails every comparison: it must be refused, not read as a
-        # slack cap that returns b with mu = 0.
+        # NaN fails every comparison and inf is no cap: each must be refused,
+        # not read as a slack cap that returns b with mu = 0.
         eig = HermEig(values=np.ones(2), vectors=np.eye(2, dtype=complex))
-        for eps in (0.0, float("nan")):
-            with pytest.raises(ValueError):
+        for eps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon_eve must be positive and finite"):
                 qcqp_spectral(np.ones(2, dtype=complex), eig, eps)
 
 
@@ -834,14 +825,32 @@ class TestCappedReportSerializes:
             "constraint_active"] is active
 
 
+# Every public function that takes a leakage cap, on QuadraticForms: the
+# capped solvers and the split-problem blocks.
+CAP_TAKERS = {
+    **{arch: capped for arch, (capped, _) in CAPPED_SOLVERS.items()},
+    "qcqp_spectral": lambda forms, eps: qcqp_spectral(
+        np.ones(forms.r, dtype=complex), forms.eig_e, eps),
+    "update_psi": lambda forms, eps: update_psi(
+        rand_state(np.random.default_rng(0), forms.r), forms, eps),
+}
+
+
 class TestCapMustBeANumber:
     @pytest.mark.parametrize("cap", (True, "1"), ids=("bool", "str"))
-    @pytest.mark.parametrize("arch", sorted(CAPPED_SOLVERS))
+    @pytest.mark.parametrize("arch", sorted(CAP_TAKERS))
     def test_boolean_or_string_cap_refused(self, arch, cap):
-        """``checked_cap`` refuses a cap that is not a number for every
-        capped solver, rather than reading True as 1.0 or failing in a
+        """The one cap rule refuses a cap that is not a number wherever a
+        cap is taken, rather than reading True as 1.0 or failing in a
         comparison."""
-        capped, _ = CAPPED_SOLVERS[arch]
         forms = build_forms(generate_channels(SystemConfig(k=2, r=6, n_b=4, n_e=4, seed=3)))
         with pytest.raises(ValueError, match="epsilon_eve must be a real number"):
-            capped(forms, cap)
+            CAP_TAKERS[arch](forms, cap)
+
+    def test_psi_update_refuses_infinite_cap(self):
+        """An infinite cap is no cap: the copy block refuses it as the
+        capped solvers and ``qcqp_spectral`` do, rather than returning its
+        target."""
+        forms = build_forms(generate_channels(SystemConfig(k=2, r=6, n_b=4, n_e=4, seed=3)))
+        with pytest.raises(ValueError, match="epsilon_eve must be positive and finite"):
+            CAP_TAKERS["update_psi"](forms, float("inf"))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import batch_haar, batch_trace_objective, capped_cases, haar_unitary, \
-    rand_complex
+    rand_complex, rand_forms
 
 from bdris.experiments import default_epsilon_grid
 from bdris.model import (
@@ -32,20 +32,6 @@ from bdris.spectral import (
 )
 
 
-def rand_forms(rng, r, k=None, n_b=None, with_eve=False):
-    k = k or max(1, r // 2)
-    n_b = n_b or 2 * k
-    h = rand_complex(rng, r, k)
-    hb = rand_complex(rng, n_b, r)
-    forms = QuadraticForms(
-        e_b=hb.conj().T @ hb,
-        h=h,
-        e_e=None if not with_eve else (lambda he: he.conj().T @ he)(
-            rand_complex(rng, n_b, r)),
-    )
-    return forms
-
-
 def objective(omega, forms):
     return float(np.vdot(omega, forms.e_b @ omega @ forms.m).real)
 
@@ -55,7 +41,7 @@ class TestNonReciprocal:
         rng = np.random.default_rng(1)
         for _ in range(30):
             r = int(rng.integers(2, 8))
-            forms = rand_forms(rng, r)
+            forms = rand_forms(rng, r, with_eve=False)
             ris, rep = solve_nonreciprocal(forms)
             bound = von_neumann_bound(forms, "bob")
             assert rep.objective == pytest.approx(bound, rel=1e-9)
@@ -64,7 +50,7 @@ class TestNonReciprocal:
 
     def test_dominates_random_unitaries(self):
         rng = np.random.default_rng(2)
-        forms = rand_forms(rng, 4)
+        forms = rand_forms(rng, 4, with_eve=False)
         _, rep = solve_nonreciprocal(forms)
         for _ in range(2000):
             assert objective(haar_unitary(rng, 4), forms) <= rep.objective + 1e-9
@@ -85,7 +71,7 @@ class TestNonReciprocal:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
-        forms = rand_forms(rng, 5)
+        forms = rand_forms(rng, 5, with_eve=False)
         perm = np.eye(5)[rng.permutation(5)]
         permuted = QuadraticForms(e_b=perm @ forms.e_b @ perm.T, h=perm @ forms.h)
         _, rep = solve_nonreciprocal(forms)
@@ -164,7 +150,7 @@ class TestCappedNonReciprocal:
         bracket never closes for a cap above the floor: the floor response
         comes back ``infeasible``, unconverged, without raising."""
         monkeypatch.setattr(spectral, "_MAX_DOUBLINGS", 0)
-        forms = rand_forms(np.random.default_rng(35), 5, with_eve=True)
+        forms = rand_forms(np.random.default_rng(35), 5)
         eve0 = quad_objective(solve_nonreciprocal(forms)[0].matrix, forms.e_e, forms.m)
         ris, rep = solve_nonreciprocal(forms, 0.5 * (leakage_floor(forms) + eve0))
         assert not rep.converged
@@ -174,7 +160,7 @@ class TestCappedNonReciprocal:
 
     def test_uncapped_call_is_unchanged(self):
         rng = np.random.default_rng(33)
-        forms = rand_forms(rng, 6, with_eve=True)
+        forms = rand_forms(rng, 6)
         ris, rep = solve_nonreciprocal(forms)
         ris_c, rep_c = solve_nonreciprocal(forms, 1e300)
         np.testing.assert_array_equal(ris_c.matrix, ris.matrix)
@@ -203,7 +189,7 @@ class TestCappedNonReciprocal:
 
     def test_rejects_nonpositive_cap(self):
         rng = np.random.default_rng(34)
-        forms = rand_forms(rng, 3, with_eve=True)
+        forms = rand_forms(rng, 3)
         # An infinite cap is no cap, and has no residual to report.
         for eps in (0.0, -1.0, np.inf):
             with pytest.raises(ValueError):
@@ -214,7 +200,7 @@ class TestReciprocalAo:
     def test_output_is_symmetric_unitary(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            forms = rand_forms(rng, int(rng.integers(2, 7)))
+            forms = rand_forms(rng, int(rng.integers(2, 7)), with_eve=False)
             ris, rep = solve_reciprocal_ao(forms)
             u = ris.matrix
             assert np.linalg.norm(u - u.T) <= 1e-8
@@ -223,7 +209,7 @@ class TestReciprocalAo:
 
     def test_trace_non_decreasing(self):
         rng = np.random.default_rng(6)
-        forms = rand_forms(rng, 6)
+        forms = rand_forms(rng, 6, with_eve=False)
         _, rep = solve_reciprocal_ao(forms)
         trace = np.asarray(rep.cost_trace)
         assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1, np.abs(trace[1:])))
@@ -231,7 +217,7 @@ class TestReciprocalAo:
     def test_below_nonreciprocal(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            forms = rand_forms(rng, int(rng.integers(2, 7)))
+            forms = rand_forms(rng, int(rng.integers(2, 7)), with_eve=False)
             _, rep_n = solve_nonreciprocal(forms)
             _, rep_r = solve_reciprocal_ao(forms)
             assert rep_r.objective <= rep_n.objective * (1 + 1e-9)
@@ -248,14 +234,14 @@ class TestReciprocalAo:
     def test_near_optimal_on_random_instances(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
-            forms = rand_forms(rng, 6)
+            forms = rand_forms(rng, 6, with_eve=False)
             _, rep_n = solve_nonreciprocal(forms)
             _, rep_r = solve_reciprocal_ao(forms)
             assert rep_r.objective >= 0.9 * rep_n.objective
 
     def test_iteration_cap_flags_convergence(self, monkeypatch):
         rng = np.random.default_rng(9)
-        forms = rand_forms(rng, 6)
+        forms = rand_forms(rng, 6, with_eve=False)
         monkeypatch.setattr(spectral, "_AO_MAX_ITERS", 2)
         _, rep = solve_reciprocal_ao(forms)
         assert not rep.converged
@@ -284,7 +270,7 @@ class TestReciprocalStationarity:
         ascent stopped."""
         rng = np.random.default_rng(12)
         for _ in range(5):
-            forms = rand_forms(rng, int(rng.integers(3, 8)))
+            forms = rand_forms(rng, int(rng.integers(3, 8)), with_eve=False)
             scale = (np.linalg.eigvalsh(forms.e_b)[-1]
                      * np.linalg.eigvalsh(forms.m)[-1])
             ris, rep = solve_reciprocal_ao(forms)
@@ -326,7 +312,7 @@ class TestThinAscent:
         """After a full run the last traced cost is the cost of the returned
         frame, recomputed from scratch, and the frame is still unitary."""
         rng = np.random.default_rng(42)
-        forms = rand_forms(rng, 24, k=6, with_eve=True)
+        forms = rand_forms(rng, 24, k=6)
         s_b = np.linalg.eigvalsh(forms.e_b)[-1]
         s_m = np.linalg.eigvalsh(forms.m)[-1]
         e_b, h = forms.e_b / s_b, forms.h / np.sqrt(s_m)
@@ -349,7 +335,7 @@ class TestThinAscent:
         """The step exp(i t P) comes from :func:`spectral._expm1i`: the ascent
         reaches a stationary point with numpy's eigh refused."""
         rng = np.random.default_rng(43)
-        forms = rand_forms(rng, 12, k=4, with_eve=True)
+        forms = rand_forms(rng, 12, k=4)
         e_b = forms.e_b / np.linalg.eigvalsh(forms.e_b)[-1]
         e_e = forms.e_e / np.linalg.eigvalsh(forms.e_e)[-1]
         h = forms.h / np.sqrt(np.linalg.eigvalsh(forms.m)[-1])
@@ -514,7 +500,7 @@ class TestStepCountStability:
 class TestBound:
     def test_eve_target_uses_eve_form(self):
         rng = np.random.default_rng(10)
-        forms = rand_forms(rng, 4, with_eve=True)
+        forms = rand_forms(rng, 4)
         b_bob = von_neumann_bound(forms, "bob")
         b_eve = von_neumann_bound(forms, "eve")
         d_e = np.linalg.eigvalsh(forms.e_e)[::-1]
@@ -524,7 +510,7 @@ class TestBound:
 
     def test_random_unitaries_stay_below_eve_bound(self):
         rng = np.random.default_rng(11)
-        forms = rand_forms(rng, 4, with_eve=True)
+        forms = rand_forms(rng, 4)
         b_eve = von_neumann_bound(forms, "eve")
         for _ in range(500):
             u = haar_unitary(rng, 4)
@@ -532,7 +518,7 @@ class TestBound:
             assert val <= b_eve + 1e-9
 
     def test_refuses_bad_target_and_missing_eve_form(self):
-        forms = rand_forms(np.random.default_rng(12), 3)
+        forms = rand_forms(np.random.default_rng(12), 3, with_eve=False)
         with pytest.raises(ValueError, match="target"):
             von_neumann_bound(forms, "carol")
         with pytest.raises(ValueError, match="absent"):
