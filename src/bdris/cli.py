@@ -1,12 +1,16 @@
 """Command-line front end for the sweep harness.
 
 Configuration comes from an optional JSON file (--config) whose keys mirror
-the experiment description, overridden by individual flags.  Each setting
-given, by flag or by key, is checked under its key by the library's rule
-for its field (``_SETTINGS``) and handed to :class:`~bdris.model.SystemConfig`
-or :class:`~bdris.experiments.ExperimentSpec`; a setting not given keeps the
-library's default, except the reference scenario's r = 36, k = 10 and
-n_b = n_e = 2k, for which the library has none.  Exit status is
+the experiment description, overridden by individual flags.  Each config
+key names a field of :class:`~bdris.model.SystemConfig` or
+:class:`~bdris.experiments.ExperimentSpec` (``_SETTINGS``); each setting
+given, by flag or by key, is checked by that class's own rule for the field
+and refused as ``<key>: <the rule's message>``, so every single-setting
+refusal names its key.  Only the two checks that span fields (the eve
+scenario without eavesdropper antennas, Monte-Carlo trials with
+min(n_b, r) < k) are reported in the library's words alone.  A setting not
+given keeps the library's default, except the reference scenario's r = 36,
+k = 10 and n_b = n_e = 2k, for which the library has none.  Exit status is
 0 when every cell converged (and for ``--help``), 1 on an invalid
 description (a bad flag or flag value included) or an output directory that
 cannot be written, and 2 when any cell was flagged.
@@ -20,25 +24,24 @@ import logging
 import sys
 from pathlib import Path
 
-from .experiments import ExperimentSpec, _check_names, _check_path, _checked_grid, \
-    run_experiment
-from .model import SystemConfig, _check_count, _check_positive
+from .experiments import ExperimentSpec, run_experiment
+from .model import SystemConfig
 
-# Config key: (library class, its field, the library's rule for that field).
-# A flag stores its value under the key it overrides.
+# Config key: (library class, its field).  A flag stores its value under the
+# key it overrides; the field's rule is the class's own (``_RULES``).
 _SETTINGS = {
-    "r": (SystemConfig, "r", _check_count),
-    "k": (SystemConfig, "k", _check_count),
-    "n_b": (SystemConfig, "n_b", _check_count),
-    "n_e": (SystemConfig, "n_e", _check_count),
-    "power": (SystemConfig, "total_power", _check_positive),
-    "noise": (SystemConfig, "noise_variance", _check_positive),
-    "seed": (SystemConfig, "seed", _check_count),
-    "architectures": (ExperimentSpec, "architectures", _check_names),
-    "scenarios": (ExperimentSpec, "scenarios", _check_names),
-    "epsilon_grid": (ExperimentSpec, "epsilon_grid", _checked_grid),
-    "mc_trials": (ExperimentSpec, "mc_trials", _check_count),
-    "out": (ExperimentSpec, "output_path", _check_path),
+    "r": (SystemConfig, "r"),
+    "k": (SystemConfig, "k"),
+    "n_b": (SystemConfig, "n_b"),
+    "n_e": (SystemConfig, "n_e"),
+    "power": (SystemConfig, "total_power"),
+    "noise": (SystemConfig, "noise_variance"),
+    "seed": (SystemConfig, "seed"),
+    "architectures": (ExperimentSpec, "architectures"),
+    "scenarios": (ExperimentSpec, "scenarios"),
+    "epsilon_grid": (ExperimentSpec, "epsilon_grid"),
+    "mc_trials": (ExperimentSpec, "mc_trials"),
+    "out": (ExperimentSpec, "output_path"),
 }
 
 
@@ -115,16 +118,14 @@ def make_spec(args: argparse.Namespace) -> ExperimentSpec:
             given[key] = _parse_grid(flag) if key == "epsilon_grid" else flag
     settings = {SystemConfig: {"r": 36, "k": 10}, ExperimentSpec: {}}
     for key, value in given.items():
-        owner, name, rule = _SETTINGS[key]
+        owner, name = _SETTINGS[key]
         try:
-            rule(name, value)
+            settings[owner][name] = owner._RULES[name](name, value)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from exc
-        settings[owner][name] = value
-    cfg = settings[SystemConfig]
-    cfg.setdefault("n_b", 2 * cfg["k"])
-    cfg.setdefault("n_e", 2 * cfg["k"])
-    return ExperimentSpec(cfg=SystemConfig(**cfg), **settings[ExperimentSpec])
+    system = settings[SystemConfig]
+    cfg = SystemConfig(**{"n_b": 2 * system["k"], "n_e": 2 * system["k"], **system})
+    return ExperimentSpec(cfg=cfg, **settings[ExperimentSpec])
 
 
 def main(argv: list[str] | None = None) -> int:

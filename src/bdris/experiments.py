@@ -11,7 +11,9 @@ CSV content is a pure function of the experiment description: timings are
 kept out of it so that two runs with the same seed produce byte-identical
 files.  Measured wall times live in the JSON reports (``wall_ms``).  The
 sweep sets no solver option: each solver's knobs are constants of its
-module.
+module.  ``ExperimentSpec`` checks each of its fields, and
+``SystemConfig`` each of its own, by one rule from the class's table
+(``_RULES``); the command line reads the same tables.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,7 @@ from .model import (
     ARCH_RECIPROCAL,
     ARCHITECTURES,
     SystemConfig,
+    _check_choice,
     _check_count,
     _check_positive,
     build_forms,
@@ -69,18 +73,31 @@ _GRID_POINTS = 20
 _GRID_LO = 1e-2
 
 
-def _check_names(name: str, value) -> None:
-    """Refuse a name list that is not a list or tuple: a bare string is not
-    split into its characters, and an unordered set is not read in an
-    arbitrary order."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list of names, got {value!r}")
+def _check_names(name: str, value, choices: tuple) -> tuple:
+    """``value`` as a tuple of distinct names, after refusing it unless it is
+    a non-empty list or tuple whose every entry is one of ``choices``
+    (:func:`~bdris.model._check_choice`).  A bare string is not split into
+    its characters, and an unordered set is not read in an arbitrary order;
+    a repeated entry names the same cells, so its first occurrence is kept."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty list of names, got {value!r}")
+    return tuple(dict.fromkeys(_check_choice(f"each {name} entry", v, choices)
+                               for v in value))
 
 
-def _check_path(name: str, value) -> None:
-    """Refuse an output path that is not a string or a path object."""
+def _check_path(name: str, value) -> Path:
+    """``value`` as a ``Path``, after refusing it unless it is a string or a
+    path object."""
     if not isinstance(value, (str, os.PathLike)):
         raise ValueError(f"{name} must be a path, got {value!r}")
+    return Path(value)
+
+
+def _check_config(name: str, value) -> SystemConfig:
+    """Refuse a system description that is not a ``SystemConfig``."""
+    if not isinstance(value, SystemConfig):
+        raise ValueError(f"{name} must be a SystemConfig, got {value!r}")
+    return value
 
 
 def _checked_grid(name: str, grid) -> np.ndarray | None:
@@ -104,9 +121,10 @@ def _checked_grid(name: str, grid) -> np.ndarray | None:
 class ExperimentSpec:
     """Full description of one sweep; identical specs give identical CSVs.
 
-    An invalid field raises ``ValueError``; the rule of each field is
-    written once, here or in :mod:`bdris.model`, and the command line
-    applies the same one.
+    Each field is checked, and stored as it is returned, by its rule in
+    ``_RULES``, the one table the command line reads too; an invalid field
+    raises ``ValueError``.  Two checks span fields: the eve scenario needs
+    eavesdropper antennas, and Monte-Carlo trials need min(n_b, r) >= k.
     """
 
     cfg: SystemConfig
@@ -116,41 +134,33 @@ class ExperimentSpec:
     mc_trials: int = 0
     output_path: Path = Path("out")
 
+    _RULES = {
+        "cfg": _check_config,
+        "epsilon_grid": _checked_grid,
+        "architectures": partial(_check_names, choices=ARCHITECTURES),
+        "scenarios": partial(_check_names, choices=_SCENARIOS),
+        "mc_trials": _check_count,
+        "output_path": _check_path,
+    }
+
     def __post_init__(self):
-        _check_names("architectures", self.architectures)
-        _check_names("scenarios", self.scenarios)
-        if not self.architectures:
-            raise ValueError("need at least one architecture")
-        for arch in self.architectures:
-            if arch not in ARCHITECTURES:
-                raise ValueError(f"unknown architecture {arch!r}")
-        if not self.scenarios:
-            raise ValueError("need at least one scenario")
-        for sc in self.scenarios:
-            if sc not in _SCENARIOS:
-                raise ValueError(f"unknown scenario {sc!r}")
-        # A repeated entry names the same cells: keep its first occurrence.
-        self.architectures = tuple(dict.fromkeys(self.architectures))
-        self.scenarios = tuple(dict.fromkeys(self.scenarios))
-        if SCENARIO_EVE in self.scenarios and not self.cfg.eve_present:
-            raise ValueError("eve scenario requires eavesdropper antennas (n_e > 0)")
-        self.epsilon_grid = _checked_grid("epsilon_grid", self.epsilon_grid)
-        _check_count("mc_trials", self.mc_trials)
-        if self.mc_trials < 0:
-            raise ValueError("mc_trials must be non-negative")
+        for name, rule in self._RULES.items():
+            setattr(self, name, rule(name, getattr(self, name)))
         cfg = self.cfg
+        if SCENARIO_EVE in self.scenarios and not cfg.eve_present:
+            raise ValueError("eve scenario requires eavesdropper antennas (n_e > 0)")
         if self.mc_trials > 0 and min(cfg.n_b, cfg.r) < cfg.k:
             raise ValueError(f"mc_trials needs min(n_b, r) >= k to estimate k parameters "
                              f"(n_b={cfg.n_b}, r={cfg.r}, k={cfg.k})")
-        _check_path("output_path", self.output_path)
-        self.output_path = Path(self.output_path)
 
 
 def default_epsilon_grid(scale: float, points: int = _GRID_POINTS) -> np.ndarray:
-    """Log-spaced cap grid covering two decades up to the given scale, which
-    passes the cap rule (:func:`~bdris.model._check_positive`)."""
+    """Log-spaced cap grid of ``points`` caps covering two decades up to the
+    given scale, which passes the cap rule
+    (:func:`~bdris.model._check_positive`); ``points`` is a count of at
+    least 1 (:func:`~bdris.model._check_count`)."""
     _check_positive("grid scale", scale)
-    return np.geomspace(_GRID_LO * scale, scale, points)
+    return np.geomspace(_GRID_LO * scale, scale, _check_count("points", points, least=1))
 
 
 def _fmt(value) -> str:
@@ -223,9 +233,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
 
     relaxed = {}       # cap index -> capped non-reciprocal (ris, report)
     rows: list[dict] = []
-    for scenario in _SCENARIOS:
-        if scenario not in spec.scenarios:
-            continue
+    for scenario in (s for s in _SCENARIOS if s in spec.scenarios):
         for arch in (a for a in ARCHITECTURES if a in spec.architectures):
             if scenario == SCENARIO_NO_EVE:
                 ris, rep, wall = base[arch]

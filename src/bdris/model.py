@@ -11,7 +11,10 @@ and M = H H^H, H = H_ar P.  This module owns those objects plus the CRB
 and a Monte-Carlo maximum-likelihood check.  Each fixed matrix is
 factored once, by the object that holds it: ``ChannelSet`` keeps the
 Cholesky factors of Sigma_b and Sigma_e, ``QuadraticForms`` the spectra
-of E_b, M and E_e that every solver reads.
+of E_b, M and E_e that every solver reads.  The rules of the package's
+settings are written here once: ``_check_count`` (an integer of at least a
+least value), ``_check_positive`` (a positive, finite real number) and
+``_check_choice`` (one of a tuple of names).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +56,8 @@ ARCH_NONRECIPROCAL = "non-reciprocal"
 ARCH_RECIPROCAL = "reciprocal"
 ARCH_DIAGONAL = "diagonal"
 ARCHITECTURES = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL)
+# The receivers whose information can be asked for.
+_TARGETS = ("bob", "eve")
 
 # Per-architecture structure checks on response matrices (unitarity,
 # symmetry, off-diagonal mass).
@@ -71,11 +77,25 @@ COND_LIMIT = 1e12
 _MC_CHUNK = 1024
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse a count that is a boolean or not an integer (numpy integers
-    pass), rather than reading True as 1 or failing later inside numpy."""
+def _check_count(name: str, value, least: int = 0) -> int:
+    """``value`` as an ``int``, after refusing it unless it is an integer
+    (numpy integers pass; a boolean does not, rather than reading True as 1
+    or failing later inside numpy) of at least ``least``.  The one rule of
+    every count of the package."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _check_choice(name: str, value, choices: tuple) -> str:
+    """``value``, after refusing it unless it is one of the names
+    ``choices``.  The one rule of every name the package picks among:
+    an architecture, a scenario and an information target."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def _check_positive(name: str, value) -> float:
@@ -97,6 +117,9 @@ class SystemConfig:
     """Dimensions and physical constants of one scenario.
 
     ``n_e = 0`` means no unintended receiver: no channel is drawn for it.
+    Each field is checked, and stored as it is returned, by its rule in
+    ``_RULES``, the one table the command line reads too; an invalid field
+    raises ``ValueError``.
     """
 
     k: int
@@ -107,17 +130,19 @@ class SystemConfig:
     noise_variance: float = 1e-5
     seed: int = 0
 
+    _RULES = {
+        "k": partial(_check_count, least=1),
+        "r": partial(_check_count, least=1),
+        "n_b": partial(_check_count, least=1),
+        "n_e": _check_count,
+        "total_power": _check_positive,
+        "noise_variance": _check_positive,
+        "seed": _check_count,
+    }
+
     def __post_init__(self):
-        for name in ("k", "r", "n_b", "n_e", "seed"):
-            _check_count(name, getattr(self, name))
-        for name in ("total_power", "noise_variance"):
-            _check_positive(name, getattr(self, name))
-        if self.k < 1 or self.r < 1 or self.n_b < 1:
-            raise ValueError("k, r and n_b must all be at least 1")
-        if self.n_e < 0:
-            raise ValueError("n_e must be non-negative (0: no unintended receiver)")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, rule in self._RULES.items():
+            setattr(self, name, rule(name, getattr(self, name)))
 
     @property
     def eve_present(self) -> bool:
@@ -279,8 +304,7 @@ class RisMatrix:
     architecture: str
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
+        _check_choice("architecture", self.architecture, ARCHITECTURES)
         self.matrix = m = _checked(np.asarray(self.matrix, dtype=complex),
                                    "response matrix")
         r = m.shape[0]
@@ -416,14 +440,9 @@ def quad_objective(omega: np.ndarray, e: np.ndarray, m: np.ndarray) -> float:
 
 
 def _effective_matrix(ch: ChannelSet, ris: RisMatrix, target: str):
-    if target == "bob":
-        h_out, low = ch.h_rb, ch.low_b
-    elif target == "eve":
-        if ch.h_re is None:
-            raise ValueError("this ChannelSet has no eavesdropper channel")
-        h_out, low = ch.h_re, ch.low_e
-    else:
-        raise ValueError(f"target must be 'bob' or 'eve', got {target!r}")
+    if _check_choice("target", target, _TARGETS) == "eve" and ch.h_re is None:
+        raise ValueError("this ChannelSet has no eavesdropper channel")
+    h_out, low = (ch.h_rb, ch.low_b) if target == "bob" else (ch.h_re, ch.low_e)
     if ris.r != ch.r:
         raise DimensionError("response matrix size does not match the channels")
     return h_out @ ris.matrix @ ch.h_ar @ ch.p, low
@@ -469,10 +488,8 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
     trials-by-k array, summed once at the end, so the estimate is bit for
     bit the whole-block one and no complex temporary grows with ``trials``.
     """
-    _check_count("trials", trials)
-    _check_count("seed", seed)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _check_count("trials", trials, least=1)
+    seed = _check_count("seed", seed)
     g, low = _effective_matrix(ch, ris, "bob")
     k = g.shape[1]
     # A wide G (n_b < k) has only n_b singular values: rank k needs k of them.

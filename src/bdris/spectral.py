@@ -51,6 +51,8 @@ from .model import (
     ARCH_RECIPROCAL,
     QuadraticForms,
     RisMatrix,
+    _TARGETS,
+    _check_choice,
     quad_objective,
 )
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
@@ -130,9 +132,7 @@ def von_neumann_bound(forms: QuadraticForms, target: str = "bob") -> float:
     Both spectra are sorted descending (the forms' stored ones); by Von
     Neumann's trace inequality no unitary response can exceed this value.
     """
-    if target not in ("bob", "eve"):
-        raise ValueError(f"target must be 'bob' or 'eve', got {target!r}")
-    eig = forms.eig_b if target == "bob" else forms.eig_e
+    eig = forms.eig_b if _check_choice("target", target, _TARGETS) == "bob" else forms.eig_e
     if eig is None:
         raise ValueError("eavesdropper forms are absent")
     return float(eig.values @ forms.eig_m.values)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import bdris
-from bdris import experiments, spectral
+from bdris import cli, experiments, spectral
 from bdris.cli import build_parser, main, make_spec
 from bdris.experiments import (
     CSV_COLUMNS,
@@ -114,13 +114,17 @@ class TestSpecValidation:
             ExperimentSpec(cfg=SystemConfig(**TINY), epsilon_grid=grid)
 
     @pytest.mark.parametrize("field, value", [("architectures", 5), ("architectures", None),
-                                              ("scenarios", "eve"), ("output_path", 5)])
+                                              ("scenarios", "eve"), ("output_path", 5),
+                                              ("cfg", {}), ("cfg", None), ("cfg", 5)])
     def test_rejects_mistyped_lists_and_paths(self, field, value):
-        """A name list that is not a list, a bare string included, and an
-        output path that is not a path are refused with ``ValueError``
-        naming the field, not a ``TypeError`` or a list of characters."""
+        """A name list that is not a list, a bare string included, an output
+        path that is not a path and a ``cfg`` that is not a ``SystemConfig``
+        are refused with ``ValueError`` naming the field, not a ``TypeError``
+        or a list of characters.  Without the eve scenario nothing else
+        reads ``cfg`` here, so its own rule must refuse it."""
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            ExperimentSpec(cfg=SystemConfig(**TINY), **{field: value})
+            ExperimentSpec(**{"cfg": SystemConfig(**TINY),
+                              "scenarios": (SCENARIO_NO_EVE,), field: value})
 
     def test_trials_non_negative(self):
         with pytest.raises(ValueError):
@@ -151,6 +155,13 @@ class TestSpecValidation:
         for scale in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 default_epsilon_grid(scale)
+        # The point count is a count of at least 1: no empty grid, no
+        # boolean read as 1 and no float or string left to numpy.
+        assert default_epsilon_grid(50.0, np.int64(1)).tolist() == [0.5]
+        for points, message in ((0, "at least 1"), (True, "an integer"),
+                                (2.5, "an integer"), ("3", "an integer")):
+            with pytest.raises(ValueError, match=f"^points must be {message}"):
+                default_epsilon_grid(50.0, points)
 
 
 class TestCsv:
@@ -562,6 +573,9 @@ AGREEMENT = [
     ("epsilon_grid", [1e3, 1e4]),
     ("r", np.int64(8)), ("seed", np.int64(4)), ("mc_trials", np.int64(0)),
     ("power", np.float64(20.0)), ("r", np.float64(8.0)), ("power", np.bool_(True)),
+    ("r", 0), ("k", 0), ("n_b", 0), ("n_e", -1), ("seed", -1), ("mc_trials", -1),
+    ("architectures", ["fancy"]), ("architectures", []), ("scenarios", []),
+    ("scenarios", ["carol"]),
 ]
 
 
@@ -607,6 +621,20 @@ class TestCliAgreesWithLibrary:
             assert code == 1 and err.startswith(f"error: {key}:")
         else:
             assert code == 0 and err == ""
+
+    def test_every_field_has_one_rule(self):
+        """Each class's rule table holds exactly its fields, every config key
+        names a field of one of those tables (the one in ``CONFIG_FIELDS``),
+        and the command line holds no rule of its own: a field added without
+        a rule, or a config key without a field, fails here."""
+        for owner in (SystemConfig, ExperimentSpec):
+            fields = {f.name for f in dataclasses.fields(owner)}
+            assert set(owner._RULES) == fields, owner.__name__
+        for key, (owner, name) in cli._SETTINGS.items():
+            assert owner in (SystemConfig, ExperimentSpec) and name in owner._RULES, key
+            assert CONFIG_FIELDS[key] == name, key
+        assert set(cli._SETTINGS) == set(CONFIG_FIELDS)
+        assert [name for name in vars(cli) if name.startswith("_check")] == []
 
 
 REPO = Path(__file__).resolve().parent.parent

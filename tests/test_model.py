@@ -707,14 +707,18 @@ class TestCrbAndMle:
             simulate_mle_mse(ch, ris, trials=10, seed=0)
 
 
-    @pytest.mark.parametrize("key", ["trials", "seed"])
-    @pytest.mark.parametrize("value", [True, 2.0, 1.5])
-    def test_trials_and_seed_must_be_integers(self, key, value):
+    @pytest.mark.parametrize("key, value, message", [
+        *[(key, value, "an integer") for value in (True, 2.0, 1.5)
+          for key in ("trials", "seed")],
+        ("trials", 0, "at least 1"), ("seed", -1, "at least 0")])
+    def test_trials_and_seed_must_be_counts(self, key, value, message):
+        """Both pass the count rule, trials with least 1 and seed with
+        least 0: a negative seed is refused by it, not by numpy."""
         rng = np.random.default_rng(34)
         ch = make_channels(rng)
         ris = RisMatrix(haar_unitary(rng, 5), ARCH_NONRECIPROCAL)
         counts = dict(trials=2, seed=0)
-        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{key} must be {message}"):
             simulate_mle_mse(ch, ris, **{**counts, key: value})
         assert simulate_mle_mse(ch, ris, **{**counts, key: np.int64(counts[key])}) > 0.0
 
