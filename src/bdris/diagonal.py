@@ -20,13 +20,19 @@ eigenvalue of (c_b, c_e).
 Both run their restarts in lockstep: the _RESTARTS start vectors are the
 rows of one _RESTARTS x r iterate, each with its own step, multiplier,
 penalty, round and stopping state, and a restart that has stopped is
-frozen (it neither moves nor counts further steps or passes).  A step of
-projected gradient costs one stacked product with each form, which the
-next step reuses for its gradient and leakage; a coordinate-ascent update
-of element i costs one stacked product with row i.  The products are
-stacks of per-restart matrix-vector products, so each restart follows
-exactly the path it would follow alone, whatever runs beside it.  The
-knobs (restart count and seed, step and penalty schedules, tolerances,
+frozen (it neither moves nor counts further steps or passes).  At r = 36
+both loops are bound by numpy's per-call cost, not by arithmetic, so a
+step is written as few calls as the rounding allows.  A step of projected
+gradient makes one stacked product of both forms with every row (which
+the next step reuses for its gradient and leakage), one batched call for
+both forms' values and one for s^H s and s^H y, and commits the accepted
+rows with one copy per state array: about 50 numpy calls whatever the
+number of rows.  A coordinate-ascent update of element i is one stacked
+product with row i and four calls into buffers made once a pass.  What
+stays per row is the BLAS work: a projected-gradient step makes six BLAS
+calls per row (two matrix-vector products, four dot products), so each
+restart follows exactly the path it would follow alone, whatever runs
+beside it.  The knobs (restart count and seed, step and penalty schedules, tolerances,
 iteration budgets) are the module constants below; every caller uses the
 same values.
 """
@@ -39,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .kernels import _checked, _require_psd
+from .kernels import STRUCTURE_TOL, _checked, _require_psd
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
     checked_pair, inactive_answer
@@ -97,7 +103,14 @@ _RESIDUAL_TOL = 1e-8
 @dataclass
 class DiagForms:
     """Hadamard-reduced quadratic forms c_b = E_b o M^T and c_e = E_e o M^T,
-    with their largest eigenvalues lam_b and lam_e (None without c_e).
+    with their largest eigenvalues lam_b and lam_e and the lossless floor
+    (the last two None without c_e).
+
+    ``lossless_floor`` is r lam_min(c_e) less an eigenvalue rounding
+    allowance of r^2 eps max|lam(c_e)| (eps the float64 machine epsilon;
+    each computed eigenvalue is within about r eps max|lam| of the exact
+    one): a certified lower bound on the leakage omega^H c_e omega of every
+    unit-modulus omega.
 
     Each form must pass the input check of :class:`~bdris.model.QuadraticForms`
     (square, finite, Hermitian and PSD within the one ``STRUCTURE_TOL``) and
@@ -108,16 +121,19 @@ class DiagForms:
     c_e: np.ndarray | None = None
     lam_b: float = field(init=False)
     lam_e: float | None = field(init=False, default=None)
+    lossless_floor: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.c_b = np.asarray(self.c_b, dtype=complex)
-        self.lam_b = _check_psd(self.c_b, "c_b")
+        self.lam_b = _check_psd(self.c_b, "c_b")[1]
         if self.c_e is not None:
             self.c_e = np.asarray(self.c_e, dtype=complex)
             if self.c_e.shape != self.c_b.shape:
                 raise DimensionError(f"c_e must have shape {self.c_b.shape}, "
                                      f"got {self.c_e.shape}")
-            self.lam_e = _check_psd(self.c_e, "c_e")
+            low, self.lam_e = _check_psd(self.c_e, "c_e")
+            allowance = self.r * float(np.finfo(float).eps) * max(-low, self.lam_e)
+            self.lossless_floor = self.r * (low - allowance)
 
     @property
     def r(self) -> int:
@@ -137,17 +153,17 @@ class DiagForms:
         return float(np.linalg.eigvalsh(s.conj().T @ self.c_b @ s)[-1])
 
 
-def _check_psd(c: np.ndarray, name: str) -> float:
+def _check_psd(c: np.ndarray, name: str) -> tuple[float, float]:
     """Refuse an empty c, or one that fails the shared input check of
     :mod:`bdris.kernels` (square, finite, Hermitian and PSD within
-    ``STRUCTURE_TOL``, as the full forms are); return its largest
-    eigenvalue."""
+    ``STRUCTURE_TOL``, as the full forms are); return its least and largest
+    eigenvalues."""
     _checked(c, name, "Hermitian")
     if c.shape[0] < 1:
         raise DimensionError(f"{name} needs at least one element (r >= 1)")
     w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
     _require_psd(w, name)
-    return float(w[-1])
+    return float(w[0]), float(w[-1])
 
 
 def diag_forms(forms: QuadraticForms) -> DiagForms:
@@ -165,9 +181,11 @@ def _quad(c: np.ndarray, omega: np.ndarray) -> float:
 # per-row matrix-vector products, not one matrix-matrix product: a GEMM
 # rounds differently from a matrix-vector product, in a way that depends on
 # the number of rows, and the adaptive-step ascent turns last-bit
-# differences into different paths.  With the stacks, _scale and np.hypot,
-# every row is rounded exactly as a loop over one restart at a time, with
-# vector products and scalar arithmetic, rounds it.
+# differences into different paths.  A row's two values are two dot
+# products, not one (1 x r)(r x 2) product, which rounds differently too.
+# With the stacks, _scale and np.hypot (np.abs on complex rounds otherwise
+# under some kernels), every row is rounded exactly as a loop over one
+# restart at a time, with vector products and scalar arithmetic, rounds it.
 
 
 def _apply(c: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -187,12 +205,6 @@ def _scale(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     out.real = a.real * v.real - a.imag * v.imag
     out.imag = a.real * v.imag + a.imag * v.real
     return out
-
-
-def _stop_reason(converged) -> str:
-    """``stationary`` for a winning restart that met its stopping rule,
-    ``budget`` for one that ran out of passes, steps or rounds."""
-    return "stationary" if converged else "budget"
 
 
 def _starts(first: np.ndarray) -> np.ndarray:
@@ -215,6 +227,7 @@ def _coordinate_ascent(c: np.ndarray, w: np.ndarray):
     column per restart), each row's pass count and converged mask.
     """
     d = np.diag(c)
+    cols = [row[:, None] for row in c]          # c_i as a column
     values = [_quads(w, _apply(c, w))]
     passes = np.zeros(w.shape[0], dtype=int)
     live = np.ones(w.shape[0], dtype=bool)
@@ -224,10 +237,16 @@ def _coordinate_ascent(c: np.ndarray, w: np.ndarray):
         # omega_i changes only at its own update, so the diagonal terms
         # C_ii omega_i of the whole pass can be formed up front.
         dv = _scale(d, v)
-        for i in range(v.shape[1]):
-            ci = np.matmul(v[:, None, :], c[i][:, None])[:, 0, 0] - dv[:, i]
-            mag = np.hypot(ci.real, ci.imag)
-            np.divide(ci, mag, out=v[:, i], where=mag > 0.0)
+        stack = v[:, None, :]
+        prod = np.empty((rows.size, 1, 1), dtype=complex)
+        ci = prod[:, 0, 0]
+        re, im = ci.real, ci.imag
+        mag, moves = np.empty(rows.size), np.empty(rows.size, dtype=bool)
+        for col, vi, dvi in zip(cols, v.T, dv.T):
+            np.matmul(stack, col, out=prod)
+            np.subtract(ci, dvi, out=ci)
+            np.hypot(re, im, out=mag)
+            np.divide(ci, mag, out=vi, where=np.greater(mag, 0.0, out=moves))
         w[rows] = v
         value = _quads(w, _apply(c, w))
         passes[live] = p
@@ -259,15 +278,9 @@ def solve_diagonal_unconstrained(dforms: DiagForms) -> tuple[RisMatrix, SolveRep
         bound=bound,
         iterations=int(passes[best]),
         cost_trace=[float(v) for v in trace],
-        constraint_values={"stop_reason": _stop_reason(conv[best])},
+        constraint_values={"stop_reason": "stationary" if conv[best] else "budget"},
     )
     return RisMatrix(np.diag(w[best]), ARCH_DIAGONAL), report
-
-
-def _box(w: np.ndarray) -> np.ndarray:
-    mags = np.abs(w)
-    scale = np.where(mags > 1.0, mags, 1.0)
-    return w / scale
 
 
 def _into_cap(ce: np.ndarray, eps: float, w: np.ndarray) -> np.ndarray:
@@ -276,10 +289,27 @@ def _into_cap(ce: np.ndarray, eps: float, w: np.ndarray) -> np.ndarray:
     return w * np.sqrt(eps / np.where(g > eps, g, eps))[:, None]
 
 
-def _augmented(b: np.ndarray, e: np.ndarray, pen: CapPenalty) -> np.ndarray:
-    """f_b - (rho/2) max(0, f_e - eps + lam/rho)^2."""
-    gap = np.maximum(e - pen.eps + pen.lam / pen.rho, 0.0)
-    return b - 0.5 * pen.rho * gap * gap
+# The projected ascent keeps an iterate's state in two arrays: x = (w,
+# c_b w, c_e w, gradient), shape (4, S, r), and f = (f_b, f_e, augmented
+# value), shape (3, S).  ``forms`` is the (2, 1, r, r) stack (c_b, c_e), so
+# one matmul makes both products of every row, each still one matrix-vector
+# product per row.
+
+def _evaluate(forms: np.ndarray, x: np.ndarray, f: np.ndarray) -> None:
+    """x[1:3] <- both products of the iterate x[0], f[:2] <- its values."""
+    np.matmul(forms, x[0, :, :, None], out=x[1:3, :, :, None])
+    f[:2] = np.matmul(x[0].conj()[:, None, :], x[1:3, :, :, None])[..., 0, 0].real
+
+
+def _penalize(x: np.ndarray, f: np.ndarray, eps: float, lam, rho, lam_rho, half_rho) -> None:
+    """f[2] <- f_b - (rho/2) max(0, f_e - eps + lam/rho)^2 and x[3] <- its
+    gradient c_b w - max(0, lam + rho (f_e - eps)) c_e w, with each row's
+    lam, rho, lam/rho and rho/2, the last two formed once a round."""
+    over = f[1] - eps
+    gap = np.maximum(over + lam_rho, 0.0)
+    np.subtract(f[0], half_rho * gap * gap, out=f[2])
+    np.multiply(np.maximum(lam + rho * over, 0.0)[:, None], x[2], out=x[3])
+    np.subtract(x[1], x[3], out=x[3])
 
 
 def _projected_ascent(cb: np.ndarray, ce: np.ndarray, eps: float, w: np.ndarray):
@@ -298,60 +328,72 @@ def _projected_ascent(cb: np.ndarray, ce: np.ndarray, eps: float, w: np.ndarray)
     [_STEP_FLOOR, _STEP_MAX] (times _STEP_UP instead where Re s^H y <= 0);
     a rejected one halves it.  The rows whose round ended go through the
     penalty's rule.  A stopped row neither moves nor counts further steps.
-    The products cb w and ce w of the accepted iterate are kept, so a step
-    costs one product with each form.
+    A step makes one stacked product with both forms, whose result the
+    next step reuses for its gradient and leakage, and commits the accepted
+    rows of the candidate's state at once.
 
     Returns the iterate, the total step count over all rows, the number of
     rounds that ran out of steps, and the penalty state (each row's rounds,
     multiplier and converged flag).
     """
-    rows = w.shape[0]
+    rows, r = w.shape
     pen = CapPenalty(rows, eps, eps, _STAT_TOL0, _STAT_TOL, _STAT_SHRINK,
                      _MAX_ROUNDS, _RESIDUAL_TOL)
-    bw, ew = _apply(cb, w), _apply(ce, w)
-    b, e = _quads(w, bw), _quads(w, ew)
-    value = _augmented(b, e, pen)
-    grad = bw - pen.weight(e)[:, None] * ew
+    forms = np.stack((cb, ce))[:, None]
+    x, cand = np.empty((2, 4, rows, r), dtype=complex)
+    f, cand_f = np.empty((2, 3, rows))
+    sy = np.empty((2, rows, r), dtype=complex)
+    x[0] = w
+    terms = (pen.lam, pen.rho, pen.lam / pen.rho, 0.5 * pen.rho)
+    _evaluate(forms, x, f)
+    _penalize(x, f, eps, *terms)
     step = np.full(rows, _STEP0)
     count = np.zeros(rows, dtype=int)
     total = budget_hits = 0
     while pen.live.any():
-        live = pen.live
-        cand = _box(w + step[:, None] * grad)
-        bc, ec = _apply(cb, cand), _apply(ce, cand)
-        b_c, e_c = _quads(cand, bc), _quads(cand, ec)
-        cand_value = _augmented(b_c, e_c, pen)
-        cand_grad = bc - pen.weight(e_c)[:, None] * ec
-        up = live & (cand_value > value)
-        down = live & ~up
-        improved = cand_value - value
-        s = cand - w
-        ss, sy = _quads(s, s), _quads(s, grad - cand_grad)
-        bb = np.clip(np.divide(ss, sy, out=step * _STEP_UP, where=sy > 0.0),
-                     _STEP_FLOOR, _STEP_MAX)
-        keep = up[:, None]
-        w = np.where(keep, cand, w)
-        bw = np.where(keep, bc, bw)
-        ew = np.where(keep, ec, ew)
-        grad = np.where(keep, cand_grad, grad)
-        b = np.where(up, b_c, b)
-        e = np.where(up, e_c, e)
-        value = np.where(up, cand_value, value)
-        step = np.where(up, bb, np.where(down, step * _STEP_DOWN, step))
-        count += live
-        total += int(live.sum())
-        finished = ((up & (improved <= pen.tol * np.maximum(1.0, np.abs(value))))
-                    | (down & (step < _STEP_FLOOR)))
-        ended = finished | (live & (count >= _MAX_ITERS))
+        trial = np.add(x[0], np.multiply(step[:, None], x[3], out=cand[0]), out=cand[0])
+        np.divide(trial, np.maximum(np.abs(trial), 1.0), out=trial)
+        _evaluate(forms, cand, cand_f)
+        _penalize(cand, cand_f, eps, *terms)
+        up = pen.live & (cand_f[2] > f[2])
+        improved = cand_f[2] - f[2]
+        np.subtract(trial, x[0], out=sy[0])
+        np.subtract(x[3], cand[3], out=sy[1])
+        ss, s_y = np.matmul(sy[0].conj()[:, None, :], sy[:, :, :, None])[..., 0, 0].real
+        bb = np.divide(ss, s_y, out=step * _STEP_UP, where=s_y > 0.0)
+        np.copyto(x, cand, where=up[:, None])
+        np.copyto(f, cand_f, where=up)
+        down = pen.live ^ up
+        np.multiply(step, _STEP_DOWN, out=step, where=down)
+        np.copyto(step, np.minimum(np.maximum(bb, _STEP_FLOOR, out=bb), _STEP_MAX, out=bb),
+                  where=up)
+        count += pen.live
+        finished = up & (improved <= pen.tol * np.maximum(1.0, np.abs(f[2])))
+        finished |= down & (step < _STEP_FLOOR)
+        # A stopped row's count is 0, so the budget test needs no live mask.
+        ended = finished | (count >= _MAX_ITERS)
         if not ended.any():
             continue
-        budget_hits += int((ended & ~finished).sum())
-        again = pen.end_round(ended, e, finished)
-        step = np.where(again, _STEP0, step)
-        count = np.where(again, 0, count)
-        value = np.where(again, _augmented(b, e, pen), value)
-        grad = np.where(again[:, None], bw - pen.weight(e)[:, None] * ew, grad)
-    return w, total, budget_hits, pen
+        total += int(count[ended].sum())
+        budget_hits += int(np.count_nonzero(ended)) - int(np.count_nonzero(finished))
+        again = pen.end_round(ended, f[1], finished)
+        count[ended] = 0
+        step[again] = _STEP0
+        terms = (pen.lam, pen.rho, pen.lam / pen.rho, 0.5 * pen.rho)
+        # Rows inside a round get back the value and gradient they hold;
+        # rows that start one get the new penalty's.
+        _penalize(x, f, eps, *terms)
+    return x[0], total, budget_hits, pen
+
+
+def _lossless(dforms: DiagForms, eps: float, omega: np.ndarray) -> dict:
+    """The capped report's keys on the lossless problem (see
+    :func:`solve_diagonal_constrained`)."""
+    floor = dforms.lossless_floor
+    unit = np.abs(np.abs(omega) - 1.0).max() <= STRUCTURE_TOL
+    return {"power_kept": float(np.vdot(omega, omega).real) / dforms.r,
+            "lossless_floor": floor,
+            "lossless_feasible": False if eps < floor else True if unit else None}
 
 
 def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
@@ -383,6 +425,13 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     ran out (an inactive cap passes on the uncapped solve's).  The certified
     ``bound`` is min(r lam_max(c_b), eps lam_gen), with lam_gen the largest
     omega^H c_b omega / omega^H c_e omega (see ``DiagForms.lam_gen``).
+
+    Every capped report also says which problem the answer solves:
+    ``power_kept`` = ||omega||^2 / r, ``lossless_floor`` (see
+    :class:`DiagForms`) and ``lossless_feasible``: False when eps is below
+    that floor (no unit-modulus response meets the cap), True when every
+    |omega_i| is within ``STRUCTURE_TOL`` of 1 (the answer is lossless),
+    None otherwise.
     """
     epsilon_eve = checked_cap(dforms.c_e, epsilon_eve)
     pair = (solve_diagonal_unconstrained(dforms) if warm is None
@@ -392,7 +441,8 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     bound = min(dforms.lam_b * dforms.r, epsilon_eve * dforms.lam_gen)
     if eve0 <= epsilon_eve:
         return inactive_answer(pair, bound, epsilon_eve, eve0, budget_hits=0,
-                               outer_rounds=0, multiplier=0.0)
+                               outer_rounds=0, multiplier=0.0,
+                               **_lossless(dforms, epsilon_eve, omega0))
 
     # Unit-scale the forms so the step/penalty constants are magnitude-free.
     s_b, s_e = dforms.lam_b or 1.0, dforms.lam_e or 1.0
@@ -406,6 +456,7 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     objective = _quad(dforms.c_b, omega)
     return RisMatrix(np.diag(omega), ARCH_DIAGONAL), capped_report(
         objective, bound, steps, [objective], epsilon_eve=epsilon_eve,
-        eve_value=_quad(dforms.c_e, omega), active=True,
-        stop_reason=_stop_reason(pen.converged[best]), budget_hits=budget_hits,
-        outer_rounds=int(pen.rounds[best]), multiplier=float(pen.lam[best]) * s_b / s_e)
+        eve_value=_quad(dforms.c_e, omega), active=True, budget_hits=budget_hits,
+        stop_reason="stationary" if pen.converged[best] else "budget",
+        outer_rounds=int(pen.rounds[best]), multiplier=float(pen.lam[best]) * s_b / s_e,
+        **_lossless(dforms, epsilon_eve, omega))

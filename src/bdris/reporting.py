@@ -157,10 +157,6 @@ class CapPenalty:
         self.live = np.ones(members, dtype=bool)
         self.converged = np.zeros(members, dtype=bool)
 
-    def weight(self, leak):
-        """Leakage weight max(0, lam + rho (f_e - eps)) of the augmented term."""
-        return np.maximum(self.lam + self.rho * (leak - self.eps), 0.0)
-
     def end_round(self, ended, leak, finished) -> np.ndarray:
         """Apply the rule to the live members whose round ``ended``, at
         leakage ``leak``; ``finished`` marks the rounds that met their
@@ -177,10 +173,11 @@ class CapPenalty:
         """
         ended = ended & self.live
         last = self.residual
+        over = leak - self.eps
         self.rounds = self.rounds + ended
         self.residual = np.where(
-            ended, np.abs(np.maximum(leak - self.eps, -self.lam / self.rho)) / self.eps, last)
-        self.lam = np.where(ended, self.weight(leak), self.lam)
+            ended, np.abs(np.maximum(over, -self.lam / self.rho)) / self.eps, last)
+        self.lam = np.where(ended, np.maximum(self.lam + self.rho * over, 0.0), self.lam)
         done = (ended & finished & (self.residual <= self.residual_tol)
                 & (self.tol <= self.tol_min))
         self.converged |= done

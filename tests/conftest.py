@@ -3,10 +3,14 @@ import ctypes
 import glob
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 from bdris.experiments import (
     SCENARIO_NO_EVE,
@@ -115,6 +119,39 @@ def openblas_core():
     corename.argtypes = []
     corename.restype = ctypes.c_char_p
     return corename().decode()
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.split(":", 1)[1].split()}
+
+
+def _in_child(script: str, kernel: str, flag: str) -> list[str]:
+    """The words ``script`` prints in one child interpreter with
+    ``OPENBLAS_CORETYPE`` forced to ``kernel`` (one child at a time, one
+    BLAS thread), after the kernel it reports.  Skips where the CPU lacks
+    the kernel's instructions or the library reports another kernel."""
+    if flag not in _cpu_flags():
+        pytest.skip(f"CPU flags lack {flag}")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here),
+                            os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    core, *words = out.stdout.split()
+    if core.lower() != kernel.lower():
+        pytest.skip(f"OpenBLAS runs {core}, not {kernel}")
+    return words
+
+
+# The OpenBLAS kernels the child checks force, each with the CPU flag it needs.
+KERNELS = [("Haswell", "avx2"), ("Sandybridge", "avx")]
 
 
 def solve_based_qcqp_oracle(b, a, eps, steps=40):

@@ -314,6 +314,21 @@ def test_capped_diagonal_cells_beat_the_penalty_method(sweep36):
           f"{sum(s for _, s in PENALTY_DIAGONAL_CELLS.values())}")
 
 
+def test_capped_diagonal_cells_say_which_problem_they_solve(sweep36):
+    """The reference sweep's capped diagonal reports: no lossless surface
+    meets caps 0-4 (below the floor r lam_min(c_e)), cap 5 is open (above
+    the floor, lossy answer) and caps 6-9 have a unit-modulus answer; the
+    power kept grows with the cap."""
+    reports = sweep36["reports"]
+    cells = [reports[f"eve-{ARCH_DIAGONAL}-eps{idx:02d}"]["constraint_values"]
+             for idx in range(len(sweep36["spec"].epsilon_grid))]
+    assert [cv["lossless_feasible"] for cv in cells] == [False] * 5 + [None] + [True] * 4
+    assert len({cv["lossless_floor"] for cv in cells}) == 1
+    kept = [cv["power_kept"] for cv in cells]
+    assert kept == sorted(kept)
+    assert kept[5] < 1.0 - 1e-8 and kept[6] == pytest.approx(1.0, abs=1e-8)
+
+
 def test_criterion_08_monte_carlo_mse_matches_crb():
     """10^4 estimation trials at the r=36 uncapped optimum reproduce the
     inverse-information bound within 3%."""

@@ -1,8 +1,10 @@
 """Diagonal baseline: the Hadamard reduction against the full trace form,
 coordinate ascent against a dense phase grid, the capped relaxation against
 a general-purpose NLP solver run from many starts and against its
-certified bound, and both batched solvers against one-restart-at-a-time
-reference loops.
+certified bound, both batched solvers against one-restart-at-a-time
+reference loops and, bit for bit, against each restart run alone (also
+under other OpenBLAS kernels), and the lossless floor of the capped
+reports.
 """
 from dataclasses import dataclass
 
@@ -11,7 +13,7 @@ import pytest
 from scipy.linalg import eigh as generalized_eigh
 from scipy.optimize import minimize
 
-from conftest import rand_complex, rand_forms
+from conftest import KERNELS, SETUP_36, _in_child, rand_complex, rand_forms
 
 from bdris import diagonal, reporting
 from bdris.diagonal import (
@@ -21,7 +23,10 @@ from bdris.diagonal import (
     solve_diagonal_unconstrained,
 )
 from bdris.errors import ContractViolationError, DimensionError
-from bdris.model import ARCH_DIAGONAL, quad_objective
+from bdris.experiments import default_epsilon_grid
+from bdris.kernels import STRUCTURE_TOL
+from bdris.model import ARCH_DIAGONAL, SystemConfig, build_forms, generate_channels, \
+    quad_objective
 from bdris.spectral import solve_nonreciprocal, solve_pdd, solve_reciprocal_ao
 
 
@@ -586,6 +591,172 @@ class TestBatchedRestarts:
         assert hits == ref.budget_hits > 0
         assert rep.iterations == sum(ref.steps)
         assert rep.converged is ref.converged
+
+
+# ------------------------------------------------- each row as if alone
+# The lockstep loops promise that every restart follows, bit for bit, the
+# path it would follow alone.  These run each loop once on all rows and once
+# on each row by itself, from the inputs the public solvers hand them.
+
+def capped_inputs(df, eps):
+    """What ``solve_diagonal_constrained`` hands ``_projected_ascent`` on an
+    active cap ``eps``: the unit-scaled forms and cap, and the start rows
+    scaled into the cap."""
+    omega0 = np.diag(solve_diagonal_unconstrained(df)[0].matrix).copy()
+    s_b, s_e = df.lam_b or 1.0, df.lam_e or 1.0
+    ce, eps_s = df.c_e / s_e, eps / s_e
+    return df.c_b / s_b, ce, eps_s, diagonal._into_cap(ce, eps_s, diagonal._starts(omega0))
+
+
+def capped_rows_apart(cb, ce, eps, w):
+    """The rows of one lockstep ``_projected_ascent`` over ``w`` whose
+    iterate, rounds, multiplier or converged flag differ in any bit from the
+    same call on that row alone, then "total" and "budget_hits" where the
+    lockstep counts differ from the sums of the lone runs'."""
+    w_all, total, hits, pen = diagonal._projected_ascent(cb, ce, eps, w.copy())
+    apart, lone_total, lone_hits = [], 0, 0
+    for j in range(w.shape[0]):
+        w_j, total_j, hits_j, pen_j = diagonal._projected_ascent(cb, ce, eps, w[j:j + 1].copy())
+        lone_total += total_j
+        lone_hits += hits_j
+        if (w_all[j].tobytes() != w_j[0].tobytes() or pen.rounds[j] != pen_j.rounds[0]
+                or pen.lam[j].tobytes() != pen_j.lam[0].tobytes()
+                or pen.converged[j] != pen_j.converged[0]):
+            apart.append(j)
+    return (apart + (["total"] if total != lone_total else [])
+            + (["budget_hits"] if hits != lone_hits else []))
+
+
+def uncapped_rows_apart(c, w):
+    """The rows of one lockstep ``_coordinate_ascent`` over ``w`` whose
+    iterate, values, pass count or converged flag differ in any bit from
+    the same call on that row alone."""
+    w_all, values, passes, conv = diagonal._coordinate_ascent(c, w.copy())
+    apart = []
+    for j in range(w.shape[0]):
+        w_j, values_j, passes_j, conv_j = diagonal._coordinate_ascent(c, w[j:j + 1].copy())
+        if (w_all[j].tobytes() != w_j[0].tobytes() or passes[j] != passes_j[0]
+                or conv[j] != conv_j[0]
+                or values[:passes[j] + 1, j].tobytes() != values_j[:, 0].tobytes()):
+            apart.append(j)
+    return apart
+
+
+def oracle_rows_apart():
+    """Both loops on every ``_oracle_cases()`` instance, the capped one at
+    0.3 of the uncapped leakage: the (instance, loop, rows) that differ."""
+    found = []
+    for df in _oracle_cases():
+        omega0 = np.diag(solve_diagonal_unconstrained(df)[0].matrix)
+        capped = capped_rows_apart(*capped_inputs(df, 0.3 * _quad(df.c_e, omega0)))
+        uncapped = uncapped_rows_apart(df.c_b, diagonal._starts(np.ones(df.r, dtype=complex)))
+        found += [(df.r, loop, rows) for loop, rows in
+                  (("capped", capped), ("uncapped", uncapped)) if rows]
+    return found
+
+
+# A child interpreter that reports its OpenBLAS kernel and whether every row
+# of both loops on the oracle instances (r <= 8) is its lone run, bit for bit.
+_ROWS_CHILD = """
+from conftest import openblas_core
+from test_diagonal import oracle_rows_apart
+print(openblas_core(), oracle_rows_apart() == [])
+"""
+
+
+class TestRowsRunAsAlone:
+    """Each restart of a lockstep loop is, bit for bit, the same call on its
+    row alone: iterate, counts and penalty state."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """The r = 36 reference instance's reduced forms and cap 3 of its
+        10-point grid."""
+        forms = build_forms(generate_channels(SystemConfig(**SETUP_36)))
+        grid = default_epsilon_grid(solve_nonreciprocal(forms)[1].objective, points=10)
+        return diag_forms(forms), grid[3]
+
+    def test_capped_reference_cell(self, reference):
+        df, eps = reference
+        inputs = capped_inputs(df, eps)
+        assert inputs[3].shape == (diagonal._RESTARTS, 36)
+        assert capped_rows_apart(*inputs) == []
+
+    def test_uncapped_reference_cell(self, reference):
+        df, _ = reference
+        assert uncapped_rows_apart(df.c_b, diagonal._starts(np.ones(df.r, dtype=complex))) == []
+
+    def test_oracle_cases(self):
+        assert oracle_rows_apart() == []
+
+    @pytest.mark.parametrize("kernel,flag", KERNELS)
+    def test_oracle_cases_under_kernel(self, kernel, flag):
+        """The same on the oracle instances under other OpenBLAS kernels."""
+        assert _in_child(_ROWS_CHILD, kernel, flag) == ["True"]
+
+
+class TestLosslessReport:
+    """A capped report says which problem its answer solves: the power the
+    surface keeps, the lossless floor r lam_min(c_e) and whether a lossless
+    response can meet the cap."""
+
+    def test_floor_is_recomputed_from_c_e(self):
+        """r lam_min(c_e) from an independent eigensolver, less at most the
+        stated allowance r^2 eps max|lam|; None without c_e."""
+        for df in _oracle_cases():
+            vals = generalized_eigh(df.c_e, eigvals_only=True)
+            allowance = df.r ** 2 * np.finfo(float).eps * np.abs(vals).max()
+            assert df.lossless_floor <= df.r * vals[0] + allowance
+            assert df.lossless_floor >= df.r * vals[0] - 2.0 * allowance
+        assert DiagForms(c_b=np.eye(2)).lossless_floor is None
+        assert DiagForms(c_b=np.eye(3), c_e=2.0 * np.eye(3)).lossless_floor == \
+            pytest.approx(6.0, rel=1e-14)
+
+    def test_unit_modulus_vectors_never_leak_below_it(self):
+        """1 000 random unit-modulus vectors on each r <= 8 instance, and the
+        phases of the least eigenvector, all leak at least the floor."""
+        rng = np.random.default_rng(41)
+        forms = list(_oracle_cases()) + [DiagForms(c_b=np.eye(4), c_e=np.eye(4))]
+        for df in forms:
+            w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(1000, df.r)))
+            v = np.linalg.eigh(df.c_e)[1][:, 0]
+            w = np.vstack([w, np.exp(1j * np.angle(v))])
+            leak = np.einsum("bi,ij,bj->b", w.conj(), df.c_e, w).real
+            assert leak.min() >= df.lossless_floor
+
+    def test_report_keys_follow_the_answer(self):
+        """On every oracle instance and cap: power_kept is ||omega||^2 / r,
+        the floor is the forms', and lossless_feasible is False below the
+        floor, True for a unit-modulus answer and None otherwise."""
+        seen = set()
+        for df in _oracle_cases():
+            warm = solve_diagonal_unconstrained(df)
+            eve0 = _quad(df.c_e, np.diag(warm[0].matrix))
+            for frac in _ORACLE_CAPS + (2.0,):
+                eps = frac * eve0
+                ris, rep = solve_diagonal_constrained(df, eps, warm=warm)
+                cv = rep.constraint_values
+                w = np.diag(ris.matrix)
+                assert cv["power_kept"] == pytest.approx(np.sum(np.abs(w) ** 2) / df.r,
+                                                         rel=1e-12)
+                assert cv["lossless_floor"] == df.lossless_floor
+                unit = np.abs(np.abs(w) - 1.0).max() <= STRUCTURE_TOL
+                assert cv["lossless_feasible"] is (
+                    False if eps < df.lossless_floor else True if unit else None)
+                seen.add(cv["lossless_feasible"])
+        assert seen == {False, True, None}
+
+    def test_cap_below_the_floor(self):
+        """c_e = I: every unit-modulus response leaks r, so a cap of 1 is
+        out of a lossless surface's reach and the answer keeps at most
+        1 / r of the power."""
+        rng = np.random.default_rng(42)
+        g = rand_complex(rng, 3)
+        df = DiagForms(c_b=g.conj().T @ g, c_e=np.eye(3))
+        _, rep = solve_diagonal_constrained(df, 1.0)
+        cv = rep.constraint_values
+        assert cv["lossless_feasible"] is False
+        assert cv["power_kept"] <= (1.0 + 1e-8) / 3.0
 
 
 class TestStopReason:

@@ -542,10 +542,14 @@ class TestSolveReport:
             assert cv["stop_reason"] == rep0.constraint_values["stop_reason"]
             np.testing.assert_array_equal(ris.matrix, ris0.matrix)
             assert rep.iterations == 0 and rep.cost_trace == [rep0.objective]
+            w = np.diag(ris.matrix)
             extra = {
                 ARCH_NONRECIPROCAL: {"multiplier": 0.0, "dual_bound": rep.bound},
                 ARCH_RECIPROCAL: {"outer_rounds": 0},
-                ARCH_DIAGONAL: {"budget_hits": 0, "outer_rounds": 0, "multiplier": 0.0},
+                ARCH_DIAGONAL: {"budget_hits": 0, "outer_rounds": 0, "multiplier": 0.0,
+                                "power_kept": float(np.vdot(w, w).real) / w.size,
+                                "lossless_floor": diag_forms(forms).lossless_floor,
+                                "lossless_feasible": True},
             }[arch]
             shared = {"epsilon_eve", "eve_value", "cap_residual", "constraint_active",
                       "stop_reason"}

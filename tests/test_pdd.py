@@ -9,17 +9,15 @@ feasibility floor) and the seeded degenerate cases of ``capped_cases``,
 one of them also under other OpenBLAS kernels.
 """
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from conftest import (
+    KERNELS,
     SETUP_36,
+    _in_child,
     batch_haar,
     batch_trace_objective,
     capped_cases,
@@ -703,38 +701,6 @@ same = (alone[0].matrix.tobytes() == shared[0].matrix.tobytes()
         and alone[1].to_dict() == shared[1].to_dict())
 print(openblas_core(), relaxed[1].constraint_values["constraint_active"], same)
 """
-
-
-def _cpu_flags() -> set:
-    try:
-        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
-    except OSError:
-        return set()
-    return {flag for line in text.splitlines() if line.startswith("flags")
-            for flag in line.split(":", 1)[1].split()}
-
-
-def _in_child(script: str, kernel: str, flag: str) -> list[str]:
-    """The words ``script`` prints in one child interpreter with
-    ``OPENBLAS_CORETYPE`` forced to ``kernel`` (one child at a time, one
-    BLAS thread), after the kernel it reports.  Skips where the CPU lacks
-    the kernel's instructions or the library reports another kernel."""
-    if flag not in _cpu_flags():
-        pytest.skip(f"CPU flags lack {flag}")
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here),
-                            os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=300, check=True)
-    core, *words = out.stdout.split()
-    if core.lower() != kernel.lower():
-        pytest.skip(f"OpenBLAS runs {core}, not {kernel}")
-    return words
-
-
-KERNELS = [("Haswell", "avx2"), ("Sandybridge", "avx")]
 
 
 class TestBlasKernel:
