@@ -15,7 +15,9 @@ multi-start heuristics, not certified global optimizers: they give a lower
 estimate of the diagonal baseline, which is all the architecture
 comparisons need.  The reported bounds are certified: r lam_max(c_b) over
 the box and, under a cap, also eps times the largest generalized
-eigenvalue of (c_b, c_e).
+eigenvalue of (c_b, c_e).  ``DiagForms`` checks and factors each reduced
+form once, through :func:`~bdris.kernels.hermitian_eig`, and holds the
+factorization of c_e that the generalized bound reads.
 
 Both run their restarts in lockstep: the _RESTARTS start vectors are the
 rows of one _RESTARTS x r iterate, each with its own step, multiplier,
@@ -45,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .kernels import STRUCTURE_TOL, _checked, _require_psd
+from .kernels import STRUCTURE_TOL, HermEig, _psd_eig, hermitian_eig
 from .model import ARCH_DIAGONAL, QuadraticForms, RisMatrix
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
     checked_pair, inactive_answer
@@ -103,8 +105,11 @@ _RESIDUAL_TOL = 1e-8
 @dataclass
 class DiagForms:
     """Hadamard-reduced quadratic forms c_b = E_b o M^T and c_e = E_e o M^T,
-    with their largest eigenvalues lam_b and lam_e and the lossless floor
-    (the last two None without c_e).
+    with the largest eigenvalue lam_b of c_b, the spectrum eig_e of c_e
+    (descending), its largest eigenvalue lam_e and the lossless floor (the
+    last three None without c_e).  Each form is checked and factored once,
+    here, as :class:`~bdris.model.QuadraticForms` does: ``lam_gen`` reads
+    eig_e, and neither solver decomposes a form again.
 
     ``lossless_floor`` is r lam_min(c_e) less an eigenvalue rounding
     allowance of r^2 eps max|lam(c_e)| (eps the float64 machine epsilon;
@@ -120,18 +125,23 @@ class DiagForms:
     c_b: np.ndarray
     c_e: np.ndarray | None = None
     lam_b: float = field(init=False)
+    eig_e: HermEig | None = field(init=False, default=None)
     lam_e: float | None = field(init=False, default=None)
     lossless_floor: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.c_b = np.asarray(self.c_b, dtype=complex)
-        self.lam_b = _check_psd(self.c_b, "c_b")[1]
+        values = _psd_eig(self.c_b, "c_b").values
+        if self.r < 1:
+            raise DimensionError("c_b needs at least one element (r >= 1)")
+        self.lam_b = float(values[0])
         if self.c_e is not None:
             self.c_e = np.asarray(self.c_e, dtype=complex)
             if self.c_e.shape != self.c_b.shape:
                 raise DimensionError(f"c_e must have shape {self.c_b.shape}, "
                                      f"got {self.c_e.shape}")
-            low, self.lam_e = _check_psd(self.c_e, "c_e")
+            self.eig_e = _psd_eig(self.c_e, "c_e")
+            low, self.lam_e = float(self.eig_e.values[-1]), float(self.eig_e.values[0])
             allowance = self.r * float(np.finfo(float).eps) * max(-low, self.lam_e)
             self.lossless_floor = self.r * (low - allowance)
 
@@ -146,24 +156,11 @@ class DiagForms:
         definite with condition number at most _BOUND_COND."""
         if self.c_e is None:
             return np.inf
-        vals, vecs = np.linalg.eigh(self.c_e)
-        if not vals[0] * _BOUND_COND >= vals[-1] > 0.0:
+        vals, vecs = self.eig_e
+        if not vals[-1] * _BOUND_COND >= vals[0] > 0.0:
             return np.inf
         s = vecs / np.sqrt(vals)
-        return float(np.linalg.eigvalsh(s.conj().T @ self.c_b @ s)[-1])
-
-
-def _check_psd(c: np.ndarray, name: str) -> tuple[float, float]:
-    """Refuse an empty c, or one that fails the shared input check of
-    :mod:`bdris.kernels` (square, finite, Hermitian and PSD within
-    ``STRUCTURE_TOL``, as the full forms are); return its least and largest
-    eigenvalues."""
-    _checked(c, name, "Hermitian")
-    if c.shape[0] < 1:
-        raise DimensionError(f"{name} needs at least one element (r >= 1)")
-    w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-    _require_psd(w, name)
-    return float(w[0]), float(w[-1])
+        return float(hermitian_eig(s.conj().T @ self.c_b @ s).values[0])
 
 
 def diag_forms(forms: QuadraticForms) -> DiagForms:

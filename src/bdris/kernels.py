@@ -1,8 +1,12 @@
 """Dense complex linear-algebra kernels for the response-matrix solvers.
 
-All routines are pure functions of their operands.  The Takagi factor,
-and with it the symmetric-unitary projection, comes from one real
-symmetric eigendecomposition.
+All routines are pure functions of their operands.  Every Hermitian
+spectrum the package takes comes from one eigensolver,
+:func:`hermitian_eig`: the information matrix's for the CRB, the
+quadratic forms' of :mod:`bdris.model` and :mod:`bdris.diagonal`, the
+exponential of :func:`expm_skew`, and the real symmetric one from which
+:func:`takagi`, and with it the symmetric-unitary projection, takes the
+Takagi factor.
 
 Every matrix operand of the package is checked here, by one rule:
 ``_checked`` refuses a non-square operand with
@@ -10,7 +14,8 @@ Every matrix operand of the package is checked here, by one rule:
 than ``STRUCTURE_TOL`` (relative to max|A|) from its structure (Hermitian,
 symmetric, skew-Hermitian), with
 :class:`~bdris.errors.ContractViolationError`; ``_require_psd`` refuses a
-least eigenvalue below -``STRUCTURE_TOL`` max(1, lam_max).  The kernels,
+least eigenvalue below -``STRUCTURE_TOL`` max(1, lam_max), and
+``_psd_eig`` is the spectrum of a form that passes both.  The kernels,
 the covariances, quadratic forms, response matrix (``RisMatrix``) and
 information matrix of :mod:`bdris.model`, the reduced forms of
 :mod:`bdris.diagonal` and the QCQP of :mod:`bdris.pdd` all use them; the
@@ -39,7 +44,9 @@ __all__ = [
 
 # Input contract: the accepted deviation of A from A^H, A^T or -A^H
 # (relative to max|A|), and of the least eigenvalue of a PSD input below 0
-# (relative to max(1, lam_max)).
+# (relative to max(1, lam_max)).  ``model.RisMatrix`` holds a response to
+# its class's structure (unitarity, symmetry, diagonal modulus at most 1)
+# within the same tolerance, absolute, since those entries are O(1).
 STRUCTURE_TOL = 1e-8
 # sigma_min / sigma_max at or below which a Procrustes target counts as
 # rank deficient.
@@ -95,6 +102,15 @@ def _require_psd(values: np.ndarray, name: str) -> None:
             f"{name} must be positive semidefinite (least eigenvalue {lo:.3e})")
 
 
+def _psd_eig(e: np.ndarray, name: str) -> HermEig:
+    """The spectrum of a form that is refused unless finite, Hermitian and
+    PSD within ``STRUCTURE_TOL``.  The form is checked under its own name
+    before ``hermitian_eig`` checks it as ``a``, so an error names it."""
+    eig = hermitian_eig(_checked(e, name, "Hermitian"))
+    _require_psd(eig.values, name)
+    return eig
+
+
 def hermitian_eig(a: np.ndarray) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
 
@@ -126,11 +142,11 @@ def takagi(a: np.ndarray) -> TakagiFactor:
     With A = P + iQ and u = x + iy, the Takagi equation A conj(u) = sigma u
     reads [[P, Q], [Q, -P]] [x; y] = sigma [x; y] (Horn & Johnson, Matrix
     Analysis, Cor. 4.4.4).  That real symmetric matrix has the eigenvalues
-    +-sigma_j in pairs, so one ``eigh`` gives everything: its n largest
-    eigenvalues are sigma (clipped at 0), and their eigenvectors give
-    U = X + iY.  Eigenvectors of distinct nonnegative sigma are orthogonal
-    as complex vectors too; only among numerically zero sigma, where
-    +sigma and -sigma mix, can columns of U be dependent.  An unpivoted QR
+    +-sigma_j in pairs, so one :func:`hermitian_eig` gives everything: its
+    n largest eigenvalues are sigma (clipped at 0), and their eigenvectors
+    give U = X + iY.  Eigenvectors of distinct nonnegative sigma are
+    orthogonal as complex vectors too; only among numerically zero sigma,
+    where +sigma and -sigma mix, can columns of U be dependent.  An unpivoted QR
     with the phase of R's diagonal restored orthonormalizes those columns
     and leaves the others as they are.  Repeated or clustered singular
     values need no special treatment.
@@ -152,8 +168,8 @@ def takagi(a: np.ndarray) -> TakagiFactor:
     n = a.shape[0]
     sym = 0.5 * (a + a.T)
     p, q = sym.real, sym.imag
-    w, v = np.linalg.eigh(np.block([[p, q], [q, -p]]))
-    w, v = w[::-1][:n], v[:, ::-1][:, :n]  # the n largest, descending
+    w, v = hermitian_eig(np.block([[p, q], [q, -p]]))
+    w, v = w[:n], v[:, :n]  # the n largest, descending
     u, r = np.linalg.qr(v[:n] + 1j * v[n:])
     # angle(0) = 0: a zero diagonal entry keeps its column's phase.
     u = u * np.exp(1j * np.angle(np.diagonal(r)))
@@ -179,10 +195,7 @@ def expm_skew(s: np.ndarray, step: float = 1.0) -> np.ndarray:
     (n, n) ndarray
         Unitary matrix exp(step * S).
     """
-    s = _checked(s, "s", "skew-Hermitian")
-    h = -1j * s
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
+    w, v = hermitian_eig(-1j * _checked(s, "s", "skew-Hermitian"))
     return (v * np.exp(1j * step * w)) @ v.conj().T
 
 

@@ -33,7 +33,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalConsistencyError,
 )
-from .kernels import HermEig, _checked, _require_psd, hermitian_eig
+from .kernels import STRUCTURE_TOL, HermEig, _checked, _psd_eig, hermitian_eig
 
 __all__ = [
     "ARCH_NONRECIPROCAL",
@@ -59,9 +59,6 @@ ARCHITECTURES = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL)
 # The receivers whose information can be asked for.
 _TARGETS = ("bob", "eve")
 
-# Per-architecture structure checks on response matrices (unitarity,
-# symmetry, off-diagonal mass).
-ARCH_CHECK_TOL = 1e-8
 # Tolerated imaginary part of real traces.
 IMAG_RESIDUE_TOL = 1e-9
 # Condition number beyond which an information matrix counts as singular.
@@ -281,22 +278,14 @@ class QuadraticForms:
         return self.e_b.shape[0]
 
 
-def _psd_eig(e: np.ndarray, name: str) -> HermEig:
-    """The spectrum of a form that is refused unless finite, Hermitian and
-    PSD within the package's structure tolerance.  The form is checked under
-    its own name before ``hermitian_eig`` checks it as ``a``, so an error
-    names ``e_b`` or ``e_e``."""
-    eig = hermitian_eig(_checked(e, name, "Hermitian"))
-    _require_psd(eig.values, name)
-    return eig
-
-
 @dataclass
 class RisMatrix:
     """Surface response matrix tagged with its hardware class.
 
     The matrix passes the shared input check of :mod:`bdris.kernels`
-    (square and finite), and each structural check of its class is written
+    (square and finite), and the structure of its class within
+    ``STRUCTURE_TOL``: unitary (and, for the reciprocal class, symmetric),
+    or diagonal with no modulus above 1.  Each structural check is written
     so that a NaN residual fails it.
     """
 
@@ -313,19 +302,19 @@ class RisMatrix:
                 raise ContractViolationError(
                     "diagonal architecture requires exactly zero off-diagonal entries"
                 )
-            if not np.max(np.abs(np.diag(m))) <= 1.0 + ARCH_CHECK_TOL:
+            if not np.max(np.abs(np.diag(m))) <= 1.0 + STRUCTURE_TOL:
                 raise ContractViolationError("diagonal magnitudes must not exceed 1")
         else:
             with np.errstate(over="ignore", invalid="ignore"):   # fails below as inf or NaN
                 resid = np.max(np.abs(m.conj().T @ m - np.eye(r)))
-            if not resid <= ARCH_CHECK_TOL:
+            if not resid <= STRUCTURE_TOL:
                 raise ContractViolationError(
                     f"{self.architecture} response must be unitary "
                     f"(residual {resid:.3e})"
                 )
             if self.architecture == ARCH_RECIPROCAL:
                 dev = np.max(np.abs(m - m.T))
-                if not dev <= ARCH_CHECK_TOL:
+                if not dev <= STRUCTURE_TOL:
                     raise ContractViolationError(
                         f"reciprocal response must be symmetric (deviation {dev:.3e})"
                     )
@@ -464,9 +453,8 @@ def crb_trace(fim: np.ndarray) -> float:
     warning) when the matrix is numerically singular: lam_min <= 0 or
     condition number lam_max / lam_min beyond COND_LIMIT.
     """
-    fim = _checked(fim, "fim", "Hermitian")
-    lam = np.linalg.eigvalsh(0.5 * (fim + fim.conj().T))
-    if not (lam[0] > 0.0 and lam[-1] <= COND_LIMIT * lam[0]):
+    lam = hermitian_eig(_checked(fim, "fim", "Hermitian")).values   # descending
+    if not (lam[-1] > 0.0 and lam[0] <= COND_LIMIT * lam[-1]):
         warnings.warn("singular or ill-conditioned information matrix; "
                       "CRB reported as inf", RuntimeWarning, stacklevel=2)
         return float("inf")

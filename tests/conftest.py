@@ -1,25 +1,32 @@
 """Shared helpers for the test suite (no fixtures, plain functions)."""
 import ctypes
 import glob
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 import pytest
 
+from bdris import experiments
+from bdris.diagonal import diag_forms, solve_diagonal_constrained, \
+    solve_diagonal_unconstrained
 from bdris.experiments import (
     SCENARIO_NO_EVE,
     ExperimentSpec,
     default_epsilon_grid,
     run_experiment,
 )
-from bdris.model import QuadraticForms, SystemConfig, build_forms, generate_channels
-from bdris.spectral import solve_nonreciprocal
+from bdris.model import QuadraticForms, SystemConfig, build_forms, generate_channels, \
+    quad_objective
+from bdris.spectral import solve_nonreciprocal, solve_pdd, solve_reciprocal_ao
 
 # The r = 36 reference setup: 36 elements and 10 streams, twice as many
 # receive antennas as streams, the default power budget and noise floor.
@@ -70,17 +77,19 @@ def batch_haar(rng, count, n):
     return q * (d / np.abs(d))[:, None, :]
 
 
-def batch_trace_objective(u, e, m):
+def batch_trace_objective(u, e, m, u_conj=None):
     """tr(U^H E U M) for every U in the stack, via two flat GEMMs.
 
     Tiny batched matmuls are slow, so the stack is multiplied as one tall
     matrix: its rows times M give every U_b M, and the transposed blocks
-    times E^T give every (E U_b M)^T.
+    times E^T give every (E U_b M)^T.  A caller that scores many forms on
+    one stack passes ``u_conj`` = ``u.conj()``, formed once, which saves a
+    pass over the stack per call and changes no bit.
     """
     count, n, _ = u.shape
     um = (u.reshape(count * n, n) @ m).reshape(count, n, n)
     eum_t = (um.transpose(0, 2, 1).reshape(count * n, n) @ e.T).reshape(count, n, n)
-    return np.einsum("bji,bij->b", u.conj(), eum_t).real
+    return np.einsum("bji,bij->b", u.conj() if u_conj is None else u_conj, eum_t).real
 
 
 def capped_cases():
@@ -191,11 +200,43 @@ def solve_based_qcqp_oracle(b, a, eps, steps=40):
     return x
 
 
+# The solvers ``bdris.experiments`` calls through its globals, as the
+# benchmark's ``Runner.capture_responses`` lists them.
+SWEEP_SOLVERS = ("solve_nonreciprocal", "solve_reciprocal_ao", "solve_pdd",
+                 "solve_diagonal_unconstrained", "solve_diagonal_constrained")
+
+
+@contextmanager
+def captured_responses():
+    """Keep each response a sweep computes: yields a dict that fills with
+    (architecture, cap) -> response matrix, the cap None for an uncapped
+    solve.  The solvers are rebound in ``bdris.experiments`` only, and put
+    back on exit; the wrapper stores the matrix and does nothing else."""
+    kept, held = {}, {name: getattr(experiments, name) for name in SWEEP_SOLVERS}
+
+    def keeper(solve):
+        def keep(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            kept[result[0].architecture, args[1] if len(args) > 1 else None] = \
+                result[0].matrix
+            return result
+        return keep
+
+    try:
+        for name, solve in held.items():
+            setattr(experiments, name, keeper(solve))
+        yield kept
+    finally:
+        for name, solve in held.items():
+            setattr(experiments, name, solve)
+
+
 def reference_sweep(output_path):
     """Run the r = 36 reference sweep into ``output_path``: all three
     architectures, the no-eve cells and the 10-point default cap grid
     scaled to the uncapped non-reciprocal optimum.  Returns the spec, the
-    rows, the reports keyed by file stem and the wall time."""
+    rows, the reports and the response matrices keyed by file stem, and
+    the wall time."""
     cfg = SystemConfig(**SETUP_36)
     forms = build_forms(generate_channels(cfg))
     scale = solve_nonreciprocal(forms)[1].objective
@@ -204,12 +245,16 @@ def reference_sweep(output_path):
         epsilon_grid=default_epsilon_grid(scale, points=10),
         output_path=output_path,
     )
-    t0 = perf_counter()
-    rows = run_experiment(spec)
-    wall = perf_counter() - t0
+    with captured_responses() as kept:
+        t0 = perf_counter()
+        rows = run_experiment(spec)
+        wall = perf_counter() - t0
     reports = {path.stem: json.loads(path.read_text(encoding="utf-8"))
                for path in (output_path / "reports").glob("*.json")}
-    return {"spec": spec, "rows": rows, "reports": reports, "wall": wall}
+    responses = {stem: kept[p["cell"]["architecture"], p["cell"]["epsilon"]]
+                 for stem, p in reports.items()}
+    return {"spec": spec, "rows": rows, "reports": reports, "responses": responses,
+            "wall": wall}
 
 
 def reference_draws(output_path):
@@ -270,3 +315,98 @@ def golden_moves(cells, golden, tolerances):
             else:
                 admitted = got[key] == value
             yield stem, key, value, got[key], rel, admitted
+
+
+# ------------------------------------------------------------------ digests
+# ``golden/digests.json`` pins outputs bit for bit, one table per OpenBLAS
+# kernel (no answer is bit-identical across kernels): for each cell, the
+# sha256 of its response matrix (``tobytes()``) and of its report as JSON
+# without ``wall_ms``.  Section "sweep36" holds the reference-sweep cells by
+# report stem; "capped" holds each class's solve on every ``capped_cases()``
+# instance, uncapped and at ``DIGEST_FRACTIONS`` of its own uncapped
+# leakage, keyed "<architecture>/<case>/<fraction>" (spaces as "-").
+DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
+DIGEST_FRACTIONS = (0.3, 0.9)
+# The kernels whose tables ``golden/regenerate.py`` writes, each with the CPU
+# flag it needs: the kernel this suite is measured on, then the child checks'.
+DIGEST_KERNELS = [("SkylakeX", "avx512bw")] + KERNELS
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(response, report: dict) -> list[str]:
+    """[sha256 of the response's bytes, sha256 of ``report`` (a report's
+    dict or its JSON file's payload) as sorted JSON without ``wall_ms``]."""
+    report = {key: value for key, value in report.items() if key != "wall_ms"}
+    return [_sha256(np.ascontiguousarray(response).tobytes()),
+            _sha256(json.dumps(report, sort_keys=True).encode())]
+
+
+def sweep_digests(sweep) -> dict:
+    """The digests of every cell of a ``reference_sweep`` result."""
+    return {stem: digest(sweep["responses"][stem], report)
+            for stem, report in sweep["reports"].items()}
+
+
+def capped_digests() -> dict:
+    """The digests of each class on every ``capped_cases()`` instance: the
+    uncapped solve, then the capped one at each of ``DIGEST_FRACTIONS`` of
+    the uncapped answer's leakage, warm-started as the sweep does."""
+    table = {}
+    for name, forms in capped_cases():
+        dforms = diag_forms(forms)
+        classes = (
+            ("non-reciprocal", solve_nonreciprocal(forms),
+             lambda eps, base: solve_nonreciprocal(forms, eps)),
+            ("reciprocal", solve_reciprocal_ao(forms),
+             lambda eps, base: solve_pdd(forms, eps, warm=base)),
+            ("diagonal", solve_diagonal_unconstrained(dforms),
+             lambda eps, base: solve_diagonal_constrained(dforms, eps, warm=base)))
+        for arch, base, capped in classes:
+            key = f"{arch}/{name.replace(' ', '-')}"
+            table[f"{key}/uncapped"] = digest(base[0].matrix, base[1].to_dict())
+            leak = quad_objective(base[0].matrix, forms.e_e, forms.m)
+            for frac in DIGEST_FRACTIONS:
+                ris, rep = capped(frac * leak, base)
+                table[f"{key}/{frac}"] = digest(ris.matrix, rep.to_dict())
+    return table
+
+
+def kernel_digests() -> dict:
+    """Both sections of one kernel's digest table, from a reference sweep
+    run in a temporary directory and the capped solves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep = reference_sweep(Path(tmp) / "run")
+    return {"sweep36": sweep_digests(sweep), "capped": capped_digests()}
+
+
+def digest_words(table: dict) -> list[str]:
+    """``table`` as the words a child interpreter prints: section, key and
+    both digests of each cell."""
+    return [word for section, cells in table.items()
+            for key, pair in cells.items() for word in (section, key, *pair)]
+
+
+def digest_table(words: list[str]) -> dict:
+    """The table that ``digest_words`` printed."""
+    table = {}
+    for i in range(0, len(words), 4):
+        section, key, *pair = words[i:i + 4]
+        table.setdefault(section, {})[key] = pair
+    return table
+
+
+def digests_moved(got: dict, want: dict) -> list[str]:
+    """The "<section> <key> <response|report>" entries where ``got``
+    differs from ``want``, over the sections and keys of either; a key
+    that only one side has counts as moved in both parts."""
+    moved = []
+    for section in sorted(set(got) | set(want)):
+        have, need = got.get(section, {}), want.get(section, {})
+        for key in sorted(set(have) | set(need)):
+            pair, wanted = have.get(key, [None, None]), need.get(key, [None, None])
+            moved += [f"{section} {key} {part}" for part, a, b in
+                      zip(("response", "report"), pair, wanted) if a != b]
+    return moved

@@ -5,8 +5,9 @@ single line with the measured values, so a verbose run doubles as a report.
 The heavy shared piece — a ten-cap sweep of the r=36 reference setup across
 all three architectures — is computed once in a module fixture and reused
 by the ordering, saturation, feasibility and determinism checks, by a
-regression gate on the capped diagonal cells, and by a column-by-column
-comparison with the committed golden cells of ``tests/golden``; the
+regression gate on the capped diagonal cells, by a column-by-column
+comparison with the committed golden cells of ``tests/golden`` and by a
+bit-for-bit comparison with the digests of the kernel it runs on; the
 uncapped r=64 reference draws are compared with their own golden table.
 """
 import json
@@ -17,19 +18,27 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DIGESTS,
     GOLDEN_COLUMNS,
     GOLDEN_COLUMNS_64,
+    KERNELS,
     SETUP_36,
     SETUP_64,
+    _in_child,
     batch_haar,
     batch_trace_objective,
+    capped_digests,
+    digest_table,
+    digests_moved,
     golden_moves,
     golden_row,
     haar_unitary,
+    openblas_core,
     rand_complex,
     reference_draws,
     reference_sweep,
     solve_based_qcqp_oracle,
+    sweep_digests,
 )
 
 from bdris.experiments import (
@@ -87,6 +96,7 @@ def test_criterion_01_closed_form_attains_spectral_bound():
     count = 0
     for r in range(2, 7):
         batch = batch_haar(rng, 100_000, r)
+        batch_conj = batch.conj()
         for _ in range(40):
             k = max(1, r // 2)
             h = rand_complex(rng, r, k)
@@ -95,7 +105,7 @@ def test_criterion_01_closed_form_attains_spectral_bound():
             ris, rep = solve_nonreciprocal(forms)
             bound = von_neumann_bound(forms, "bob")
             worst_rel = max(worst_rel, abs(rep.objective - bound) / bound)
-            best = float(batch_trace_objective(batch, forms.e_b, forms.m).max())
+            best = float(batch_trace_objective(batch, forms.e_b, forms.m, batch_conj).max())
             worst_margin = min(worst_margin, rep.objective / best)
             count += 1
     wall = perf_counter() - t0
@@ -452,3 +462,47 @@ def test_reference_draws_match_golden_cells(tmp_path):
     ``golden/tolerances64.json``, Monte-Carlo error included."""
     _assert_golden(reference_draws(tmp_path), "draws64.json", "tolerances64.json",
                    GOLDEN_COLUMNS_64)
+
+
+# ------------------------------------------------------------- bit for bit
+# ``golden/digests.json`` holds one table per OpenBLAS kernel, since no
+# answer is bit-identical across kernels.  On a kernel that has no table
+# these tests skip and say so; ``golden/regenerate.py`` writes the table of
+# every kernel in ``conftest.DIGEST_KERNELS`` that the CPU can run.
+
+def _digests_of(kernel: str) -> dict:
+    table = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    if kernel not in table:
+        pytest.skip(f"{DIGESTS.name} has no entry for OpenBLAS kernel {kernel}")
+    return table[kernel]
+
+
+def test_reference_sweep_matches_digests(sweep36):
+    """Every cell of the r=36 sweep, response and report (``wall_ms``
+    aside), is bit for bit the one the runtime kernel's table pins."""
+    kernel = openblas_core()
+    want = {"sweep36": _digests_of(kernel)["sweep36"]}
+    assert digests_moved({"sweep36": sweep_digests(sweep36)}, want) == []
+    print(f"[digests] PASS: {kernel}, {len(want['sweep36'])} sweep cells bit for bit")
+
+
+def test_capped_cases_match_digests():
+    """Each class's solves on ``capped_cases()``, uncapped and capped, are
+    bit for bit the ones the runtime kernel's table pins."""
+    want = {"capped": _digests_of(openblas_core())["capped"]}
+    assert digests_moved({"capped": capped_digests()}, want) == []
+
+
+# A child interpreter that prints its kernel and the words of its
+# ``capped_cases()`` digests.
+_CAPPED_CHILD = """
+from conftest import capped_digests, digest_words, openblas_core
+print(openblas_core(), *digest_words({"capped": capped_digests()}))
+"""
+
+
+@pytest.mark.parametrize("kernel,flag", KERNELS)
+def test_capped_cases_match_digests_under_kernel(kernel, flag):
+    """The same under other OpenBLAS kernels, each against its own table."""
+    want = {"capped": _digests_of(kernel)["capped"]}
+    assert digests_moved(digest_table(_in_child(_CAPPED_CHILD, kernel, flag)), want) == []

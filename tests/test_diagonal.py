@@ -131,9 +131,14 @@ class RefCapped:
 
 
 def ref_constrained(dforms, eps, omega0):
-    """The capped solve from start ``omega0`` (the uncapped optimum)."""
+    """The capped solve from start ``omega0`` (the uncapped optimum).  Its
+    scales are numpy's ``eigh`` of the symmetrized forms, the routine the
+    product's eigensolver calls, so the two unit-scaled problems agree to
+    the bit; ``eigvalsh`` rounds differently, and ``omega`` and
+    e^{i phi} ``omega`` tie on every figure, so a last-bit move of a scale
+    can turn the capped answer by a global phase."""
     def lam_max(c):
-        return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T)).max()) or 1.0
+        return float(np.linalg.eigh(0.5 * (c + c.conj().T))[0].max()) or 1.0
 
     s_b, s_e = lam_max(dforms.c_b), lam_max(dforms.c_e)
     cb, ce, eps_s = dforms.c_b / s_b, dforms.c_e / s_e, eps / s_e

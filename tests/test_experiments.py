@@ -722,6 +722,29 @@ class TestPublicNames:
         assert sorted(private - used) == []
 
 
+class TestOneEigensolver:
+    def test_every_hermitian_spectrum_goes_through_hermitian_eig(self):
+        """``kernels.hermitian_eig`` is the one place in ``src/bdris`` that
+        names numpy's ``eigh`` or ``eigvalsh``: every Hermitian spectrum
+        the package takes is checked, symmetrized and ordered there, and
+        counted by the benchmark's span on it."""
+        found = []
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = (f"{where}.{child.name}"
+                         if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where)
+                name = (child.attr if isinstance(child, ast.Attribute)
+                        else child.id if isinstance(child, ast.Name) else None)
+                if name in ("eigh", "eigvalsh"):
+                    found.append(f"{inner}:{child.lineno}")
+                visit(child, inner)
+
+        for path in sorted((REPO / "src" / "bdris").glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        assert [site.partition(":")[0] for site in found] == ["kernels.hermitian_eig"], found
+
+
 def _other_holders(name: str, obj) -> list[str]:
     """The ``bdris`` modules that bind ``name`` to an object other than
     ``obj``: a rebinding by name would miss their calls."""

@@ -32,9 +32,8 @@ from bdris.diagonal import (
     solve_diagonal_unconstrained,
 )
 from bdris.errors import ContractViolationError
-from bdris.kernels import HermEig, hermitian_eig, nearest_symmetric_unitary
+from bdris.kernels import STRUCTURE_TOL, HermEig, hermitian_eig, nearest_symmetric_unitary
 from bdris.model import (
-    ARCH_CHECK_TOL,
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
     QuadraticForms,
@@ -626,8 +625,8 @@ class TestCappedReciprocalContract:
             assert cv["constraint_active"] is True
             w = ris.matrix
             assert ris.architecture == ARCH_RECIPROCAL
-            assert np.abs(w - w.T).max() <= ARCH_CHECK_TOL
-            assert np.abs(w.conj().T @ w - np.eye(r)).max() <= ARCH_CHECK_TOL
+            assert np.abs(w - w.T).max() <= STRUCTURE_TOL
+            assert np.abs(w.conj().T @ w - np.eye(r)).max() <= STRUCTURE_TOL
             assert cv["eve_value"] == quad_objective(w, forms.e_e, forms.m)
             assert rep.objective == quad_objective(w, forms.e_b, forms.m)
             _, nr = solve_nonreciprocal(forms, eps)

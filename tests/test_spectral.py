@@ -15,7 +15,6 @@ from conftest import batch_haar, batch_trace_objective, capped_cases, haar_unita
 
 from bdris.experiments import default_epsilon_grid
 from bdris.model import (
-    ARCH_CHECK_TOL,
     ARCH_RECIPROCAL,
     QuadraticForms,
     SystemConfig,
@@ -24,7 +23,7 @@ from bdris.model import (
     quad_objective,
 )
 from bdris import spectral
-from bdris.kernels import nearest_symmetric_unitary, takagi
+from bdris.kernels import STRUCTURE_TOL, nearest_symmetric_unitary, takagi
 from bdris.spectral import (
     solve_nonreciprocal,
     solve_reciprocal_ao,
@@ -116,7 +115,7 @@ class TestCappedNonReciprocal:
             met += 1
             assert rep.converged and cv["stop_reason"] == "stationary"
             w = ris.matrix
-            assert np.abs(w.conj().T @ w - np.eye(r)).max() <= ARCH_CHECK_TOL
+            assert np.abs(w.conj().T @ w - np.eye(r)).max() <= STRUCTURE_TOL
             assert cv["eve_value"] <= eps * (1 + 1e-9)
             assert cv["eve_value"] == quad_objective(w, forms.e_e, forms.m)
             assert rep.objective == quad_objective(w, forms.e_b, forms.m)
