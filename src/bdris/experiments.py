@@ -11,7 +11,11 @@ CSV content is a pure function of the experiment description: timings are
 kept out of it so that two runs with the same seed produce byte-identical
 files.  Measured wall times live in the JSON reports (``wall_ms``).  The
 sweep sets no solver option: each solver's knobs are constants of its
-module.  ``ExperimentSpec`` checks each of its fields, and
+module.  ``_solve`` is the one map from an architecture and a cap to its
+solver; every cell, uncapped or capped, goes from its timed solve to its
+row, report and log line by one path in ``run_experiment``; and
+``emit_plots`` reads the plot files' header, rows and gnuplot terms from
+one list of columns.  ``ExperimentSpec`` checks each of its fields, and
 ``SystemConfig`` each of its own, by one rule from the class's table
 (``_RULES``); the command line reads the same tables.
 """
@@ -175,19 +179,21 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _solve_no_eve(arch: str, forms, dforms):
-    if arch == ARCH_NONRECIPROCAL:
-        return solve_nonreciprocal(forms)
-    if arch == ARCH_RECIPROCAL:
-        return solve_reciprocal_ao(forms)
-    return solve_diagonal_unconstrained(dforms)
-
-
-def _solve_eve(arch: str, forms, dforms, eps: float, warm, relaxed):
+def _solve(arch: str, forms, dforms, eps=None, warm=None, relaxed=None):
+    """The answer of ``arch``'s uncapped solver, or with a cap ``eps`` of
+    its capped one, started from ``warm`` (the class's uncapped answer) and,
+    for the reciprocal class, ``relaxed`` (the capped non-reciprocal answer
+    at the same cap).  Each solver is looked up in this module's globals at
+    the call and given the cap as its second positional argument, so that
+    a name rebound here sees every solve of the sweep."""
     if arch == ARCH_NONRECIPROCAL:
         return solve_nonreciprocal(forms, eps)
     if arch == ARCH_RECIPROCAL:
+        if eps is None:
+            return solve_reciprocal_ao(forms)
         return solve_pdd(forms, eps, warm=warm, relaxed=relaxed)
+    if eps is None:
+        return solve_diagonal_unconstrained(dforms)
     return solve_diagonal_constrained(dforms, eps, warm=warm)
 
 
@@ -196,15 +202,21 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
 
     Returns the result table as a list of row dicts (CSV_COLUMNS keys).
     Rows are ordered deterministically: scenario, then architecture
-    (each in the canonical order above), then increasing cap.  The
-    no-eve cells are computed once per architecture and reused as
-    reference rows and, for the reciprocal and diagonal classes, as the
-    warm start of the capped solves.  The capped non-reciprocal answer of
-    each cap (solved first, in the canonical order) is kept and handed to
-    the reciprocal cell at that cap, which starts from it, so the dual
-    search runs once per cap; a run without the non-reciprocal class
-    leaves the reciprocal solve to run it.  A solver that stops without
-    converging flags its row; the run continues.
+    (each in the canonical order above), then increasing cap, which is
+    also the order of the solves.  The uncapped answer of each
+    architecture comes first: it is the class's no-eve cell, the warm
+    start of its capped cells and, for the non-reciprocal class, the scale
+    of a derived cap grid (solved for the scale alone when that class is
+    not swept).  The capped non-reciprocal answer at each cap is kept and
+    handed to the reciprocal cell at that cap, which starts from it and
+    runs no dual search of its own.
+
+    Every cell takes one path: its solve is timed, and when its scenario
+    is swept it writes its row, its report and one log line, at INFO
+    ``cell <scenario> <architecture> [eps=<cap>]: objective ...`` or, when
+    its solver stopped without converging, at WARNING ``non-converged
+    cell: <scenario> <architecture> [eps=<cap>]``.  Such a cell flags its
+    row; the run continues.
     """
     ch = generate_channels(spec.cfg)
     forms = build_forms(ch)
@@ -212,51 +224,37 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     out = spec.output_path
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
+    rows: list[dict] = []
 
-    base = {}          # arch -> (ris, report, wall_ms)
-    for arch in spec.architectures:
+    def cell(arch, idx=None, eps=None, warm=None, relaxed=None):
+        scenario = SCENARIO_NO_EVE if eps is None else SCENARIO_EVE
         t0 = time.perf_counter()
-        ris, rep = _solve_no_eve(arch, forms, dforms)
+        ris, rep = _solve(arch, forms, dforms, eps, warm, relaxed)
         wall = 1e3 * (time.perf_counter() - t0)
-        base[arch] = (ris, rep, wall)
-        log.info("no-eve %-14s objective %.6e (%.0f ms)", arch, rep.objective, wall)
+        if scenario in spec.scenarios:
+            row = _make_row(spec, ch, forms, scenario, arch, eps, ris, rep)
+            rows.append(row)
+            _dump_report(reports_dir, idx, rep, wall, row)
+            name = f"{scenario} {arch}" + ("" if eps is None else f" eps={eps:.6g}")
+            if rep.converged:
+                log.info("cell %s: objective %.6e (%.0f ms)", name, rep.objective, wall)
+            else:
+                log.warning("non-converged cell: %s", name)
+        return ris, rep
 
-    if SCENARIO_EVE in spec.scenarios and spec.epsilon_grid is None:
-        if ARCH_NONRECIPROCAL in base:
-            scale = base[ARCH_NONRECIPROCAL][1].objective
-        else:
-            ris, rep = solve_nonreciprocal(forms)
-            scale = rep.objective
-        grid = default_epsilon_grid(scale)
-    else:
-        grid = spec.epsilon_grid if spec.epsilon_grid is not None else np.array([])
+    archs = [a for a in ARCHITECTURES if a in spec.architectures]
+    base = {arch: cell(arch) for arch in archs}
+    grid = spec.epsilon_grid if SCENARIO_EVE in spec.scenarios else ()
+    if grid is None:
+        _, rep = base.get(ARCH_NONRECIPROCAL) or _solve(ARCH_NONRECIPROCAL, forms, dforms)
+        grid = default_epsilon_grid(rep.objective)
 
     relaxed = {}       # cap index -> capped non-reciprocal (ris, report)
-    rows: list[dict] = []
-    for scenario in (s for s in _SCENARIOS if s in spec.scenarios):
-        for arch in (a for a in ARCHITECTURES if a in spec.architectures):
-            if scenario == SCENARIO_NO_EVE:
-                ris, rep, wall = base[arch]
-                row = _make_row(spec, ch, forms, scenario, arch, None, ris, rep)
-                rows.append(row)
-                _dump_report(reports_dir, scenario, arch, None, rep, wall, row)
-                continue
-            for idx, eps in enumerate(grid):
-                t0 = time.perf_counter()
-                ris, rep = _solve_eve(arch, forms, dforms, float(eps),
-                                      base[arch][:2], relaxed.get(idx))
-                wall = 1e3 * (time.perf_counter() - t0)
-                if arch == ARCH_NONRECIPROCAL:
-                    relaxed[idx] = ris, rep
-                row = _make_row(spec, ch, forms, scenario, arch, float(eps), ris, rep)
-                rows.append(row)
-                _dump_report(reports_dir, scenario, arch, idx, rep, wall, row)
-                if not rep.converged:
-                    log.warning("non-converged cell: %s %s eps=%.6g",
-                                scenario, arch, eps)
-                else:
-                    log.info("eve    %-14s eps %.4e objective %.6e (%.0f ms)",
-                             arch, eps, rep.objective, wall)
+    for arch in archs:
+        for idx, eps in enumerate(grid):
+            answer = cell(arch, idx, float(eps), base[arch], relaxed.get(idx))
+            if arch == ARCH_NONRECIPROCAL:
+                relaxed[idx] = answer
 
     write_csv(rows, out / "results.csv")
     emit_plots(rows, out / "plots")
@@ -284,13 +282,15 @@ def _make_row(spec, ch, forms, scenario, arch, eps, ris, rep) -> dict:
     }
 
 
-def _dump_report(reports_dir: Path, scenario, arch, idx, rep, wall, row) -> None:
-    stem = f"{scenario}-{arch}" if idx is None else f"{scenario}-{arch}-eps{idx:02d}"
+def _dump_report(reports_dir: Path, idx, rep, wall, row) -> None:
+    """The solver's report, its wall time and its cell: the row without
+    the columns the report already holds (``iters``, ``converged``)."""
+    stem = f"{row['scenario']}-{row['architecture']}"
+    if idx is not None:
+        stem += f"-eps{idx:02d}"
     payload = rep.to_dict()
     payload["wall_ms"] = wall
-    payload["cell"] = {k: row[k] for k in
-                       ("scenario", "architecture", "epsilon", "fim_bob",
-                        "fim_eve", "crb", "mse_mc")}
+    payload["cell"] = {k: row[k] for k in CSV_COLUMNS if k not in ("iters", "converged")}
     (reports_dir / f"{stem}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -315,51 +315,40 @@ _FIGURES = (
 def emit_plots(rows: list[dict], plots_dir: Path) -> None:
     """Write gnuplot .dat/.gp pairs: capped curves plus no-eve reference lines.
 
-    Byte-deterministic for identical tables.  An empty table (or one with
-    no capped rows) produces a warning and no files.
+    One list of columns says what each figure plots: a curve per swept
+    architecture over the caps, then a dashed reference line per
+    architecture that also has a no-eve row, each as (.dat header name,
+    .gp title, gnuplot style, row by cap).  The .dat header, the .dat rows
+    and the .gp ``using 1:N`` terms are all read from it.  A cap an
+    architecture has no row for reads ``nan``.  Byte-deterministic for
+    identical tables.  An empty table (or one with no capped rows)
+    produces a warning and no files.
     """
     eve_rows = [r for r in rows if r["scenario"] == SCENARIO_EVE]
     if not eve_rows:
         warnings.warn("no capped rows to plot; skipping plot emission")
         return
-    archs = [a for a in ARCHITECTURES
-             if any(r["architecture"] == a for r in eve_rows)]
     grid = sorted({r["epsilon"] for r in eve_rows})
-    series = {a: {r["epsilon"]: r for r in eve_rows if r["architecture"] == a}
-              for a in archs}
     ref = {r["architecture"]: r for r in rows if r["scenario"] == SCENARIO_NO_EVE}
+    archs = [a for a in ARCHITECTURES if any(r["architecture"] == a for r in eve_rows)]
+    columns = [(a, a, "linespoints",
+                {r["epsilon"]: r for r in eve_rows if r["architecture"] == a})
+               for a in archs]
+    columns += [(f"{a}-ref", f"{a} (no cap)", "lines dashtype 2", dict.fromkeys(grid, ref[a]))
+                for a in archs if a in ref]
 
     plots_dir = Path(plots_dir)
     plots_dir.mkdir(parents=True, exist_ok=True)
     for stem, key, label, logy in _FIGURES:
         dat = plots_dir / f"{stem}.dat"
-        gp = plots_dir / f"{stem}.gp"
-        cols = ["epsilon"]
-        cols += [f"{a}" for a in archs]
-        cols += [f"{a}-ref" for a in archs if a in ref]
-        lines = ["# " + " ".join(cols)]
+        lines = ["# " + " ".join(["epsilon"] + [name for name, *_ in columns])]
         for eps in grid:
-            vals = [format(eps, ".12g")]
-            for a in archs:
-                cell = series[a].get(eps)
-                vals.append(_fmt(cell[key]) if cell else "nan")
-            for a in archs:
-                if a in ref:
-                    vals.append(_fmt(ref[a][key]))
-            lines.append(" ".join(vals))
+            lines.append(" ".join([_fmt(eps)] + [_fmt(cells[eps][key]) if eps in cells
+                                                 else "nan" for *_, cells in columns]))
         dat.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-        plot_terms = []
-        col = 2
-        for a in archs:
-            plot_terms.append(f"'{dat.name}' using 1:{col} with linespoints "
-                              f"title '{a}'")
-            col += 1
-        for a in archs:
-            if a in ref:
-                plot_terms.append(f"'{dat.name}' using 1:{col} with lines "
-                                  f"dashtype 2 title '{a} (no cap)'")
-                col += 1
+        plot_terms = [f"'{dat.name}' using 1:{n} with {style} title '{title}'"
+                      for n, (_, title, style, _) in enumerate(columns, start=2)]
         script = [
             "set terminal pngcairo size 960,640",
             f"set output '{stem}.png'",
@@ -371,4 +360,4 @@ def emit_plots(rows: list[dict], plots_dir: Path) -> None:
         if logy:
             script.append("set logscale y")
         script.append("plot \\\n    " + ", \\\n    ".join(plot_terms))
-        gp.write_text("\n".join(script) + "\n", encoding="utf-8")
+        (plots_dir / f"{stem}.gp").write_text("\n".join(script) + "\n", encoding="utf-8")

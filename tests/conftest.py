@@ -324,9 +324,17 @@ def golden_moves(cells, golden, tolerances):
 # without ``wall_ms``.  Section "sweep36" holds the reference-sweep cells by
 # report stem; "capped" holds each class's solve on every ``capped_cases()``
 # instance, uncapped and at ``DIGEST_FRACTIONS`` of its own uncapped
-# leakage, keyed "<architecture>/<case>/<fraction>" (spaces as "-").
+# leakage, keyed "<architecture>/<case>/<fraction>" (spaces as "-");
+# "files" holds the sha256 of each of ``SWEEP_FILES`` as the reference sweep
+# writes it, keyed by its path under the run directory.
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 DIGEST_FRACTIONS = (0.3, 0.9)
+SWEEP_FILES = ("results.csv", "plots/fim_vs_eps.dat", "plots/fim_vs_eps.gp",
+               "plots/crb_vs_eps.dat", "plots/crb_vs_eps.gp")
+# The parts of one entry, by section: a cell's response and report, or a
+# file's bytes.
+DIGEST_PARTS = {"sweep36": ("response", "report"), "capped": ("response", "report"),
+                "files": ("bytes",)}
 # The kernels whose tables ``golden/regenerate.py`` writes, each with the CPU
 # flag it needs: the kernel this suite is measured on, then the child checks'.
 DIGEST_KERNELS = [("SkylakeX", "avx512bw")] + KERNELS
@@ -348,6 +356,12 @@ def sweep_digests(sweep) -> dict:
     """The digests of every cell of a ``reference_sweep`` result."""
     return {stem: digest(sweep["responses"][stem], report)
             for stem, report in sweep["reports"].items()}
+
+
+def file_digests(sweep) -> dict:
+    """[sha256] of each of ``SWEEP_FILES`` that a ``reference_sweep`` wrote."""
+    return {name: [_sha256((sweep["spec"].output_path / name).read_bytes())]
+            for name in SWEEP_FILES}
 
 
 def capped_digests() -> dict:
@@ -375,38 +389,41 @@ def capped_digests() -> dict:
 
 
 def kernel_digests() -> dict:
-    """Both sections of one kernel's digest table, from a reference sweep
+    """Every section of one kernel's digest table, from a reference sweep
     run in a temporary directory and the capped solves."""
     with tempfile.TemporaryDirectory() as tmp:
         sweep = reference_sweep(Path(tmp) / "run")
-    return {"sweep36": sweep_digests(sweep), "capped": capped_digests()}
+        files = file_digests(sweep)
+    return {"sweep36": sweep_digests(sweep), "files": files, "capped": capped_digests()}
 
 
 def digest_words(table: dict) -> list[str]:
     """``table`` as the words a child interpreter prints: section, key and
-    both digests of each cell."""
+    the entry's digests joined by commas, for each entry."""
     return [word for section, cells in table.items()
-            for key, pair in cells.items() for word in (section, key, *pair)]
+            for key, digests in cells.items() for word in (section, key, ",".join(digests))]
 
 
 def digest_table(words: list[str]) -> dict:
     """The table that ``digest_words`` printed."""
     table = {}
-    for i in range(0, len(words), 4):
-        section, key, *pair = words[i:i + 4]
-        table.setdefault(section, {})[key] = pair
+    for i in range(0, len(words), 3):
+        section, key, digests = words[i:i + 3]
+        table.setdefault(section, {})[key] = digests.split(",")
     return table
 
 
 def digests_moved(got: dict, want: dict) -> list[str]:
-    """The "<section> <key> <response|report>" entries where ``got``
-    differs from ``want``, over the sections and keys of either; a key
-    that only one side has counts as moved in both parts."""
+    """The "<section> <key> <part>" entries where ``got`` differs from
+    ``want``, over the sections and keys of either, a part being one of the
+    section's ``DIGEST_PARTS``; a key that only one side has counts as
+    moved in every part."""
     moved = []
     for section in sorted(set(got) | set(want)):
         have, need = got.get(section, {}), want.get(section, {})
+        parts = DIGEST_PARTS[section]
         for key in sorted(set(have) | set(need)):
-            pair, wanted = have.get(key, [None, None]), need.get(key, [None, None])
+            missing = [None] * len(parts)
             moved += [f"{section} {key} {part}" for part, a, b in
-                      zip(("response", "report"), pair, wanted) if a != b]
+                      zip(parts, have.get(key, missing), need.get(key, missing)) if a != b]
     return moved

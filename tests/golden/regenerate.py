@@ -4,8 +4,9 @@ report how far the current code moves them.
 The golden tables are ``sweep36.json``, the cells of the r = 36 reference
 sweep (``conftest.reference_sweep``), and ``draws64.json``, the uncapped
 cells of the r = 64 reference draws 7-11 (``conftest.reference_draws``).
-The digest table ``digests.json`` pins the reference sweep and the solves
-on ``conftest.capped_cases()`` bit for bit, one entry per OpenBLAS kernel
+The digest table ``digests.json`` pins the reference sweep's cells and the
+files it writes (``conftest.SWEEP_FILES``), and the solves on
+``conftest.capped_cases()``, bit for bit, one entry per OpenBLAS kernel
 (``conftest.DIGEST_KERNELS``); each kernel's entry is computed in a child
 interpreter that forces that kernel (``conftest._in_child``), and a kernel
 this CPU cannot run keeps its committed entry.  Run from the repository
@@ -103,7 +104,7 @@ def digests(write: bool) -> int:
         moved += len(moves)
         for move in moves:
             print(f"{kernel} {move}")
-        count = 2 * sum(len(cells) for cells in got.values())
+        count = sum(len(digests) for cells in got.values() for digests in cells.values())
         print(f"{DIGESTS.name} {kernel}: {len(moves)} of {count} digests moved")
     if write:
         DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",

@@ -30,6 +30,7 @@ from conftest import (
     capped_digests,
     digest_table,
     digests_moved,
+    file_digests,
     golden_moves,
     golden_row,
     haar_unitary,
@@ -479,11 +480,15 @@ def _digests_of(kernel: str) -> dict:
 
 def test_reference_sweep_matches_digests(sweep36):
     """Every cell of the r=36 sweep, response and report (``wall_ms``
-    aside), is bit for bit the one the runtime kernel's table pins."""
+    aside), and every file of ``SWEEP_FILES`` it writes, is bit for bit the
+    one the runtime kernel's table pins."""
     kernel = openblas_core()
-    want = {"sweep36": _digests_of(kernel)["sweep36"]}
-    assert digests_moved({"sweep36": sweep_digests(sweep36)}, want) == []
-    print(f"[digests] PASS: {kernel}, {len(want['sweep36'])} sweep cells bit for bit")
+    table = _digests_of(kernel)
+    want = {section: table[section] for section in ("sweep36", "files")}
+    got = {"sweep36": sweep_digests(sweep36), "files": file_digests(sweep36)}
+    assert digests_moved(got, want) == []
+    print(f"[digests] PASS: {kernel}, {len(want['sweep36'])} sweep cells and "
+          f"{len(want['files'])} files bit for bit")
 
 
 def test_capped_cases_match_digests():

@@ -8,14 +8,19 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import logging
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import captured_responses
 
 import bdris
 from bdris import cli, experiments, spectral
@@ -385,8 +390,74 @@ class TestRunExperiment:
         assert mse is not None
         assert 0.5 * crb <= mse <= 2.0 * crb
 
+    def test_every_unconverged_cell_warns(self, tmp_path, monkeypatch, caplog):
+        """An uncapped cell whose solver stops without converging logs a
+        WARNING naming it, as a capped one does, so that a ``--quiet`` run
+        names it too."""
+        solve = experiments.solve_reciprocal_ao
+
+        def out_of_budget(*args):
+            ris, rep = solve(*args)
+            return ris, dataclasses.replace(
+                rep, constraint_values={**rep.constraint_values, "stop_reason": "budget"})
+
+        monkeypatch.setattr(experiments, "solve_reciprocal_ao", out_of_budget)
+        spec = tiny_spec(tmp_path, architectures=(ARCH_RECIPROCAL,),
+                         scenarios=(SCENARIO_NO_EVE,))
+        with caplog.at_level(logging.WARNING, logger=experiments.__name__), \
+                pytest.warns(UserWarning, match="no capped rows"):
+            rows = run_experiment(spec)
+        assert [row["converged"] for row in rows] == [False]
+        assert [record.getMessage() for record in caplog.records
+                if record.levelno == logging.WARNING] == \
+            [f"non-converged cell: {SCENARIO_NO_EVE} {ARCH_RECIPROCAL}"]
+
+
+# One ``.gp`` plot term: the .dat column it reads, its style and its title.
+PLOT_TERM = re.compile(r"using 1:(\d+) with (.+?) title '(.+?)'")
+
+
+def plot_columns(plots: Path) -> list[str]:
+    """The .dat header of each figure under ``plots``, after checking that
+    the figure's script and data agree: each .gp term ``using 1:N ... title
+    'T'`` reads header column N, named ``T`` for a curve (linespoints) and
+    ``T-ref`` for a dashed ``T (no cap)`` line; every data column but the
+    cap is plotted once; and every .dat row is as wide as the header."""
+    headers = []
+    for stem in ("fim_vs_eps", "crb_vs_eps"):
+        header, *lines = (plots / f"{stem}.dat").read_text(encoding="utf-8").splitlines()
+        names = header.split()[1:]
+        assert header.startswith("# ") and names[0] == "epsilon"
+        assert lines and [len(line.split()) for line in lines] == [len(names)] * len(lines)
+        terms = PLOT_TERM.findall((plots / f"{stem}.gp").read_text(encoding="utf-8"))
+        assert sorted(int(n) for n, _, _ in terms) == list(range(2, len(names) + 1))
+        for n, style, title in terms:
+            if style == "linespoints":
+                assert names[int(n) - 1] == title
+            else:
+                assert style == "lines dashtype 2" and title.endswith(" (no cap)")
+                assert names[int(n) - 1] == title.removesuffix(" (no cap)") + "-ref"
+        headers.append(names)
+    assert headers[0] == headers[1]
+    return headers[0]
+
 
 class TestEmitPlots:
+    @pytest.mark.parametrize("kw, curves, refs", [
+        ({}, 3, 3),
+        ({"architectures": (ARCH_DIAGONAL,)}, 1, 1),
+        ({"scenarios": (SCENARIO_EVE,)}, 3, 0),
+    ], ids=["full", "one-class", "eve-only"])
+    def test_script_reads_the_data_it_names(self, tmp_path, kw, curves, refs):
+        """On a full sweep, a one-class sweep and an eve-only sweep (which
+        has no reference columns), each plot script reads the data column
+        its every line is titled after."""
+        spec = tiny_spec(tmp_path, **kw)
+        run_experiment(spec)
+        names = plot_columns(spec.output_path / "plots")
+        assert len(names) == 1 + curves + refs
+        assert sum(name.endswith("-ref") for name in names) == refs
+
     def test_no_capped_rows_warns_and_writes_nothing(self, tmp_path):
         rows = [{"scenario": SCENARIO_NO_EVE, "architecture": ARCH_DIAGONAL,
                  "epsilon": None, "fim_bob": 1.0, "fim_eve": None, "crb": 1.0,
@@ -751,6 +822,33 @@ def _other_holders(name: str, obj) -> list[str]:
     modules = [bdris] + [importlib.import_module(f"bdris.{info.name}")
                          for info in pkgutil.iter_modules(bdris.__path__)]
     return [m.__name__ for m in modules if getattr(m, name, obj) is not obj]
+
+
+class TestSweepSolvesThroughGlobals:
+    @pytest.mark.parametrize("archs, scenarios, kw", [
+        ((ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL),
+         (SCENARIO_NO_EVE, SCENARIO_EVE), {}),
+        ((ARCH_RECIPROCAL, ARCH_DIAGONAL), (SCENARIO_EVE,), {}),
+        ((ARCH_DIAGONAL, ARCH_RECIPROCAL), (SCENARIO_EVE,), {"epsilon_grid": None}),
+        ((ARCH_NONRECIPROCAL,), (SCENARIO_NO_EVE,), {}),
+        ((ARCH_DIAGONAL,), (SCENARIO_NO_EVE, SCENARIO_EVE), {}),
+    ], ids=["all", "eve-only-no-nonreciprocal", "eve-only-default-grid", "no-eve-only",
+            "diagonal"])
+    def test_every_report_has_a_captured_response(self, tmp_path, archs, scenarios, kw):
+        """The sweep reaches every solver through the name ``bdris.experiments``
+        binds, with the cap as its second positional argument: with the names
+        rebound there, as ``conftest.captured_responses`` and the benchmark's
+        ``Runner.capture_responses`` rebind them, each report written has its
+        response kept under (architecture, cap)."""
+        spec = tiny_spec(tmp_path, architectures=archs, scenarios=scenarios, **kw)
+        with captured_responses() as kept, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "no capped rows to plot")
+            rows = run_experiment(spec)
+        cells = [(payload["cell"]["architecture"], payload["cell"]["epsilon"])
+                 for payload in (json.loads(path.read_text(encoding="utf-8"))
+                                 for path in (spec.output_path / "reports").glob("*.json"))]
+        assert len(cells) == len(rows) > 0
+        assert [cell for cell in cells if cell not in kept] == []
 
 
 class TestBenchmarkBindings:
