@@ -30,7 +30,9 @@ the next step reuses for its gradient and leakage), one batched call for
 both forms' values and one for s^H s and s^H y, and commits the accepted
 rows with one copy per state array: about 50 numpy calls whatever the
 number of rows.  A coordinate-ascent update of element i is one stacked
-product with row i and four calls into buffers made once a pass.  What
+product with row i and three calls into buffers made once a pass; the rule
+for a zero c_i is applied once a pass, by a NaN check of the pass's rows
+that reruns the pass with the masked update only when it finds one.  What
 stays per row is the BLAS work: a projected-gradient step makes six BLAS
 calls per row (two matrix-vector products, four dot products), so each
 restart follows exactly the path it would follow alone, whatever runs
@@ -212,6 +214,31 @@ def _starts(first: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _ascent_pass(cols, v, dv, where=True):
+    """One Gauss-Seidel pass over the elements of every row of `v`, in
+    place, given the rows' diagonal terms dv.  With ``where`` True every
+    omega_i becomes c_i/|c_i|; with a boolean buffer (one entry per row) an
+    omega_i whose c_i is zero is left unchanged instead, the rule of
+    :func:`_coordinate_ascent`.  Both give the same bits wherever c_i is
+    nonzero."""
+    stack = v[:, None, :]
+    prod = np.empty((v.shape[0], 1, 1), dtype=complex)
+    ci = prod[:, 0, 0]
+    re, im = ci.real, ci.imag
+    # |c_i| is held as a complex number with a zero imaginary part, the
+    # value the divide would otherwise cast it to, so the divide casts nothing.
+    mag = np.zeros(v.shape[0], dtype=complex)
+    size = mag.real
+    masked = where is not True
+    for col, vi, dvi in zip(cols, v.T, dv.T):
+        np.matmul(stack, col, out=prod)
+        np.subtract(ci, dvi, out=ci)
+        np.hypot(re, im, out=size)
+        if masked:
+            np.greater(size, 0.0, out=where)
+        np.divide(ci, mag, out=vi, where=where)
+
+
 def _coordinate_ascent(c: np.ndarray, w: np.ndarray):
     """Unit-modulus Gauss-Seidel on every row of `w` at once:
     omega_i <- c_i/|c_i|, c_i = sum_{j!=i} C_ij omega_j.
@@ -222,6 +249,13 @@ def _coordinate_ascent(c: np.ndarray, w: np.ndarray):
     first pass that gains at most _CA_REL_TOL (relative); a pass updates the
     rows still running.  Returns the iterate, the per-pass values (one
     column per restart), each row's pass count and converged mask.
+
+    An element update is one stacked product with row i and three calls
+    (subtract, hypot, divide) into buffers made once a pass.  The zero-c_i
+    rule is applied once a pass: the pass divides unmasked, and since the
+    forms are finite only a zero c_i (0/0) can leave a NaN in its rows; if
+    one does, the pass is run again from the rows still held in `w` with
+    the masked divide, before they are written back.
     """
     d = np.diag(c)
     cols = [row[:, None] for row in c]          # c_i as a column
@@ -234,16 +268,11 @@ def _coordinate_ascent(c: np.ndarray, w: np.ndarray):
         # omega_i changes only at its own update, so the diagonal terms
         # C_ii omega_i of the whole pass can be formed up front.
         dv = _scale(d, v)
-        stack = v[:, None, :]
-        prod = np.empty((rows.size, 1, 1), dtype=complex)
-        ci = prod[:, 0, 0]
-        re, im = ci.real, ci.imag
-        mag, moves = np.empty(rows.size), np.empty(rows.size, dtype=bool)
-        for col, vi, dvi in zip(cols, v.T, dv.T):
-            np.matmul(stack, col, out=prod)
-            np.subtract(ci, dvi, out=ci)
-            np.hypot(re, im, out=mag)
-            np.divide(ci, mag, out=vi, where=np.greater(mag, 0.0, out=moves))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _ascent_pass(cols, v, dv)
+        if np.isnan(v).any():
+            v = w[rows]
+            _ascent_pass(cols, v, dv, np.empty(rows.size, dtype=bool))
         w[rows] = v
         value = _quads(w, _apply(c, w))
         passes[live] = p

@@ -37,6 +37,7 @@ import numpy as np
 from .diagonal import diag_forms, solve_diagonal_constrained, \
     solve_diagonal_unconstrained
 from .model import (
+    ARCH_DIAGONAL,
     ARCH_NONRECIPROCAL,
     ARCH_RECIPROCAL,
     ARCHITECTURES,
@@ -209,7 +210,8 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     of a derived cap grid (solved for the scale alone when that class is
     not swept).  The capped non-reciprocal answer at each cap is kept and
     handed to the reciprocal cell at that cap, which starts from it and
-    runs no dual search of its own.
+    runs no dual search of its own.  The diagonal reduction of the forms
+    is made only when the diagonal class is swept.
 
     Every cell takes one path: its solve is timed, and when its scenario
     is swept it writes its row, its report and one log line, at INFO
@@ -220,7 +222,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """
     ch = generate_channels(spec.cfg)
     forms = build_forms(ch)
-    dforms = diag_forms(forms)
+    dforms = diag_forms(forms) if ARCH_DIAGONAL in spec.architectures else None
     out = spec.output_path
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)

@@ -290,6 +290,14 @@ class TestUnconstrained:
         df = DiagForms(c_b=np.diag(d).astype(complex))
         ris, rep = solve_diagonal_unconstrained(df)
         assert rep.objective == pytest.approx(d.sum(), rel=1e-12)
+        # Every c_i is zero, so no phase moves: every restart, restart 0
+        # (all ones) among them, ends where it started, and the answer is
+        # one of the starts, bit for bit.  (The values tie only up to
+        # rounding, so which start wins is not fixed.)
+        starts = diagonal._starts(np.ones(3, dtype=complex))
+        w = diagonal._coordinate_ascent(df.c_b, starts.copy())[0]
+        assert w.tobytes() == starts.tobytes()
+        assert any(np.diag(ris.matrix).tobytes() == row.tobytes() for row in starts)
 
     def test_beats_dense_phase_grid(self):
         """Multi-start ascent must match a 16-level exhaustive phase grid
@@ -647,10 +655,27 @@ def uncapped_rows_apart(c, w):
     return apart
 
 
+# A PSD form (eigenvalues 0, 3, 3) on which restart 0 (all ones) meets
+# c_0 = 0 exactly, so the first pass reruns with the masked update (and
+# restart 0 stops after it); the random restarts meet no zero.
+ZERO_CI = np.array([[2, 1, -1], [1, 2, 1], [-1, 1, 2]], dtype=complex)
+
+
+def zero_c_i_apart():
+    """The rows of one lockstep ``_coordinate_ascent`` on ``ZERO_CI`` that
+    differ from their lone runs, then "start" if restart 0 left its start."""
+    starts = diagonal._starts(np.ones(3, dtype=complex))
+    w = diagonal._coordinate_ascent(ZERO_CI, starts.copy())[0]
+    return (uncapped_rows_apart(ZERO_CI, starts)
+            + (["start"] if w[0].tobytes() != starts[0].tobytes() else []))
+
+
 def oracle_rows_apart():
     """Both loops on every ``_oracle_cases()`` instance, the capped one at
-    0.3 of the uncapped leakage: the (instance, loop, rows) that differ."""
-    found = []
+    0.3 of the uncapped leakage, and ``zero_c_i_apart``: the (instance,
+    loop, rows) that differ."""
+    zero = zero_c_i_apart()
+    found = [("zero c_i", "uncapped", zero)] if zero else []
     for df in _oracle_cases():
         omega0 = np.diag(solve_diagonal_unconstrained(df)[0].matrix)
         capped = capped_rows_apart(*capped_inputs(df, 0.3 * _quad(df.c_e, omega0)))
@@ -661,7 +686,9 @@ def oracle_rows_apart():
 
 
 # A child interpreter that reports its OpenBLAS kernel and whether every row
-# of both loops on the oracle instances (r <= 8) is its lone run, bit for bit.
+# of both loops on the oracle instances (r <= 8), and of the uncapped loop on
+# ZERO_CI, is its lone run, bit for bit, and restart 0 on ZERO_CI keeps its
+# start.
 _ROWS_CHILD = """
 from conftest import openblas_core
 from test_diagonal import oracle_rows_apart
@@ -693,6 +720,15 @@ class TestRowsRunAsAlone:
 
     def test_oracle_cases(self):
         assert oracle_rows_apart() == []
+
+    def test_zero_c_i_in_a_mixed_stack(self):
+        """Restart 0 meets a zero c_i, the random restarts do not: every row
+        is still its lone run, restart 0 keeps its start, and no warning of
+        the 0/0 that the unmasked pass meets escapes."""
+        assert zero_c_i_apart() == []
+        w, values, passes, conv = diagonal._coordinate_ascent(
+            ZERO_CI, diagonal._starts(np.ones(3, dtype=complex)))
+        assert conv.all() and np.isfinite(values).all()
 
     @pytest.mark.parametrize("kernel,flag", KERNELS)
     def test_oracle_cases_under_kernel(self, kernel, flag):

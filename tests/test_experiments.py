@@ -380,6 +380,35 @@ class TestRunExperiment:
         assert len(lines) == 1 + len(spec.epsilon_grid) and len(reports) == len(lines)
         assert (lines, reports) == reciprocal(spec.output_path)
 
+    def test_no_diagonal_reduction_without_the_diagonal_class(self, tmp_path, monkeypatch):
+        """A sweep without the diagonal class never reduces the forms to
+        their diagonal counterparts, and writes the same files as it does
+        when the reduction is at hand (reports without ``wall_ms``)."""
+        archs = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL)
+
+        def files(out):
+            found = {}
+            for path in sorted(out.rglob("*")):
+                if path.suffix == ".json":
+                    found[path.relative_to(out)] = {
+                        k: v for k, v in json.loads(path.read_text()).items() if k != "wall_ms"}
+                elif path.is_file():
+                    found[path.relative_to(out)] = path.read_bytes()
+            return found
+
+        first = tiny_spec(tmp_path / "a", architectures=archs)
+        run_experiment(first)
+
+        def refused(forms):
+            raise AssertionError("diagonal reduction in a sweep without that class")
+
+        monkeypatch.setattr(experiments, "diag_forms", refused)
+        second = tiny_spec(tmp_path / "b", architectures=archs)
+        run_experiment(second)
+        found = files(second.output_path)
+        assert len(found) == 1 + 2 * (1 + len(second.epsilon_grid)) + 4
+        assert found == files(first.output_path)
+
     def test_monte_carlo_column(self, tmp_path):
         spec = tiny_spec(tmp_path, scenarios=(SCENARIO_NO_EVE,),
                          architectures=(ARCH_NONRECIPROCAL,), mc_trials=300)
