@@ -187,14 +187,9 @@ def _quad(c: np.ndarray, omega: np.ndarray) -> float:
 # restart at a time, with vector products and scalar arithmetic, rounds it.
 
 
-def _apply(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise c @ w_j."""
-    return np.matmul(c, w[:, :, None])[:, :, 0]
-
-
-def _quads(w: np.ndarray, cw: np.ndarray) -> np.ndarray:
-    """Row-wise w_j^H (c w_j), given cw = _apply(c, w)."""
-    return np.matmul(w.conj()[:, None, :], cw[:, :, None])[:, 0, 0].real
+def _quads(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise w_j^H (c w_j)."""
+    return np.matmul(w.conj()[:, None, :], np.matmul(c, w[:, :, None]))[:, 0, 0].real
 
 
 def _scale(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -259,7 +254,7 @@ def _coordinate_ascent(c: np.ndarray, w: np.ndarray):
     """
     d = np.diag(c)
     cols = [row[:, None] for row in c]          # c_i as a column
-    values = [_quads(w, _apply(c, w))]
+    values = [_quads(c, w)]
     passes = np.zeros(w.shape[0], dtype=int)
     live = np.ones(w.shape[0], dtype=bool)
     for p in range(1, _MAX_PASSES + 1):
@@ -274,7 +269,7 @@ def _coordinate_ascent(c: np.ndarray, w: np.ndarray):
             v = w[rows]
             _ascent_pass(cols, v, dv, np.empty(rows.size, dtype=bool))
         w[rows] = v
-        value = _quads(w, _apply(c, w))
+        value = _quads(c, w)
         passes[live] = p
         live &= value - values[-1] > _CA_REL_TOL * np.maximum(1.0, np.abs(value))
         values.append(value)
@@ -288,8 +283,10 @@ def solve_diagonal_unconstrained(dforms: DiagForms) -> tuple[RisMatrix, SolveRep
 
     Restart 0 starts from the all-ones phase vector; the rest draw phases
     uniformly on [0, 2pi).  All restarts run together as the rows of one
-    _RESTARTS x r iterate; the first restart with the highest value wins and
-    the report carries its trace, pass count and ``stop_reason``
+    _RESTARTS x r iterate.  The restart with the highest computed value
+    wins, the first of exactly equal values, so restarts that tie in exact
+    arithmetic are decided by rounding: restart 0 need not win.  The
+    report carries its trace, pass count and ``stop_reason``
     (``stationary``, or ``budget`` after _MAX_PASSES passes).  The reported
     bound is lam_max(c_b) * r, the Rayleigh bound over the relaxed ball.
     """
@@ -311,7 +308,7 @@ def solve_diagonal_unconstrained(dforms: DiagForms) -> tuple[RisMatrix, SolveRep
 
 def _into_cap(ce: np.ndarray, eps: float, w: np.ndarray) -> np.ndarray:
     """Scale every row whose leakage exceeds eps down onto the cap."""
-    g = _quads(w, _apply(ce, w))
+    g = _quads(ce, w)
     return w * np.sqrt(eps / np.where(g > eps, g, eps))[:, None]
 
 
@@ -437,10 +434,11 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     restart, scaled into the cap, runs augmented-Lagrangian rounds of
     box-projected gradient ascent with Barzilai-Borwein steps until the cap
     residual falls to _RESIDUAL_TOL; each final iterate is rescaled onto the
-    cap if a residual violation remains, and the first restart with the
-    highest objective wins; its objective is the report's whole trace.  The
-    box projection and that downward rescale keep |omega_i| <= 1
-    throughout.  In the report, a
+    cap if a residual violation remains, and the restart with the highest
+    computed objective wins, the first of exactly equal values (rounding
+    decides ties in exact arithmetic); its objective is the report's whole
+    trace.  The box projection and that downward rescale keep
+    |omega_i| <= 1 throughout.  In the report, a
     :func:`~bdris.reporting.capped_report` (with ``cap_residual``),
     ``iterations`` sums the gradient steps of all restarts, and
     ``budget_hits`` counts the rounds, over all restarts, that used all
@@ -477,7 +475,7 @@ def solve_diagonal_constrained(dforms: DiagForms, epsilon_eve: float,
     w, steps, budget_hits, pen = _projected_ascent(
         cb, ce, eps, _into_cap(ce, eps, _starts(omega0)))
     w = _into_cap(ce, eps, w)
-    best = int(np.argmax(_quads(w, _apply(cb, w))))
+    best = int(np.argmax(_quads(cb, w)))
     omega = w[best]
     objective = _quad(dforms.c_b, omega)
     return RisMatrix(np.diag(omega), ARCH_DIAGONAL), capped_report(

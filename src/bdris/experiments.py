@@ -267,7 +267,7 @@ def _make_row(spec, ch, forms, scenario, arch, eps, ris, rep) -> dict:
     fim_eve = None
     if forms.e_e is not None:
         fim_eve = quad_objective(ris.matrix, forms.e_e, forms.m)
-    crb = crb_trace(fim_matrix(ch, ris, "bob"))
+    crb = crb_trace(fim_matrix(ch, ris))
     mse = None
     if spec.mc_trials > 0:
         mse = simulate_mle_mse(ch, ris, trials=spec.mc_trials, seed=spec.cfg.seed)

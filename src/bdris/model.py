@@ -56,8 +56,6 @@ ARCH_NONRECIPROCAL = "non-reciprocal"
 ARCH_RECIPROCAL = "reciprocal"
 ARCH_DIAGONAL = "diagonal"
 ARCHITECTURES = (ARCH_NONRECIPROCAL, ARCH_RECIPROCAL, ARCH_DIAGONAL)
-# The receivers whose information can be asked for.
-_TARGETS = ("bob", "eve")
 
 # Tolerated imaginary part of real traces.
 IMAG_RESIDUE_TOL = 1e-9
@@ -89,7 +87,7 @@ def _check_count(name: str, value, least: int = 0) -> int:
 def _check_choice(name: str, value, choices: tuple) -> str:
     """``value``, after refusing it unless it is one of the names
     ``choices``.  The one rule of every name the package picks among:
-    an architecture, a scenario and an information target."""
+    an architecture and a scenario."""
     if not (isinstance(value, str) and value in choices):
         raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     return value
@@ -428,20 +426,27 @@ def quad_objective(omega: np.ndarray, e: np.ndarray, m: np.ndarray) -> float:
     return max(val.real, 0.0)
 
 
-def _effective_matrix(ch: ChannelSet, ris: RisMatrix, target: str):
-    if _check_choice("target", target, _TARGETS) == "eve" and ch.h_re is None:
-        raise ValueError("this ChannelSet has no eavesdropper channel")
-    h_out, low = (ch.h_rb, ch.low_b) if target == "bob" else (ch.h_re, ch.low_e)
+def _information(ch: ChannelSet, ris: RisMatrix):
+    """G = H_rb Omega H_ar P, Sigma_b^{-1} G and the Hermitian part F of
+    G^H Sigma_b^{-1} G: the intended receiver's information, formed once
+    for :func:`fim_matrix` and :func:`simulate_mle_mse`."""
     if ris.r != ch.r:
         raise DimensionError("response matrix size does not match the channels")
-    return h_out @ ris.matrix @ ch.h_ar @ ch.p, low
+    g = ch.h_rb @ ris.matrix @ ch.h_ar @ ch.p
+    weighted = _cho_solve(ch.low_b, g)
+    f = g.conj().T @ weighted
+    return g, weighted, 0.5 * (f + f.conj().T)
 
 
-def fim_matrix(ch: ChannelSet, ris: RisMatrix, target: str = "bob") -> np.ndarray:
-    """Hermitian k-by-k Fisher information matrix G^H Sigma^{-1} G."""
-    g, low = _effective_matrix(ch, ris, target)
-    f = g.conj().T @ _cho_solve(low, g)
-    return 0.5 * (f + f.conj().T)
+def fim_matrix(ch: ChannelSet, ris: RisMatrix) -> np.ndarray:
+    """Hermitian k-by-k Fisher information matrix G^H Sigma_b^{-1} G of the
+    intended receiver, G = H_rb Omega H_ar P.
+
+    The eavesdropper's is the intended receiver's on swapped roles:
+    ``fim_matrix(ChannelSet(h_ar=ch.h_ar, h_rb=ch.h_re, sigma_b=ch.sigma_e,
+    p=ch.p), ris)``.
+    """
+    return _information(ch, ris)[2]
 
 
 def crb_trace(fim: np.ndarray) -> float:
@@ -475,10 +480,13 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
     errors |(G theta + eta) estimator^T - theta|^2 go into one real
     trials-by-k array, summed once at the end, so the estimate is bit for
     bit the whole-block one and no complex temporary grows with ``trials``.
+    G, Sigma_b^{-1} G and F are those of :func:`fim_matrix`; on the
+    swapped ``ChannelSet`` given there, the estimate is the eavesdropper's,
+    with noise drawn from Sigma_e.
     """
     trials = _check_count("trials", trials, least=1)
     seed = _check_count("seed", seed)
-    g, low = _effective_matrix(ch, ris, "bob")
+    g, weighted, f = _information(ch, ris)
     k = g.shape[1]
     # A wide G (n_b < k) has only n_b singular values: rank k needs k of them.
     sv = np.linalg.svd(g, compute_uv=False)
@@ -488,11 +496,9 @@ def simulate_mle_mse(ch: ChannelSet, ris: RisMatrix, trials: int = 10_000,
         )
     theta = np.ones(k, dtype=complex)
 
-    weighted = _cho_solve(low, g)                     # Sigma^{-1} G
-    f = g.conj().T @ weighted
     # theta-hat = F^{-1} G^H Sigma^{-1} y for every trial: one k-by-n_b solve
     # gives the estimator, so the trials need a single product with it.
-    estimator = np.linalg.solve(0.5 * (f + f.conj().T), weighted.conj().T)
+    estimator = np.linalg.solve(f, weighted.conj().T)
 
     mean = g @ theta
     noise = ch.noise_b(trials, seed)

@@ -51,8 +51,6 @@ from .model import (
     ARCH_RECIPROCAL,
     QuadraticForms,
     RisMatrix,
-    _TARGETS,
-    _check_choice,
     quad_objective,
 )
 from .reporting import CapPenalty, SolveReport, capped_report, checked_cap, \
@@ -126,16 +124,15 @@ _TAYLOR_THETA = tuple(
     for m in range(1, _TAYLOR_MAX + 1))
 
 
-def von_neumann_bound(forms: QuadraticForms, target: str = "bob") -> float:
-    """Upper bound sum_i d_E,i d_M,i on tr(Omega^H E Omega M) over unitaries.
+def von_neumann_bound(forms: QuadraticForms) -> float:
+    """Upper bound sum_i d_E,i d_M,i on tr(Omega^H E_b Omega M) over unitaries.
 
     Both spectra are sorted descending (the forms' stored ones); by Von
     Neumann's trace inequality no unitary response can exceed this value.
+    The eavesdropper's bound is the intended receiver's on swapped roles:
+    ``von_neumann_bound(QuadraticForms(e_b=forms.e_e, h=forms.h))``.
     """
-    eig = forms.eig_b if _check_choice("target", target, _TARGETS) == "bob" else forms.eig_e
-    if eig is None:
-        raise ValueError("eavesdropper forms are absent")
-    return float(eig.values @ forms.eig_m.values)
+    return float(forms.eig_b.values @ forms.eig_m.values)
 
 
 def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
@@ -159,13 +156,13 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
     ``stationary`` (cap met by the dual search) or ``infeasible``.
     """
     omega = forms.eig_b.vectors @ forms.eig_m.vectors.conj().T
-    objective = quad_objective(omega, forms.e_b, forms.m)
     bound = von_neumann_bound(forms)
     if epsilon_eve is not None:
         epsilon_eve = checked_cap(forms.e_e, epsilon_eve)
         eve = quad_objective(omega, forms.e_e, forms.m)
         if eve > epsilon_eve:
-            return _capped_nonreciprocal(forms, epsilon_eve)
+            return _capped_nonreciprocal(forms, epsilon_eve, omega, bound)
+    objective = quad_objective(omega, forms.e_b, forms.m)
     pair = RisMatrix(omega, ARCH_NONRECIPROCAL), SolveReport(
         objective=objective, bound=bound, iterations=0, cost_trace=[objective],
         constraint_values={"stop_reason": "closed_form"})
@@ -174,25 +171,22 @@ def solve_nonreciprocal(forms: QuadraticForms, epsilon_eve: float | None = None,
     return inactive_answer(pair, bound, epsilon_eve, eve, multiplier=0.0, dual_bound=bound)
 
 
-def _capped_nonreciprocal(forms: QuadraticForms,
-                          epsilon_eve: float) -> tuple[RisMatrix, SolveReport]:
-    """Dual search for a cap the uncapped optimum V_E V_M^H violates; the
-    forms hold the spectra, so it decomposes only E_b - mu E_e."""
+def _capped_nonreciprocal(forms: QuadraticForms, epsilon_eve: float,
+                          omega: np.ndarray, bound: float,
+                          ) -> tuple[RisMatrix, SolveReport]:
+    """Dual search for a cap that the uncapped optimum ``omega`` = V_E V_M^H,
+    of Von Neumann bound ``bound``, violates.  ``omega`` is the maximizer at
+    mu = 0 and ``bound`` the report's; the forms hold the spectra, so the
+    search decomposes only E_b - mu E_e."""
     e_b, e_e, m = forms.e_b, forms.e_e, forms.m
     eig_e, eig_m = forms.eig_e, forms.eig_m
     v_m_h = eig_m.vectors.conj().T
-    bound = von_neumann_bound(forms)
     evaluations = 0
 
     def feasible(omega: np.ndarray) -> bool:
         nonlocal evaluations
         evaluations += 1
         return quad_objective(omega, e_e, m) <= epsilon_eve
-
-    def maximizer(mu: float) -> tuple[np.ndarray, float]:
-        """Argmax of the Lagrangian at mu and the dual value g(mu)."""
-        eig = hermitian_eig(e_b - mu * e_e)
-        return eig.vectors @ v_m_h, float(eig.values @ eig_m.values) + mu * epsilon_eve
 
     def answer(omega: np.ndarray, converged: bool, **extra):
         objective = quad_objective(omega, e_b, m)
@@ -206,11 +200,14 @@ def _capped_nonreciprocal(forms: QuadraticForms,
         return answer(floor_omega, False)
 
     def by_multiplier(mu: float):
-        omega, g = maximizer(mu)
-        return feasible(omega), (omega, g)
+        """Whether the argmax of the Lagrangian at mu meets the cap, and
+        (that argmax, the dual value g(mu))."""
+        eig = hermitian_eig(e_b - mu * e_e)
+        omega = eig.vectors @ v_m_h
+        return feasible(omega), (omega, float(eig.values @ eig_m.values) + mu * epsilon_eve)
 
     # Bracket (mu, (Omega, g(mu))) ends: leak > eps at lo, leak <= eps at hi.
-    lo = (0.0, (forms.eig_b.vectors @ v_m_h, None))
+    lo = (0.0, (omega, None))
     mu = float(forms.eig_b.values[0]) / float(eig_e.values[0]) or 1.0
     for _ in range(_MAX_DOUBLINGS):
         met, payload = by_multiplier(mu)

@@ -104,7 +104,7 @@ def test_criterion_01_closed_form_attains_spectral_bound():
             hb = rand_complex(rng, 2 * k, r)
             forms = QuadraticForms(e_b=hb.conj().T @ hb, h=h)
             ris, rep = solve_nonreciprocal(forms)
-            bound = von_neumann_bound(forms, "bob")
+            bound = von_neumann_bound(forms)
             worst_rel = max(worst_rel, abs(rep.objective - bound) / bound)
             best = float(batch_trace_objective(batch, forms.e_b, forms.m, batch_conj).max())
             worst_margin = min(worst_margin, rep.objective / best)
@@ -288,6 +288,23 @@ def test_criterion_07_capped_solutions_are_feasible(sweep36):
           f"the dual bound, {checked_duals} dual gaps below 1e-9")
 
 
+def test_capped_reports_carry_one_leakage(sweep36):
+    """A capped report holds its leakage twice: ``eve_value``, the solver's,
+    and ``cell.fim_eve``, ``quad_objective`` on the full forms.  They are
+    one computation for the unitary classes, and agree within 1e-12
+    relative for the diagonal class, whose solvers read the Hadamard-reduced
+    form."""
+    reports = sweep36["reports"]
+    for idx in range(len(sweep36["spec"].epsilon_grid)):
+        for arch in ARCHS:
+            payload = reports[f"eve-{arch}-eps{idx:02d}"]
+            eve, fim_eve = payload["constraint_values"]["eve_value"], payload["cell"]["fim_eve"]
+            if arch == ARCH_DIAGONAL:
+                assert eve == pytest.approx(fim_eve, rel=1e-12, abs=0.0), (arch, idx)
+            else:
+                assert eve == fim_eve, (arch, idx)
+
+
 # The capped diagonal cells of the reference sweep as the quadratic-penalty
 # projected gradient solved them (cap index -> fim_bob, total steps), before
 # the augmented Lagrangian with Barzilai-Borwein steps replaced it.
@@ -348,7 +365,7 @@ def test_criterion_08_monte_carlo_mse_matches_crb():
     ch = generate_channels(cfg)
     forms = build_forms(ch)
     ris, _ = solve_nonreciprocal(forms)
-    crb = crb_trace(fim_matrix(ch, ris, "bob"))
+    crb = crb_trace(fim_matrix(ch, ris))
     mse = simulate_mle_mse(ch, ris, trials=10_000, seed=123)
     wall = perf_counter() - t0
     rel = abs(mse - crb) / crb

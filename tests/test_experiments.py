@@ -344,9 +344,9 @@ class TestRunExperiment:
         searches = []
         search = spectral._capped_nonreciprocal
 
-        def counted(forms, eps):
+        def counted(forms, eps, omega, bound):
             searches.append(eps)
-            return search(forms, eps)
+            return search(forms, eps, omega, bound)
 
         monkeypatch.setattr(spectral, "_capped_nonreciprocal", counted)
         spec = tiny_spec(tmp_path)

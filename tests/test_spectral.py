@@ -42,7 +42,7 @@ class TestNonReciprocal:
             r = int(rng.integers(2, 8))
             forms = rand_forms(rng, r, with_eve=False)
             ris, rep = solve_nonreciprocal(forms)
-            bound = von_neumann_bound(forms, "bob")
+            bound = von_neumann_bound(forms)
             assert rep.objective == pytest.approx(bound, rel=1e-9)
             assert rep.objective == pytest.approx(objective(ris.matrix, forms),
                                                   rel=1e-12)
@@ -227,7 +227,7 @@ class TestReciprocalAo:
         forms = QuadraticForms(e_b=np.diag([4.0, 2.0, 1.0]),
                                h=np.diag(np.sqrt([3.0, 2.0, 0.5])))
         _, rep = solve_reciprocal_ao(forms)
-        assert rep.objective == pytest.approx(von_neumann_bound(forms, "bob"),
+        assert rep.objective == pytest.approx(von_neumann_bound(forms),
                                               rel=1e-6)
 
     def test_near_optimal_on_random_instances(self):
@@ -497,11 +497,13 @@ class TestStepCountStability:
 
 
 class TestBound:
-    def test_eve_target_uses_eve_form(self):
+    def test_eve_bound_is_the_swapped_forms_bound(self):
+        """The eavesdropper's bound is the intended receiver's on forms
+        whose receiver form is E_e."""
         rng = np.random.default_rng(10)
         forms = rand_forms(rng, 4)
-        b_bob = von_neumann_bound(forms, "bob")
-        b_eve = von_neumann_bound(forms, "eve")
+        b_bob = von_neumann_bound(forms)
+        b_eve = von_neumann_bound(QuadraticForms(e_b=forms.e_e, h=forms.h))
         d_e = np.linalg.eigvalsh(forms.e_e)[::-1]
         d_m = np.linalg.eigvalsh(forms.m)[::-1]
         assert b_eve == pytest.approx(float(d_e @ d_m), rel=1e-10)
@@ -510,15 +512,8 @@ class TestBound:
     def test_random_unitaries_stay_below_eve_bound(self):
         rng = np.random.default_rng(11)
         forms = rand_forms(rng, 4)
-        b_eve = von_neumann_bound(forms, "eve")
+        b_eve = von_neumann_bound(QuadraticForms(e_b=forms.e_e, h=forms.h))
         for _ in range(500):
             u = haar_unitary(rng, 4)
             val = float(np.vdot(u, forms.e_e @ u @ forms.m).real)
             assert val <= b_eve + 1e-9
-
-    def test_refuses_bad_target_and_missing_eve_form(self):
-        forms = rand_forms(np.random.default_rng(12), 3, with_eve=False)
-        with pytest.raises(ValueError, match="target"):
-            von_neumann_bound(forms, "carol")
-        with pytest.raises(ValueError, match="absent"):
-            von_neumann_bound(forms, "eve")
